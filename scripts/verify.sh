@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full pre-merge verification: static analysis, the tier-1 test suite,
-# the parallel-kernel identity smoke, the SQL workload smoke, the
-# dpconv kernel/hybrid-bound smoke, the hot-path regression guard, and
-# the front-door overload smoke, in fail-fast order (cheapest first).
+# the SQL workload smoke, the dpconv kernel identity smoke, the hot-path
+# regression guard, and the front-door overload smoke, in fail-fast
+# order (cheapest first).
 #
 #   scripts/verify.sh            # from the repo root
 #
@@ -21,48 +21,17 @@ stage_done() {
   STAGE_T0=$SECONDS
 }
 
-echo "== 1/7 static analysis (python -m repro.lint) =="
+echo "== 1/6 static analysis (python -m repro.lint) =="
 python -m repro.lint src/
 
 stage_done
 
-echo "== 2/7 tier-1 tests (pytest) =="
+echo "== 2/6 tier-1 tests (pytest) =="
 python -m pytest
 
 stage_done
 
-echo "== 3/7 parallel-kernel smoke (2-worker pool vs serial) =="
-python - <<'SMOKE'
-import glob
-
-from repro.bench.workloads import WorkloadSpec, make_query
-from repro.catalog import SchemaBuilder, analyze
-from repro.core.base import SearchBudget
-from repro.core.registry import make_optimizer
-
-schema = SchemaBuilder(seed=7, relation_count=12, column_count=14,
-                       name="verify-parallel-12").build()
-stats = analyze(schema)
-budget = SearchBudget(max_seconds=60.0)
-for technique, spec in (("DP", WorkloadSpec("star", 10)),
-                        ("SDP", WorkloadSpec("star", 12))):
-    query = make_query(spec, schema, 0)
-    serial = make_optimizer(technique, budget=budget).optimize(query, stats)
-    pooled = make_optimizer(technique, budget=budget, workers=2).optimize(
-        query, stats)
-    assert pooled.cost == serial.cost, (technique, pooled.cost, serial.cost)
-    assert pooled.plans_costed == serial.plans_costed, technique
-    assert pooled.jcrs_created == serial.jcrs_created, technique
-    print(f"  {technique} {spec.label}: 2-worker pool identical "
-          f"(cost={serial.cost:.1f}, plans_costed={serial.plans_costed})")
-leftovers = glob.glob("/dev/shm/repro_ps_*")
-assert not leftovers, f"shared-memory leak: {leftovers}"
-print("  /dev/shm clean")
-SMOKE
-
-stage_done
-
-echo "== 4/7 SQL workload smoke (TPC-H-lite through the front door) =="
+echo "== 3/6 SQL workload smoke (TPC-H-lite through the front door) =="
 python - <<'SMOKE'
 import repro
 from repro.plans.validate import validate_plan
@@ -82,7 +51,7 @@ SMOKE
 
 stage_done
 
-echo "== 5/7 dpconv smoke (kernel identity under C_out + hybrid-bound SDP) =="
+echo "== 4/6 dpconv smoke (kernel identity under C_out) =="
 python - <<'SMOKE'
 from repro.bench.workloads import WorkloadSpec, make_query
 from repro.catalog import SchemaBuilder, analyze
@@ -111,28 +80,16 @@ for spec in (WorkloadSpec("chain", 8), WorkloadSpec("star", 10)):
     assert conv.plans_costed == witness.plans_costed, spec.label
     print(f"  DPconv {spec.label}: identical to DP under C_out "
           f"(cost={conv.cost:.1f}, plans_costed={conv.plans_costed})")
-
-# The convolution bound must be pruning-only: same plan, never more work.
-query = make_query(WorkloadSpec("star", 12), schema, 0)
-plain = make_optimizer("SDP", budget=budget).optimize(query, stats)
-bounded = make_optimizer("SDP", budget=budget,
-                         bound="dpconv").optimize(query, stats)
-assert bounded.cost == plain.cost, (bounded.cost, plain.cost)
-assert serialize(bounded.plan) == serialize(plain.plan)
-assert bounded.plans_costed < plain.plans_costed, (
-    bounded.plans_costed, plain.plans_costed)
-print(f"  SDP star-12 bound=dpconv: identical plan, plans_costed "
-      f"{plain.plans_costed} -> {bounded.plans_costed}")
 SMOKE
 
 stage_done
 
-echo "== 6/7 hot-path regression guard (sdp-bench --check) =="
+echo "== 5/6 hot-path regression guard (sdp-bench --check) =="
 python -m repro.bench --check BENCH_optimize.json
 
 stage_done
 
-echo "== 7/7 overload smoke (pytest -m stress) =="
+echo "== 6/6 overload smoke (pytest -m stress) =="
 python -m pytest -m stress
 
 stage_done

@@ -96,8 +96,6 @@ def optimize(
     trace: bool = False,
     cost_model: CostModel | None = None,
     service=None,
-    workers: int | None = None,
-    bound: str | None = None,
 ) -> OptimizerResult:
     """Optimize ``query`` and return a plan — the package's front door.
 
@@ -127,21 +125,8 @@ def optimize(
         cost_model: Cost-model override.
         service: An :class:`~repro.service.OptimizationService` to route
             through (plan cache, statistics epochs). Mutually exclusive
-            with ``robust``/``budget``/``cost_model``/``workers`` — the
-            service owns those; its technique wins too.
-        workers: Worker-process count for the intra-query parallel
-            search driver (``repro.core.parallel``). Only the
-            level-synchronous techniques — DP and the SDP variants,
-            including their rungs under ``robust=True`` — fan out;
-            other techniques ignore it. ``workers=1`` runs the parallel
-            driver in-process (bit-identical to serial); None keeps the
-            ``REPRO_KERNEL``/``REPRO_WORKERS`` environment defaults.
-        bound: ``"dpconv"`` enables the admissible convolution lower
-            bound as pre-costing pruning in the level-synchronous
-            techniques (DP, the SDP variants, their rungs under
-            ``robust=True``). The final plan and cost are unchanged —
-            only ``plans_costed`` drops. A bound forces the serial
-            fast kernel for the call.
+            with ``robust``/``budget``/``cost_model`` — the service owns
+            those; its technique wins too.
 
     Returns:
         An :class:`~repro.core.base.OptimizerResult` (or subclass)
@@ -172,26 +157,16 @@ def optimize(
         )
 
     if service is not None:
-        if (
-            robust
-            or budget is not None
-            or cost_model is not None
-            or workers is not None
-            or bound is not None
-        ):
+        if robust or budget is not None or cost_model is not None:
             raise OptimizationError(
                 "optimize(service=...) routes through the service's own "
-                "optimizer; robust/budget/cost_model/workers/bound cannot "
-                "be overridden per call"
+                "optimizer; robust/budget/cost_model cannot be overridden "
+                "per call"
             )
         runner = lambda: service.optimize(query, stats)  # noqa: E731
     else:
         resolved = resolve_technique(technique)
         search_budget = _resolve_budget(budget)
-        if workers is not None and workers < 1:
-            raise OptimizationError(
-                f"workers must be a positive integer, got {workers!r}"
-            )
         if robust:
             # Imported lazily: repro.robust builds its ladder rungs through
             # the optimizer registry, which this module also imports.
@@ -202,24 +177,9 @@ def optimize(
                 budget=search_budget,
                 cost_model=cost_model,
             )
-            if workers is not None:
-                optimizer.workers = workers
-            if bound is not None:
-                from repro.core.planspace import PLAN_SPACE_BOUNDS
-
-                if bound not in PLAN_SPACE_BOUNDS:
-                    raise OptimizationError(
-                        f"unknown pruning bound {bound!r} "
-                        f"(expected one of {PLAN_SPACE_BOUNDS})"
-                    )
-                optimizer.bound = bound
         else:
             optimizer = make_optimizer(
-                resolved,
-                budget=search_budget,
-                cost_model=cost_model,
-                workers=workers,
-                bound=bound,
+                resolved, budget=search_budget, cost_model=cost_model
             )
         runner = lambda: optimizer.optimize(query, stats)  # noqa: E731
 

@@ -175,33 +175,12 @@ def _run_check(baseline_path: str, repeats: int, workers: int | None) -> int:
         f"{'grid_workers':14s} mode={grid['mode']} speedup={grid['speedup']} "
         f"identical_outcomes={grid['identical_outcomes']}{fallback}"
     )
-    for name in ("dp_star_15_parallel", "sdp_star_50_parallel"):
-        arm = current["benchmarks"].get(name)
-        if arm is None:
-            continue
-        reason = (
-            f" fallback_reason={arm['fallback_reason']}"
-            if arm.get("fallback_reason")
-            else ""
-        )
-        print(
-            f"{name:14s} mode={arm['parallel_mode']} workers={arm['workers']} "
-            f"speedup={arm['speedup']} merge={arm['merge_seconds_total']}s "
-            f"identical={arm['identical_outcomes']}{reason}"
-        )
     dpconv = current["benchmarks"].get("dpconv_exact")
     if dpconv is not None:
         print(
             f"{'dpconv_exact':14s} speedup={dpconv['speedup_vs_dp_pg']} "
             f"plans_ratio={dpconv['plans_costed_ratio_vs_dp_pg']} "
             f"identical_to_dp_cout={dpconv['identical_to_dp_cout']}"
-        )
-    hybrid = current["benchmarks"].get("sdp_hybrid_bound")
-    if hybrid is not None:
-        print(
-            f"{'sdp_hybrid':14s} speedup={hybrid['speedup']} "
-            f"plans_ratio={hybrid['plans_costed_ratio']} "
-            f"identical_outcomes={hybrid['identical_outcomes']}"
         )
     print(f"{'plan_cache':14s} speedup={current['benchmarks']['plan_cache']['speedup']}")
     sqlw = current["benchmarks"].get("sql_workload")

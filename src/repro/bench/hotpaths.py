@@ -10,19 +10,10 @@ Times the scenarios this codebase optimizes hardest:
   requested worker count, asserting the aggregated outcomes are identical
   and recording the speedup plus the serial-vs-pool decision *and why*
   (:func:`repro.service.parallel.execution_plan`);
-* ``dp_star_15_parallel`` / ``sdp_star_50_parallel`` — the intra-query
-  parallel kernel (:mod:`repro.core.parallel`) against the serial
-  mask-native kernel on one big level-synchronous search each: serial
-  vs N-worker medians, speedup, merge overhead, bit-identical counters,
-  and the per-level span ``plans_costed``-sum contract (validated on a
-  traced run);
 * ``dpconv_exact`` — the layered (min,+) convolution kernel
   (``technique="DPconv"``) against exhaustive DP: default-model DP as the
   frontier baseline, C_out-model DP as the bit-identity witness, with a
   speedup floor and a plans_costed-ratio ceiling as the guard pair;
-* ``sdp_hybrid_bound`` — SDP with ``bound="dpconv"`` against plain SDP
-  on the wide 25-relation star: identical final cost and plan tree, a
-  >=20% ``plans_costed`` reduction, and no material slowdown;
 * ``plan_cache`` — cold vs. warm :class:`repro.service.OptimizationService`
   lookups on a repeated query;
 * ``sql_workload`` — the TPC-H-lite SQL suite (:mod:`repro.workloads`)
@@ -67,11 +58,8 @@ from repro.bench.workloads import WorkloadSpec, make_query
 from repro.catalog.schema import SchemaBuilder, paper_schema
 from repro.catalog.statistics import analyze
 from repro.core.base import SearchBudget
-from repro.core.kernel import resolve_workers
 from repro.core.registry import make_optimizer
 from repro.cost.model import COUT_COST_MODEL
-from repro.obs.names import SPAN_OPTIMIZE
-from repro.obs.runtime import capture
 from repro.service import OptimizationService
 from repro.service.parallel import execution_plan
 from repro.workloads import TPCH_LITE_SQL, tpch_lite_queries, tpch_lite_schema
@@ -90,15 +78,6 @@ TIME_REGRESSION_FACTOR = 2.5
 #: (Seed host: speedup 2.5x, ratio 0.14.)
 DPCONV_MIN_SPEEDUP = 1.5
 DPCONV_MAX_PLANS_RATIO = 0.25
-
-#: sdp_hybrid_bound guard pair: the bound must skip a real share of the
-#: costing work (the issue's >=20% reduction bar) and must not slow the
-#: search down materially — computing floors for pairs it then fails to
-#: skip would show up here. The plans ratio is deterministic; wall-clock
-#: jitters around parity (seed host: 0.89x–1.12x across runs), so the
-#: speedup floor only catches a gross slowdown.
-HYBRID_MIN_SPEEDUP = 0.7
-HYBRID_MAX_PLANS_RATIO = 0.8
 
 
 def _timed(fn, repeats: int):
@@ -167,89 +146,6 @@ def bench_grid(schema, stats, repeats: int, workers: int):
         "plans_costed": {
             name: serial.outcomes[name].plans_costed for name in serial.outcomes
         },
-    }
-
-
-def bench_parallel_kernel(
-    technique: str,
-    spec: WorkloadSpec,
-    schema,
-    stats,
-    repeats: int,
-):
-    """Serial vs parallel-kernel arms on one level-synchronous search.
-
-    The worker count follows the auto policy
-    (:func:`repro.core.kernel.resolve_workers`): a multi-core host gets a
-    real pool, a single-core host records ``fallback_reason: cpu_count``
-    and runs the parallel driver's in-process path with one partition per
-    worker — the machinery is still exercised and the identity checks
-    still bite, but no speedup is claimable (or claimed).
-
-    One extra traced parallel run validates the observability contract:
-    per-level span ``plans_costed`` attrs must sum exactly to the
-    result's total, and the per-level ``merge_seconds`` attrs are
-    aggregated into the reported merge overhead.
-    """
-    query = make_query(spec, schema, 0)
-    auto_workers, fallback_reason = resolve_workers(None)
-
-    serial_opt = make_optimizer(technique, budget=BUDGET)
-    serial_median, serial_samples, serial = _timed(
-        lambda: serial_opt.optimize(query, stats), repeats
-    )
-    # An explicit count keeps the arm deterministic per host; workers=1
-    # (single-core fallback) runs the in-process partition/merge path.
-    parallel_opt = make_optimizer(
-        technique, budget=BUDGET, workers=auto_workers
-    )
-    parallel_median, parallel_samples, parallel = _timed(
-        lambda: parallel_opt.optimize(query, stats), repeats
-    )
-
-    with capture() as exporter:
-        traced = parallel_opt.optimize(query, stats)
-    # Per-phase spans (levels + finalize) carry plans_costed deltas that
-    # must sum exactly to the run total; the root "optimize" span carries
-    # the total itself and would double-count it.
-    span_costed = sum(
-        span.attributes["plans_costed"]
-        for span in exporter.spans
-        if "plans_costed" in span.attributes and span.name != SPAN_OPTIMIZE
-    )
-    merge_seconds = sum(
-        span.attributes["merge_seconds"]
-        for span in exporter.spans
-        if "merge_seconds" in span.attributes
-    )
-    modes = {
-        span.attributes["parallel_mode"]
-        for span in exporter.spans
-        if "parallel_mode" in span.attributes
-    }
-    identical = (
-        serial.plans_costed == parallel.plans_costed == traced.plans_costed
-        and serial.cost == parallel.cost == traced.cost
-    )
-    return {
-        "technique": technique,
-        "workload": spec.label,
-        "workers": auto_workers,
-        "fallback_reason": fallback_reason,
-        "parallel_mode": sorted(modes)[0] if len(modes) == 1 else sorted(modes),
-        "serial_median_seconds": round(serial_median, 6),
-        "serial_samples_seconds": [round(s, 6) for s in serial_samples],
-        "parallel_median_seconds": round(parallel_median, 6),
-        "parallel_samples_seconds": [round(s, 6) for s in parallel_samples],
-        "speedup": round(serial_median / parallel_median, 3),
-        "merge_seconds_total": round(merge_seconds, 6),
-        "merge_fraction": round(merge_seconds / parallel_median, 4)
-        if parallel_median
-        else 0.0,
-        "plans_costed": serial.plans_costed,
-        "span_plans_costed_sum": span_costed,
-        "cost": serial.cost,
-        "identical_outcomes": identical,
     }
 
 
@@ -327,50 +223,6 @@ def bench_dpconv_exact(schema, stats, repeats: int) -> dict:
             dpconv.plans_costed / dp_pg.plans_costed, 4
         ),
         "identical_to_dp_cout": exact,
-    }
-
-
-def bench_sdp_hybrid_bound(schema, stats, repeats: int) -> dict:
-    """Plain SDP vs SDP with the convolution bound on the wide star-25.
-
-    The bound is admissible pruning, not a heuristic: the guard holds
-    the final cost and plan tree bit-identical while requiring a real
-    ``plans_costed`` reduction (the whole point of the hybrid) and no
-    material slowdown from computing the bound itself.
-    """
-    query = make_query(WorkloadSpec("star", 25), schema, 0)
-
-    plain_opt = make_optimizer("SDP", budget=BUDGET)
-    plain_median, plain_samples, plain = _timed(
-        lambda: plain_opt.optimize(query, stats), repeats
-    )
-    hybrid_opt = make_optimizer("SDP", budget=BUDGET, bound="dpconv")
-    hybrid_median, hybrid_samples, hybrid = _timed(
-        lambda: hybrid_opt.optimize(query, stats), repeats
-    )
-
-    identical = (
-        plain.cost == hybrid.cost
-        and _serialize_plan(plain.plan) == _serialize_plan(hybrid.plan)
-        and plain.jcrs_created == hybrid.jcrs_created
-    )
-    return {
-        "workload": "star-25",
-        "technique": "SDP",
-        "plain_median_seconds": round(plain_median, 6),
-        "plain_samples_seconds": [round(s, 6) for s in plain_samples],
-        "plain_plans_costed": plain.plans_costed,
-        "hybrid_median_seconds": round(hybrid_median, 6),
-        "hybrid_samples_seconds": [round(s, 6) for s in hybrid_samples],
-        "hybrid_plans_costed": hybrid.plans_costed,
-        "cost": plain.cost,
-        "speedup": round(plain_median / hybrid_median, 3)
-        if hybrid_median
-        else 0.0,
-        "plans_costed_ratio": round(
-            hybrid.plans_costed / plain.plans_costed, 4
-        ),
-        "identical_outcomes": identical,
     }
 
 
@@ -513,15 +365,6 @@ def run_harness(repeats: int = 5, workers: int | None = None) -> dict:
         seed=0, relation_count=25, column_count=27, name="bench-wide-25"
     ).build()
     wide_stats = analyze(wide_schema)
-    # The intra-query parallel arms: DP at its feasibility frontier and
-    # SDP at the 50-relation scale the paper targets. (The issue named a
-    # dp_star_45 arm, but exhaustive DP on a 45-star is ~44 * 2^43 pairs —
-    # the very infeasibility the paper is about; star-15 is the largest
-    # star the DP budget calibration admits, see docs/performance.md.)
-    wide50_schema = SchemaBuilder(
-        seed=0, relation_count=50, column_count=55, name="bench-wide-50"
-    ).build()
-    wide50_stats = analyze(wide50_schema)
 
     report = {
         "generated_unix": int(time.time()),
@@ -537,27 +380,7 @@ def run_harness(repeats: int = 5, workers: int | None = None) -> dict:
                 "SDP", WorkloadSpec("star", 25), wide_schema, wide_stats, repeats
             ),
             "grid_workers": bench_grid(schema, stats, repeats, workers),
-            # Big single-query arms: medians over fewer samples (the
-            # deterministic counters, not wall-clock, are the real guard;
-            # sdp_star_50 runs ~30s per sample on the seed host).
-            "dp_star_15_parallel": bench_parallel_kernel(
-                "DP",
-                WorkloadSpec("star", 15),
-                wide_schema,
-                wide_stats,
-                min(repeats, 3),
-            ),
-            "sdp_star_50_parallel": bench_parallel_kernel(
-                "SDP",
-                WorkloadSpec("star", 50),
-                wide50_schema,
-                wide50_stats,
-                1,
-            ),
             "dpconv_exact": bench_dpconv_exact(schema, stats, repeats),
-            "sdp_hybrid_bound": bench_sdp_hybrid_bound(
-                wide_schema, wide_stats, min(repeats, 3)
-            ),
             "plan_cache": bench_plan_cache(schema, stats, repeats),
             "sql_workload": bench_sql_workload(min(repeats, 3)),
             "frontdoor_load": bench_frontdoor(schema, stats),
@@ -620,56 +443,10 @@ def compare_reports(
             f"(speedup {grid_c['speedup']}; both arms run the same path)"
         )
 
-    # Intra-query parallel arms. Mode differs across hosts by design
-    # (auto worker policy), so mode is never compared against the
-    # baseline — only the current run's own contract is enforced:
-    # serial/parallel identity, exact span sums, and speedup thresholds
-    # that apply only when a real pool actually ran.
-    for name in ("dp_star_15_parallel", "sdp_star_50_parallel"):
-        arm = cur.get(name)
-        if arm is None:
-            continue
-        if not arm["identical_outcomes"]:
-            problems.append(
-                f"{name}: parallel kernel diverged from serial "
-                f"(plans_costed/cost not identical)"
-            )
-        if arm["span_plans_costed_sum"] != arm["plans_costed"]:
-            problems.append(
-                f"{name}: per-level span plans_costed sum "
-                f"{arm['span_plans_costed_sum']} != result "
-                f"{arm['plans_costed']}"
-            )
-        arm_b = base.get(name)
-        if arm_b is not None:
-            if arm["plans_costed"] != arm_b["plans_costed"]:
-                problems.append(
-                    f"{name}: plans_costed drifted "
-                    f"{arm_b['plans_costed']} -> {arm['plans_costed']}"
-                )
-            if arm["cost"] != arm_b["cost"]:
-                problems.append(
-                    f"{name}: cost drifted {arm_b['cost']!r} -> {arm['cost']!r}"
-                )
-        if arm.get("parallel_mode") == "pool":
-            floor = 1.0
-            if name == "dp_star_15_parallel" and arm["workers"] >= 4:
-                floor = 1.5
-            if arm["speedup"] < floor:
-                problems.append(
-                    f"{name}: pooled speedup {arm['speedup']} below {floor}x "
-                    f"at {arm['workers']} workers"
-                )
-        elif arm["speedup"] < 0.6:
-            problems.append(
-                f"{name}: in-process parallel driver overhead out of bounds "
-                f"(speedup {arm['speedup']}; partition+merge should be cheap)"
-            )
-
-    # The convolution arms. Identity booleans and the speedup/ratio rule
-    # pairs are contracts of the current run; counters and costs are
-    # additionally held bit-exact against baselines that carry the arms
-    # (older baselines may predate them).
+    # The convolution arm. The identity boolean and the speedup/ratio rule
+    # pair are contracts of the current run; counters and costs are
+    # additionally held bit-exact against baselines that carry the arm
+    # (older baselines may predate it).
     conv = cur.get("dpconv_exact")
     if conv is not None:
         if not conv["identical_to_dp_cout"]:
@@ -695,38 +472,6 @@ def compare_reports(
                     problems.append(
                         f"dpconv_exact: {field} drifted "
                         f"{conv_b[field]!r} -> {conv[field]!r}"
-                    )
-    hybrid = cur.get("sdp_hybrid_bound")
-    if hybrid is not None:
-        if not hybrid["identical_outcomes"]:
-            problems.append(
-                "sdp_hybrid_bound: bounded SDP diverged from plain SDP "
-                "(cost/plan/jcrs not identical)"
-            )
-        if hybrid["hybrid_plans_costed"] >= hybrid["plain_plans_costed"]:
-            problems.append(
-                "sdp_hybrid_bound: the bound skipped nothing "
-                f"({hybrid['plain_plans_costed']} -> "
-                f"{hybrid['hybrid_plans_costed']})"
-            )
-        if hybrid["speedup"] < HYBRID_MIN_SPEEDUP:
-            problems.append(
-                f"sdp_hybrid_bound: speedup {hybrid['speedup']} below "
-                f"{HYBRID_MIN_SPEEDUP}x (bound overhead outweighs skips)"
-            )
-        if hybrid["plans_costed_ratio"] > HYBRID_MAX_PLANS_RATIO:
-            problems.append(
-                f"sdp_hybrid_bound: plans_costed ratio "
-                f"{hybrid['plans_costed_ratio']} above "
-                f"{HYBRID_MAX_PLANS_RATIO} (the >=20% reduction bar)"
-            )
-        hybrid_b = base.get("sdp_hybrid_bound")
-        if hybrid_b is not None:
-            for field in ("plain_plans_costed", "hybrid_plans_costed", "cost"):
-                if hybrid[field] != hybrid_b[field]:
-                    problems.append(
-                        f"sdp_hybrid_bound: {field} drifted "
-                        f"{hybrid_b[field]!r} -> {hybrid[field]!r}"
                     )
 
     cache_c = cur["plan_cache"]

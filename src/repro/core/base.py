@@ -329,20 +329,6 @@ class Optimizer(ABC):
     #: Display name; subclasses override (e.g. ``"IDP(7)"``).
     name: str = "optimizer"
 
-    #: Worker-process count for the level-parallel search driver. None
-    #: means serial unless ``REPRO_KERNEL=parallel`` resolves a count
-    #: from the environment; only the level-synchronous optimizers
-    #: (DP, SDP) consult it. Set via ``make_optimizer(workers=)`` /
-    #: ``repro.optimize(workers=)``.
-    workers: int | None = None
-
-    #: Pre-costing pruning bound; ``"dpconv"`` enables the admissible
-    #: convolution lower bound (identical final plan/cost, fewer plans
-    #: costed). Only the level-synchronous optimizers (DP, SDP) consult
-    #: it. Set via ``make_optimizer(bound=)`` / ``repro.optimize(bound=)``;
-    #: the robust ladder propagates it to every rung.
-    bound: str | None = None
-
     def __init__(
         self,
         budget: SearchBudget | None = None,

@@ -47,20 +47,8 @@ class DynamicProgrammingOptimizer(Optimizer):
         counters: SearchCounters,
         timer: Timer,
     ) -> PlanRecord:
-        graph = query.graph
-        space = make_planspace(
-            query,
-            stats,
-            self.cost_model,
-            counters,
-            workers=self.workers,
-            level_parallel=True,
-            bound=self.bound,
-        )
-        try:
-            return self._search_in_space(query, stats, counters, space)
-        finally:
-            space.release()
+        space = make_planspace(query, stats, self.cost_model, counters)
+        return self._search_in_space(query, stats, counters, space)
 
     def _search_in_space(
         self,
@@ -130,9 +118,6 @@ class DynamicProgrammingOptimizer(Optimizer):
                         subsets=len(table.level(level)),
                         plans_costed=counters.plans_costed - costed_before,
                     )
-                    level_stats = getattr(space, "last_level_stats", None)
-                    if level_stats:
-                        span.set(**level_stats)
 
         full = table.get(graph.all_mask)
         if full is None:

@@ -27,14 +27,6 @@ nested loops drop the inner-cost term, ordered slots multiply the state —
 so :class:`DPconvPlanSpace` refuses to construct unless the cost model
 declares ``supports_dpconv_exact`` (:data:`repro.cost.COUT_COST_MODEL`).
 
-What survives outside C_out is the *bound*: the min-plus combine of a
-pair's input best costs plus each join method's non-negative floor terms
-is an admissible lower bound on every alternative the pair can produce.
-``bound="dpconv"`` feeds that bound to the fast kernel as a pre-costing
-pruning threshold (see :mod:`repro.core.planspace` and
-:func:`repro.skyline.bound_covered`) — SDP's skyline and final plan stay
-bit-identical while ``plans_costed`` drops.
-
 Asymptotics caveat: the sub-``O(3^n)`` result in the DPconv paper comes
 from replacing connected-pair enumeration with subset-sum convolution;
 this port keeps the repo's DPccp/level-pair enumeration (and therefore
@@ -59,7 +51,6 @@ from repro.obs.runtime import current_tracer
 from repro.obs.trace import maybe_span
 from repro.plans.store import M_HASH_JOIN, NO_FIELD
 from repro.query.query import Query
-from repro.skyline.dominance import bound_covered
 
 __all__ = ["DPconvOptimizer", "DPconvPlanSpace", "cardinality_layer"]
 
@@ -88,23 +79,18 @@ class DPconvPlanSpace(PlanSpace):
     branch under such a model, so every entry point agrees.
     """
 
-    #: Level-synchronous drivers hand whole levels to :meth:`join_level`
-    #: (the convolution needs the full level to build its layers).
-    parallel_level = True
-
     def __init__(
         self,
         query: Query,
         stats: CatalogStatistics,
         cost_model: CostModel,
         counters: SearchCounters,
-        bound: str | None = None,
     ):
         if not cost_model.supports_dpconv_exact:
             raise DPconvUnsupportedError(
                 "REPRO_KERNEL=dpconv requested"
             )
-        super().__init__(query, stats, cost_model, counters, bound=bound)
+        super().__init__(query, stats, cost_model, counters)
 
     def join_level(self, table: JCRTable, jcr_pairs) -> None:
         """Convolve one search level: bucket, combine, recover parents.
@@ -122,8 +108,6 @@ class DPconvPlanSpace(PlanSpace):
         connecting = self.graph.connecting
         by_mask = table._by_mask
         get_or_create = table.get_or_create
-        use_bound = self._bound is not None
-        bound_skips = 0
 
         # Stage 1 — bucket the level's valid pairs into cardinality
         # layers. Each layer keeps parallel lists: the output JCR, the
@@ -145,17 +129,6 @@ class DPconvPlanSpace(PlanSpace):
             if jcr is None:
                 jcr, _ = get_or_create(union)
                 note_jcr_created()
-            elif use_bound and bound_covered(
-                (left.best_cost + right.best_cost) + jcr.rows,
-                jcr.slots,
-                jcr.slot_costs,
-                (None,),
-            ):
-                # Under C_out the min-plus combine IS the candidate cost,
-                # so the bound skips a pair exactly when the incumbent
-                # already matches it.
-                bound_skips += 1
-                continue
             if not level:
                 level = jcr.level
             layer_key = cardinality_layer(jcr.rows)
@@ -233,8 +206,6 @@ class DPconvPlanSpace(PlanSpace):
                 )
         if pending:
             note_plans_costed(pending)
-        if bound_skips:
-            self.bound_skips += bound_skips
 
 
 class DPconvOptimizer(DynamicProgrammingOptimizer):
@@ -257,10 +228,5 @@ class DPconvOptimizer(DynamicProgrammingOptimizer):
         )
 
     def _search(self, query, stats, counters, timer):
-        space = DPconvPlanSpace(
-            query, stats, self.cost_model, counters, bound=self.bound
-        )
-        try:
-            return self._search_in_space(query, stats, counters, space)
-        finally:
-            space.release()
+        space = DPconvPlanSpace(query, stats, self.cost_model, counters)
+        return self._search_in_space(query, stats, counters, space)

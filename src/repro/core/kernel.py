@@ -1,6 +1,6 @@
 """Search-kernel selection.
 
-Four costing kernels implement the same plan-space surface; the
+Three costing kernels implement the same plan-space surface; the
 :data:`KERNELS` registry below is the single source of truth for their
 names and one-line descriptions (the CLI's ``--list-kernels``, the error
 message of :func:`kernel_name` and ``docs/api.md`` all render from it).
@@ -8,16 +8,15 @@ message of :func:`kernel_name` and ``docs/api.md`` all render from it).
 Every optimizer builds its plan space through :func:`make_planspace`, so
 the whole stack (DP/SDP/IDP/IDP2/GOO/II-2PO/GEQO, the robust ladder, the
 service layer, the bench harness) can be flipped to another kernel with
-``REPRO_KERNEL=reference`` / ``REPRO_KERNEL=parallel`` /
-``REPRO_KERNEL=dpconv`` — which is exactly what the kernel equivalence
-tests do to assert identical winning costs, plan shapes, and counter
-values. The ``dpconv`` kernel is exact only under a C_out cost model
-(``cost_model.supports_dpconv_exact``) and raises
-:class:`~repro.errors.DPconvUnsupportedError` elsewhere.
+``REPRO_KERNEL=reference`` / ``REPRO_KERNEL=dpconv`` — which is exactly
+what the kernel equivalence tests do to assert identical winning costs,
+plan shapes, and counter values. The ``dpconv`` kernel is exact only
+under a C_out cost model (``cost_model.supports_dpconv_exact``) and
+raises :class:`~repro.errors.DPconvUnsupportedError` elsewhere.
 
 This module is the single place the determinism rules allow environment
-reads: kernel and worker-count resolution (``REPRO_KERNEL``,
-``REPRO_WORKERS``) happens here, never inside a search.
+reads: kernel resolution (``REPRO_KERNEL``) happens here, never inside a
+search.
 """
 
 from __future__ import annotations
@@ -30,23 +29,12 @@ from repro.errors import OptimizationError
 __all__ = [
     "KERNEL_ENV",
     "KERNELS",
-    "WORKERS_ENV",
     "kernel_name",
     "make_planspace",
-    "resolve_workers",
 ]
 
 #: Environment variable selecting the process-wide default kernel.
 KERNEL_ENV = "REPRO_KERNEL"
-
-#: Environment variable giving ``REPRO_KERNEL=parallel`` a worker count
-#: when the facade did not pass one explicitly.
-WORKERS_ENV = "REPRO_WORKERS"
-
-#: Auto-resolved worker counts are capped here even on very wide hosts:
-#: past this, per-level merge and broadcast overhead outgrows the
-#: speedup on every graph the bench suite covers.
-_MAX_AUTO_WORKERS = 8
 
 #: The kernel registry: name -> one-line description. Single source for
 #: ``kernel_name`` validation, ``sdp-bench --list-kernels`` and the
@@ -59,11 +47,6 @@ KERNELS: dict[str, str] = {
     "reference": (
         "preserved eager object-graph kernel "
         "(repro.core.reference.ReferencePlanSpace), the equivalence oracle"
-    ),
-    "parallel": (
-        "level-synchronous intra-query parallel driver "
-        "(repro.core.parallel.ParallelPlanSpace) over a shared-memory "
-        "arena, bit-identical to fast; only DP/SDP fan out"
     ),
     "dpconv": (
         "cardinality-layered (min,+) convolution kernel "
@@ -85,73 +68,18 @@ def kernel_name(kernel: str | None = None) -> str:
     return name
 
 
-def resolve_workers(workers: int | None = None) -> tuple[int, str | None]:
-    """Resolve a parallel-kernel worker count.
-
-    An explicit ``workers`` is honored as-is (tests rely on forcing a
-    real pool even on single-core hosts). Otherwise ``REPRO_WORKERS`` is
-    consulted, then the host CPU count (capped). Returns the effective
-    count plus the fallback reason — ``"cpu_count"`` when auto-resolution
-    lands on 1 because the host has a single CPU — so benchmarks can
-    record *why* a run stayed serial.
-    """
-    if workers is not None:
-        count = int(workers)
-        if count < 1:
-            raise OptimizationError(
-                f"workers must be a positive integer, got {workers!r}"
-            )
-        return count, None
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is not None and raw.strip():
-        try:
-            count = int(raw)
-        except ValueError as exc:
-            raise OptimizationError(
-                f"invalid {WORKERS_ENV}={raw!r}: expected an integer"
-            ) from exc
-        if count < 1:
-            raise OptimizationError(
-                f"invalid {WORKERS_ENV}={raw!r}: expected a positive integer"
-            )
-        return count, None
-    cpus = os.cpu_count() or 1
-    if cpus < 2:
-        return 1, "cpu_count"
-    return min(cpus, _MAX_AUTO_WORKERS), None
-
-
 def make_planspace(
     query,
     stats,
     cost_model,
     counters: SearchCounters,
     kernel: str | None = None,
-    workers: int | None = None,
-    level_parallel: bool = False,
-    bound: str | None = None,
 ):
     """Build the plan space for the selected kernel.
 
     Args:
         kernel: a :data:`KERNELS` name; None reads ``REPRO_KERNEL``
             (defaulting to fast).
-        workers: explicit worker count for the parallel driver; any
-            explicit count (including 1, which runs the in-process
-            partition/merge path) selects the parallel driver for
-            level-parallel callers. None resolves via
-            :func:`resolve_workers` when the parallel kernel is
-            selected.
-        level_parallel: set by level-synchronous optimizers (DP, SDP)
-            that drive whole levels through ``join_level``. Only those
-            callers can use the parallel driver; everything else gets
-            the fast kernel even under ``REPRO_KERNEL=parallel``.
-        bound: ``"dpconv"`` enables the admissible convolution lower
-            bound as a pre-costing pruning threshold (fast and dpconv
-            kernels). A bound forces the serial fast kernel over the
-            parallel driver — the skip bookkeeping is per-space state
-            the fan-out workers do not share — and the reference
-            oracle ignores it by design (the oracle never skips).
     """
     name = kernel_name(kernel)
     if name == "reference":
@@ -161,23 +89,7 @@ def make_planspace(
     if name == "dpconv":
         from repro.core.dpconv import DPconvPlanSpace
 
-        return DPconvPlanSpace(query, stats, cost_model, counters, bound=bound)
-    if (
-        bound is None
-        and level_parallel
-        and (name == "parallel" or workers is not None)
-    ):
-        from repro.core.parallel import ParallelPlanSpace
-
-        count, reason = resolve_workers(workers)
-        return ParallelPlanSpace(
-            query,
-            stats,
-            cost_model,
-            counters,
-            workers=count,
-            fallback_reason=reason,
-        )
+        return DPconvPlanSpace(query, stats, cost_model, counters)
     from repro.core.planspace import PlanSpace
 
-    return PlanSpace(query, stats, cost_model, counters, bound=bound)
+    return PlanSpace(query, stats, cost_model, counters)

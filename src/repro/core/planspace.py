@@ -41,21 +41,11 @@ Every costed alternative is still charged to the search counters (the
 paper's "Costing (in plans)" overhead) with exactly the same totals as the
 reference kernel in :mod:`repro.core.reference`.
 
-Two orthogonal regimes modify the space:
-
-* **C_out** (``cost_model.supports_dpconv_exact``): base relations cost 0
-  (a single sequential scan, no ordered access paths) and each join has a
-  single alternative costing ``(left + right) + |output|`` — the regime in
-  which the ``dpconv`` kernel's layered min-plus convolution is exact.
-* **hybrid bound** (``bound="dpconv"``): before costing a pair whose
-  output JCR already holds plans, an admissible per-pair lower bound (the
-  min-plus combine of the pair's input best costs plus each join method's
-  non-negative floor terms) is compared against the incumbent slots; when
-  every slot the pair could touch is already at or below the bound, no
-  candidate could be *strictly* better, so the pair is skipped without
-  charging ``plans_costed``. Retained slots, best costs, skyline feature
-  vectors — and therefore the final plan — are bit-identical to the
-  unbounded search.
+One regime modifies the space: under **C_out**
+(``cost_model.supports_dpconv_exact``) base relations cost 0 (a single
+sequential scan, no ordered access paths) and each join has a single
+alternative costing ``(left + right) + |output|`` — the regime in which
+the ``dpconv`` kernel's layered min-plus convolution is exact.
 """
 
 from __future__ import annotations
@@ -85,15 +75,9 @@ from repro.plans.store import (
     NO_FIELD,
     PlanStore,
 )
-from repro.obs.names import METRIC_DPCONV_BOUND_SKIPS_TOTAL
-from repro.obs.runtime import enabled as _obs_enabled
-from repro.obs.runtime import metrics as _obs_metrics
 from repro.query.query import Query
 
 __all__ = ["PlanSpace"]
-
-#: Pruning-bound names accepted by every kernel (``None`` disables).
-PLAN_SPACE_BOUNDS = ("dpconv",)
 
 
 class PlanSpace:
@@ -104,10 +88,6 @@ class PlanSpace:
         stats: Catalog statistics snapshot.
         cost_model: Cost constants.
         counters: Overhead accounting (plans costed, retained slots, ...).
-        bound: ``"dpconv"`` enables the admissible convolution lower
-            bound as a pre-costing pruning threshold; None searches
-            unbounded. The bound never changes retained plans or the
-            final cost — only how many alternatives are costed.
     """
 
     def __init__(
@@ -116,16 +96,7 @@ class PlanSpace:
         stats: CatalogStatistics,
         cost_model: CostModel,
         counters: SearchCounters,
-        bound: str | None = None,
     ):
-        if bound is not None and bound not in PLAN_SPACE_BOUNDS:
-            raise OptimizationError(
-                f"unknown pruning bound {bound!r} "
-                f"(expected one of {PLAN_SPACE_BOUNDS})"
-            )
-        self._bound = bound
-        #: Pairs skipped whole by the convolution bound (never costed).
-        self.bound_skips = 0
         #: C_out regime: see the module docstring.
         self._cout = cost_model.supports_dpconv_exact
         self.query = query
@@ -234,28 +205,9 @@ class PlanSpace:
         """A fresh memo table backed by this space's shared plan arena."""
         return JCRTable(self.est, self.store)
 
-    #: Level-synchronous optimizers check this before handing whole levels
-    #: to :meth:`join_level`; the parallel driver subclass flips it.
-    parallel_level = False
-
     def join_level(self, table: JCRTable, jcr_pairs) -> None:
-        """Cost one whole level of pairs — serial kernels just batch."""
+        """Cost one whole level of pairs (any iterable) — here, one batch."""
         self.join_batch(table, jcr_pairs)
-
-    def release(self) -> None:
-        """Free search-scoped resources; no-op for the in-process kernel.
-
-        The parallel driver overrides this to detach its worker pool and
-        unlink shared-memory segments; DP/SDP call it from a ``finally``
-        so every kernel sees the same lifecycle. When the convolution
-        bound skipped pairs, the total is published here — once per
-        search, off the hot path.
-        """
-        if self.bound_skips and _obs_enabled():
-            _obs_metrics().counter(
-                METRIC_DPCONV_BOUND_SKIPS_TOTAL,
-                "join pairs skipped whole by the convolution bound",
-            ).inc(self.bound_skips)
 
     def useful(self, mask: int) -> set[int]:
         """Useful order keys for ``mask`` (cached)."""
@@ -483,9 +435,6 @@ class PlanSpace:
         # batch see exact totals). Budget trips for plans-costed therefore
         # fire within one chunk of the precise crossing point.
         pending_costed = 0
-        use_bound = self._bound is not None
-        bound_skips = 0
-        inf = math.inf
 
         for left, right in pairs:
             lmask = left.mask
@@ -500,114 +449,6 @@ class PlanSpace:
             if jcr is None:
                 jcr, _ = get_or_create(union)
                 note_jcr_created()
-            elif use_bound:
-                # Convolution bound: the (min,+) combine of the pair's
-                # input best costs plus each join method's non-negative
-                # floor, replicating every cost expression below in its
-                # exact association order with the variable terms floored
-                # — so float rounding keeps it an admissible lower bound
-                # on *every* alternative this pair can produce. When each
-                # slot the pair could create or improve already sits at
-                # or below the bound, strict-< retention can keep
-                # nothing: skip the pair without costing it.
-                out_rows = jcr.rows
-                out_tc = out_rows * ctc
-                l_best = left.best_cost
-                r_best = right.best_cost
-                l_rows = left.rows
-                r_rows = right.rows
-                lbound = inf
-                for outer_best, inner_best, o_rows, i_rows, inner_j in (
-                    (l_best, r_best, l_rows, r_rows, right),
-                    (r_best, l_best, r_rows, l_rows, left),
-                ):
-                    # Hash-join floor: the exact no-spill cost.
-                    build = i_rows * oc_tc
-                    probe = o_rows * coc * 1.5
-                    cost = outer_best + inner_best + build + probe + out_tc
-                    if cost < lbound:
-                        lbound = cost
-                    # Nested-loop floor: cheapest outer slot >= best_cost.
-                    rescans = o_rows - 1.0
-                    if rescans < 0.0:
-                        rescans = 0.0
-                    rescan_term = rescans * (i_rows * ctc * rescan_discount)
-                    qual = o_rows * i_rows * coc
-                    cost = outer_best + inner_best + rescan_term + qual + out_tc
-                    if cost < lbound:
-                        lbound = cost
-                    # Index-NL floor: no inner-cost term at all (whether a
-                    # connecting column is indexed is not re-checked — a
-                    # lower floor is still admissible).
-                    if inner_j.level == 1:
-                        inner_index = (
-                            inner_j.mask & -inner_j.mask
-                        ).bit_length() - 1
-                        if indexed_names_all[inner_index]:
-                            per_probe_rows = out_rows / (
-                                o_rows if o_rows > 1.0 else 1.0
-                            )
-                            matches = (
-                                per_probe_rows if per_probe_rows > 1.0 else 1.0
-                            )
-                            probe = (
-                                probe_descent[inner_index]
-                                + matches * probe_per_match
-                            )
-                            probe_filter = filter_per_row[inner_index]
-                            if probe_filter:
-                                probe = probe + matches * probe_filter
-                            cost = outer_best + o_rows * probe + out_tc
-                            if cost < lbound:
-                                lbound = cost
-                # Merge-join floor: sorted inputs cost at least the bests.
-                merge = (left.rows + right.rows) * coc
-                cost = l_best + r_best + merge + out_tc
-                if cost < lbound:
-                    lbound = cost
-
-                useful = useful_cache.get(union)
-                if useful is None:
-                    useful = useful_fn(union)
-                b_slots_get = jcr.slots.get
-                b_slot_costs = jcr.slot_costs
-                index = b_slots_get(None)
-                covered = index is not None and b_slot_costs[index] <= lbound
-                if covered:
-                    # Every order key the pair's candidates could target:
-                    # outer slot orders (NL / index NL, either direction)
-                    # and connecting eclasses (merge); keys outside
-                    # ``useful`` demote to the already-checked None slot.
-                    for order in left.slot_orders:
-                        if order is not None and order in useful:
-                            index = b_slots_get(order)
-                            if index is None or b_slot_costs[index] > lbound:
-                                covered = False
-                                break
-                    if covered:
-                        for order in right.slot_orders:
-                            if order is not None and order in useful:
-                                index = b_slots_get(order)
-                                if (
-                                    index is None
-                                    or b_slot_costs[index] > lbound
-                                ):
-                                    covered = False
-                                    break
-                    if covered:
-                        for pred in preds:
-                            eclass = pred.eclass
-                            if eclass in useful:
-                                index = b_slots_get(eclass)
-                                if (
-                                    index is None
-                                    or b_slot_costs[index] > lbound
-                                ):
-                                    covered = False
-                                    break
-                if covered:
-                    bound_skips += 1
-                    continue
             useful = useful_cache.get(union)
             if useful is None:
                 useful = useful_fn(union)
@@ -913,8 +754,6 @@ class PlanSpace:
 
         if pending_costed:
             note_plans_costed(pending_costed)
-        if bound_skips:
-            self.bound_skips += bound_skips
 
     def _join_batch_cout(self, table: JCRTable, pairs) -> None:
         """C_out regime join loop: one alternative per connected pair.
@@ -922,10 +761,7 @@ class PlanSpace:
         Cost is ``(left.best + right.best) + |output|`` — the min-plus
         combine the dpconv kernel convolves over — stored as a hash join
         of the cheapest inputs. No ordered slots, no merge/sort/index
-        alternatives: interesting orders do not exist under C_out. The
-        convolution bound degenerates to the candidate cost itself, so
-        with ``bound="dpconv"`` a pair is skipped exactly when the
-        incumbent already matches it.
+        alternatives: interesting orders do not exist under C_out.
         """
         connecting = self.graph.connecting
         by_mask = table._by_mask
@@ -943,9 +779,7 @@ class PlanSpace:
         st_eclass = store.eclass
         st_rows = store.rows
         st_cost = store.cost
-        use_bound = self._bound is not None
         pending_costed = 0
-        bound_skips = 0
 
         for left, right in pairs:
             lmask = left.mask
@@ -959,13 +793,6 @@ class PlanSpace:
             if jcr is None:
                 jcr, _ = get_or_create(union)
                 note_jcr_created()
-            elif use_bound:
-                index = jcr.slots.get(None)
-                if index is not None and jcr.slot_costs[index] <= (
-                    (left.best_cost + right.best_cost) + jcr.rows
-                ):
-                    bound_skips += 1
-                    continue
             out_rows = jcr.rows
             cost = (left.best_cost + right.best_cost) + out_rows
             pending_costed += 1
@@ -999,8 +826,6 @@ class PlanSpace:
 
         if pending_costed:
             note_plans_costed(pending_costed)
-        if bound_skips:
-            self.bound_skips += bound_skips
 
     # -- finishing --------------------------------------------------------------
 

@@ -259,15 +259,9 @@ class ReferencePlanSpace:
         """A fresh memo table (IDP creates one per iteration)."""
         return ReferenceJCRTable(self.est)
 
-    #: The reference kernel never fans levels out (see PlanSpace).
-    parallel_level = False
-
     def join_level(self, table: ReferenceJCRTable, jcr_pairs) -> None:
-        """Cost one whole level of pairs — the oracle runs them serially."""
+        """Cost one whole level of pairs — the oracle runs them one by one."""
         self.join_batch(table, jcr_pairs)
-
-    def release(self) -> None:
-        """No search-scoped resources to free (see PlanSpace.release)."""
 
     def useful(self, mask: int) -> set[int]:
         cached = self._useful_cache.get(mask)

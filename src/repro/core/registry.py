@@ -16,8 +16,6 @@ from repro.core.greedy import GreedyOptimizer
 from repro.core.genetic import GeneticOptimizer
 from repro.core.idp import IDPConfig, IDPOptimizer
 from repro.core.idp2 import IDP2Config, IDP2Optimizer
-from repro.core.kernel import resolve_workers
-from repro.core.planspace import PLAN_SPACE_BOUNDS
 from repro.core.randomized import (
     IterativeImprovementOptimizer,
     TwoPhaseOptimizer,
@@ -58,45 +56,12 @@ def make_optimizer(
     name: str,
     budget: SearchBudget | None = None,
     cost_model: CostModel | None = None,
-    workers: int | None = None,
-    bound: str | None = None,
 ) -> Optimizer:
     """Build the optimizer the paper calls ``name``.
 
-    Args:
-        workers: Worker-process count for the level-parallel search
-            driver; only the level-synchronous techniques (DP, SDP
-            variants) fan out, every other technique ignores it.
-        bound: ``"dpconv"`` turns on the admissible convolution lower
-            bound as pre-costing pruning in the level-synchronous
-            techniques (the final plan and cost are unchanged; only
-            ``plans_costed`` drops). Other techniques carry but ignore
-            it. A bound disables the parallel driver for the run.
-
     Raises:
-        OptimizationError: for an unknown technique name, a
-            non-positive worker count, or an unknown bound name.
+        OptimizationError: for an unknown technique name.
     """
-    optimizer = _construct(name, budget, cost_model)
-    if workers is not None:
-        # Fail fast here rather than at search time inside the kernel.
-        count, _reason = resolve_workers(workers)
-        optimizer.workers = count
-    if bound is not None:
-        if bound not in PLAN_SPACE_BOUNDS:
-            raise OptimizationError(
-                f"unknown pruning bound {bound!r} "
-                f"(expected one of {PLAN_SPACE_BOUNDS})"
-            )
-        optimizer.bound = bound
-    return optimizer
-
-
-def _construct(
-    name: str,
-    budget: SearchBudget | None,
-    cost_model: CostModel | None,
-) -> Optimizer:
     if name == "DP":
         return DynamicProgrammingOptimizer(budget=budget, cost_model=cost_model)
     if name == "DPconv":

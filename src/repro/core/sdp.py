@@ -162,28 +162,7 @@ class SDPOptimizer(Optimizer):
         timer: Timer,
     ) -> PlanRecord:
         graph = query.graph
-        space = make_planspace(
-            query,
-            stats,
-            self.cost_model,
-            counters,
-            workers=self.workers,
-            level_parallel=True,
-            bound=self.bound,
-        )
-        try:
-            return self._search_in_space(query, stats, counters, space)
-        finally:
-            space.release()
-
-    def _search_in_space(
-        self,
-        query: Query,
-        stats: CatalogStatistics,
-        counters: SearchCounters,
-        space,
-    ) -> PlanRecord:
-        graph = query.graph
+        space = make_planspace(query, stats, self.cost_model, counters)
         table = space.new_table()
         tracer = current_tracer()
         with maybe_span(tracer, SPAN_SDP_LEVEL, level=1) as span:
@@ -202,21 +181,16 @@ class SDPOptimizer(Optimizer):
         root_hub_masks = [1 << h for h in graph.hubs(self.config.hub_degree)]
         order_relation_masks = self._order_relation_masks(query)
 
-        level_parallel = space.parallel_level
         levels: dict[int, list[JCR]] = {1: list(table.level(1))}
         for level in range(2, n + 1):
             with maybe_span(tracer, SPAN_SDP_LEVEL, level=level) as span:
                 costed_before = counters.plans_costed
                 pairs_before = counters.enumerated_pairs
-                if level_parallel:
-                    # level_pairs charges note_pairs as it yields, so
-                    # materializing keeps pair budgets tripping mid-level.
-                    space.join_level(
-                        table, list(level_pairs(levels, level, graph, counters))
-                    )
-                else:
-                    for a, b in level_pairs(levels, level, graph, counters):
-                        space.join(table, a, b)
+                # A generator, not a list: level_pairs charges note_pairs
+                # as it yields, so pair charges interleave with costing.
+                space.join_level(
+                    table, level_pairs(levels, level, graph, counters)
+                )
                 built = list(table.level(level))
                 built_count = len(built)
                 if level <= n - 2 and built:
@@ -241,10 +215,6 @@ class SDPOptimizer(Optimizer):
                     pruned=built_count - len(built),
                     plans_costed=counters.plans_costed - costed_before,
                 )
-                if tracer is not None and level_parallel:
-                    level_stats = getattr(space, "last_level_stats", None)
-                    if level_stats:
-                        span.set(**level_stats)
 
         full = table.get(graph.all_mask)
         if full is None:

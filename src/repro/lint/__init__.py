@@ -25,12 +25,12 @@ RL006     exception hygiene — no bare ``except``, ``raise ... from err``
           ``errors.py``
 RL007     public-API drift — ``repro.__all__`` and the facade signatures
           must match the inventory block in ``docs/api.md``
-RL008     bounded blocking — service/worker-layer blocking calls must
-          carry timeouts
+RL008     bounded blocking — service-layer blocking calls must carry
+          timeouts
 RL009     lock ordering — nested lock acquisitions across the serving
           layer must form a DAG (no cycles, no non-reentrant
           re-acquisition)
-RL010     resource lifecycle — shared-memory segments, plan stores,
+RL010     resource lifecycle — shared-memory segments and stores,
           pools and queues must reach their cleanup calls on every CFG
           path; memoryviews release before their buffer closes
 RL011     shared state — attributes written by worker threads are read

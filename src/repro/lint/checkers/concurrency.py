@@ -22,17 +22,15 @@ from repro.lint.engine import Module, Project
 
 FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef
 
-#: Modules the concurrency checkers analyze: the serving layer plus the
-#: forked worker pool. Everything else never holds these locks.
-_CORE_WORKER_MODULES = (("core", "parallel.py"),)
-
 
 def in_concurrency_scope(module: Module) -> bool:
-    """Is this module part of the analyzed concurrent surface?"""
-    return (
-        module.layer == "service"
-        or module.package_parts in _CORE_WORKER_MODULES
-    )
+    """Is this module part of the analyzed concurrent surface?
+
+    Only the serving layer runs threads and process pools (the
+    ``FrontDoor`` workers, the ``optimize_many`` executor); everything
+    else is synchronous search code that never holds these locks.
+    """
+    return module.layer == "service"
 
 
 def _lock_kind_of_call(node: ast.expr) -> str | None:

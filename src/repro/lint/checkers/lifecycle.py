@@ -1,13 +1,15 @@
 """RL010 — shared-memory / pool resources must be released on all paths.
 
-The PR 7 `/dev/shm` contract, proven statically: every function-local
-``SharedMemory``/``SharedPlanStore``/pool/executor/``memoryview``
+The serving layer's resource contract, proven statically: every
+function-local ``SharedMemory``/shared-store/pool/executor/``memoryview``
 creation must reach its cleanup calls (``close()`` + ``unlink()`` for
-owning shared memory, ``close()`` for attached handles and queues,
-``shutdown()`` for pools, ``release()`` for memoryviews) along *every*
-CFG path out of the function — including the exception edges the
-``try``/``finally`` structure induces. A ``memoryview`` over a buffer
-must additionally be released before the backing handle's ``close()``.
+owning shared memory, ``close()`` for attached handles, ``Shared*Store``
+objects and queues, ``shutdown()`` for pools — the ``optimize_many``
+``ProcessPoolExecutor`` among them — ``release()`` for memoryviews)
+along *every* CFG path out of the function, including the exception
+edges the ``try``/``finally`` structure induces. A ``memoryview`` over
+a buffer must additionally be released before the backing handle's
+``close()``.
 
 The analysis is a forward may-leak dataflow over the ``repro.lint.cfg``
 graphs: each tracked binding carries its outstanding obligations;
@@ -31,13 +33,10 @@ from repro.lint.engine import Module, Project
 from repro.lint.findings import Finding
 from repro.lint.registry import Checker, register
 
-#: Modules under the lifecycle contract: the serving layer, the forked
-#: worker pool, and the shared-memory plan store itself.
-_SCOPE_PARTS = (("core", "parallel.py"), ("plans", "store.py"))
-
 
 def _in_scope(module: Module) -> bool:
-    return module.layer == "service" or module.package_parts in _SCOPE_PARTS
+    """Only the serving layer creates processes, pools and shared memory."""
+    return module.layer == "service"
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,8 @@ def _classify_creation(value: ast.expr) -> tuple[str, frozenset[str], str | None
         if create:
             return "shm", frozenset(("close", "unlink")), None
         return "shm", frozenset(("close",)), None
-    if name == "SharedPlanStore":
+    if name.startswith("Shared") and name.endswith("Store"):
+        # A store over shared-memory segments owns them until close().
         return "store", frozenset(("close",)), None
     if name in ("ProcessPoolExecutor", "ThreadPoolExecutor") or (
         name.endswith("Pool") and name[:1].isupper()
@@ -300,7 +300,7 @@ class ResourceLifecycleChecker(Checker):
     code = "RL010"
     name = "resource-lifecycle"
     description = (
-        "SharedMemory/SharedPlanStore/pool/queue creations must reach "
+        "SharedMemory/shared-store/pool/queue creations must reach "
         "close()+unlink()/release()/shutdown() on every CFG path, and "
         "memoryviews must be released before their buffer closes"
     )

@@ -1,10 +1,9 @@
 """RL009 — lock acquisitions must form a project-wide DAG.
 
-Builds the lock-acquisition graph over the serving layer and the forked
-worker pool (`service/`, `core/parallel.py`): every lock acquired while
-another lock is held — directly via nested ``with lock:`` /
-``.acquire()`` scopes, or transitively through any call that resolves
-inside the analyzed tree — becomes an edge. Two findings fall out:
+Builds the lock-acquisition graph over the serving layer (`service/`):
+every lock acquired while another lock is held — directly via nested
+``with lock:`` / ``.acquire()`` scopes, or transitively through any
+call that resolves inside the analyzed tree — becomes an edge. Two findings fall out:
 
 * a cycle (including the 2-cycle of two call sites nesting the same
   pair of locks in opposite orders) is a deadlock waiting for load;

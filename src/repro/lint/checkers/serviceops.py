@@ -1,15 +1,11 @@
 """RL008 — service-layer blocking operations must be bounded.
 
 The serving layer (``repro/service/``) runs worker threads against
-shared queues, events and peer threads, and the intra-query parallel
-kernel (``repro/core/parallel.py``) runs forked worker processes
-against shared-memory plan stores and bounded message queues. Any
-*unbounded* blocking call in either is a hung-request bug waiting for
-its trigger — precisely the failure mode the front door exists to rule
-out ("every request completes or is rejected; none hang"), and for the
-parallel kernel the failure is worse: a driver blocked forever on a
-dead worker's queue can never unlink its shared-memory segments.
-Inside these modules this checker forbids:
+shared queues, events and peer threads, and a process pool for batch
+grids. Any *unbounded* blocking call there is a hung-request bug
+waiting for its trigger — precisely the failure mode the front door
+exists to rule out ("every request completes or is rejected; none
+hang"). Inside the serving layer this checker forbids:
 
 * constructing an unbounded queue: ``Queue()`` / ``LifoQueue()`` /
   ``PriorityQueue()`` without a ``maxsize``, and ``SimpleQueue()`` at
@@ -42,11 +38,6 @@ _BOUNDED_QUEUE_TYPES = ("Queue", "LifoQueue", "PriorityQueue")
 
 #: Queue constructors that cannot be bounded at all.
 _UNBOUNDABLE_QUEUE_TYPES = ("SimpleQueue",)
-
-#: Core modules with multiprocessing workers, covered in addition to
-#: the whole service layer. (The rest of core is synchronous search
-#: code with nothing to block on.)
-_CORE_WORKER_MODULES = (("core", "parallel.py"),)
 
 
 def _call_type_name(call: ast.Call) -> str | None:
@@ -88,14 +79,11 @@ def _nonblocking_queue_op(call: ast.Call) -> bool:
 class ServiceOpsChecker(Checker):
     code = "RL008"
     name = "bounded-blocking"
-    description = "service/worker-layer blocking calls must be bounded"
+    description = "service-layer blocking calls must be bounded"
 
     def check(self, project):
         for module in project.modules:
-            if (
-                module.layer != "service"
-                and module.package_parts not in _CORE_WORKER_MODULES
-            ):
+            if module.layer != "service":
                 continue
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.Call):

@@ -39,7 +39,6 @@ __all__ = [
     "METRIC_OPTIMIZATIONS_TOTAL",
     "METRIC_OPTIMIZE_SECONDS",
     "METRIC_PLANS_COSTED_TOTAL",
-    "METRIC_DPCONV_BOUND_SKIPS_TOTAL",
     "METRIC_ROBUST_RUNGS_TOTAL",
     "METRIC_PLAN_CACHE_EVENTS_TOTAL",
     "METRIC_PLAN_CACHE_SIZE",
@@ -122,10 +121,6 @@ METRIC_OPTIMIZE_SECONDS = "repro_optimize_seconds"
 #: Counter: plan alternatives costed, by technique.
 METRIC_PLANS_COSTED_TOTAL = "repro_plans_costed_total"
 
-#: Counter: join pairs skipped whole by the convolution lower bound
-#: (``bound="dpconv"``) before any alternative was costed.
-METRIC_DPCONV_BOUND_SKIPS_TOTAL = "repro_dpconv_bound_skips_total"
-
 #: Counter: fallback-ladder rung executions by technique and outcome.
 METRIC_ROBUST_RUNGS_TOTAL = "repro_robust_rungs_total"
 
@@ -190,7 +185,6 @@ METRIC_NAMES = frozenset(
         METRIC_OPTIMIZATIONS_TOTAL,
         METRIC_OPTIMIZE_SECONDS,
         METRIC_PLANS_COSTED_TOTAL,
-        METRIC_DPCONV_BOUND_SKIPS_TOTAL,
         METRIC_ROBUST_RUNGS_TOTAL,
         METRIC_PLAN_CACHE_EVENTS_TOTAL,
         METRIC_PLAN_CACHE_SIZE,

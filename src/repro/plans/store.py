@@ -24,7 +24,6 @@ come back as shared objects and repeated finalizes are cheap.
 
 from __future__ import annotations
 
-import os
 from array import array
 
 from repro.plans.records import (
@@ -41,11 +40,6 @@ from repro.plans.records import (
 
 __all__ = [
     "PlanStore",
-    "SharedPlanStore",
-    "SharedStoreLayout",
-    "SharedColumnView",
-    "attach_shared_views",
-    "SEGMENT_CAPACITY",
     "M_SEQ_SCAN",
     "M_INDEX_SCAN",
     "M_SORT",
@@ -195,262 +189,3 @@ class PlanStore:
         self._records[eid] = record
         return record
 
-
-# -- shared-memory arena -------------------------------------------------------
-#
-# The parallel kernel (repro.core.parallel) keeps the driver's arena in
-# POSIX shared memory so worker processes can read parent-level entries
-# in place instead of receiving pickled plan trees. The arena grows by
-# fixed-capacity segments; each segment is one SharedMemory block laid
-# out column-major with the 8-byte columns first so every column view is
-# naturally aligned:
-#
-#   [rows d | cost d | order i | left i | right i | rel i | eclass i | method b]
-#
-# 37 bytes per entry. Only the driver appends; workers attach read-only
-# views (attach_shared_views) keyed by the segment names in a
-# SharedStoreLayout message. Unlinking is the driver's job — always via
-# close()/unlink() in a finally (or the context manager), so no /dev/shm
-# segment survives a cancelled or crashed search.
-
-#: Entries per shared segment. A multiple of 8 keeps the 4-byte and
-#: 1-byte column regions aligned after the two 8-byte columns.
-SEGMENT_CAPACITY = 8192
-
-#: (attribute name, memoryview format, bytes per entry), in layout order.
-_COLUMN_SPECS = (
-    ("rows", "d", 8),
-    ("cost", "d", 8),
-    ("order", "i", 4),
-    ("left", "i", 4),
-    ("right", "i", 4),
-    ("rel", "i", 4),
-    ("eclass", "i", 4),
-    ("method", "b", 1),
-)
-
-_SEGMENT_BYTES = SEGMENT_CAPACITY * sum(spec[2] for spec in _COLUMN_SPECS)
-
-#: Monotonic suffix so concurrent stores in one process get unique names.
-_STORE_SEQUENCE = 0
-
-
-def _column_offsets() -> dict[str, int]:
-    offsets = {}
-    position = 0
-    for name, _fmt, width in _COLUMN_SPECS:
-        offsets[name] = position
-        position += SEGMENT_CAPACITY * width
-    return offsets
-
-
-_COLUMN_OFFSETS = _column_offsets()
-
-
-class SharedStoreLayout:
-    """Picklable description of a shared arena a worker can attach to.
-
-    Attributes:
-        segment_names: SharedMemory block name per segment, in order.
-        length: Entry count at snapshot time (workers must not read past
-            it — later entries belong to in-flight merges).
-    """
-
-    __slots__ = ("segment_names", "length")
-
-    def __init__(self, segment_names: tuple[str, ...], length: int):
-        self.segment_names = segment_names
-        self.length = length
-
-    def __reduce__(self):
-        return (SharedStoreLayout, (self.segment_names, self.length))
-
-
-class _SharedColumn:
-    """One store column striped across the shared segments (driver side).
-
-    Quacks like the ``array`` columns of :class:`PlanStore`: ``append``,
-    ``extend``, ``__getitem__``, ``__len__`` — which is all the search
-    kernel and :meth:`PlanStore.materialize` use.
-    """
-
-    __slots__ = ("_store", "_fmt", "_offset", "_views", "_length")
-
-    def __init__(self, store: "SharedPlanStore", fmt: str, offset: int):
-        self._store = store
-        self._fmt = fmt
-        self._offset = offset
-        self._views: list = []
-        self._length = 0
-
-    def _add_segment(self, buf) -> None:
-        width = 8 if self._fmt == "d" else (4 if self._fmt == "i" else 1)
-        size = SEGMENT_CAPACITY * width
-        self._views.append(
-            memoryview(buf)[self._offset : self._offset + size].cast(self._fmt)
-        )
-
-    def append(self, value) -> None:
-        index = self._length
-        segment, slot = divmod(index, SEGMENT_CAPACITY)
-        if segment == len(self._views):
-            self._store._grow()
-        self._views[segment][slot] = value
-        self._length = index + 1
-
-    def extend(self, values) -> None:
-        for value in values:
-            self.append(value)
-
-    def __getitem__(self, index: int):
-        segment, slot = divmod(index, SEGMENT_CAPACITY)
-        return self._views[segment][slot]
-
-    def __len__(self) -> int:
-        return self._length
-
-    def _release(self) -> None:
-        for view in self._views:
-            view.release()
-        self._views.clear()
-
-
-class SharedColumnView:
-    """Read-only worker-side view of one column across attached segments."""
-
-    __slots__ = ("_views", "_length")
-
-    def __init__(self, views: list, length: int):
-        self._views = views
-        self._length = length
-
-    def __getitem__(self, index: int):
-        # Bounded at the layout snapshot: driver appends made after
-        # layout() land in segment tail slots this view must not expose.
-        if index >= self._length:
-            raise IndexError(
-                f"shared view index {index} >= snapshot length {self._length}"
-            )
-        segment, slot = divmod(index, SEGMENT_CAPACITY)
-        return self._views[segment][slot]
-
-    def __len__(self) -> int:
-        return self._length
-
-    def release(self) -> None:
-        for view in self._views:
-            view.release()
-        self._views.clear()
-
-
-class SharedPlanStore(PlanStore):
-    """A :class:`PlanStore` whose columns live in shared-memory segments.
-
-    Grow-by-segment allocation: appends past the current capacity create
-    one more :data:`SEGMENT_CAPACITY`-entry SharedMemory block covering
-    all eight columns. Only the owning (driver) process appends; worker
-    processes attach read-only column views via :func:`attach_shared_views`
-    from the :meth:`layout` snapshot.
-
-    The store owns its segments: :meth:`close` (also the context-manager
-    exit) releases every view and **unlinks** every block, so a driver
-    that wraps the search in ``try/finally close()`` can never leak
-    ``/dev/shm`` entries — not on budget trips, not on cancellation, not
-    on a worker crash (workers never own segments).
-    """
-
-    __slots__ = ("_segments", "_name_prefix", "_closed")
-
-    def __init__(self) -> None:
-        global _STORE_SEQUENCE
-        _STORE_SEQUENCE += 1
-        self._name_prefix = f"repro_ps_{os.getpid()}_{_STORE_SEQUENCE}"
-        self._segments: list = []
-        self._closed = False
-        for name, fmt, _width in _COLUMN_SPECS:
-            setattr(self, name, _SharedColumn(self, fmt, _COLUMN_OFFSETS[name]))
-        self._records = {}
-
-    def _grow(self) -> None:
-        from multiprocessing import shared_memory
-
-        name = f"{self._name_prefix}_{len(self._segments)}"
-        segment = shared_memory.SharedMemory(
-            name=name, create=True, size=_SEGMENT_BYTES
-        )
-        self._segments.append(segment)
-        for column_name, _fmt, _width in _COLUMN_SPECS:
-            getattr(self, column_name)._add_segment(segment.buf)
-
-    def layout(self) -> SharedStoreLayout:
-        """A picklable attach token for the current snapshot."""
-        return SharedStoreLayout(
-            tuple(segment.name for segment in self._segments), len(self)
-        )
-
-    @property
-    def segment_count(self) -> int:
-        return len(self._segments)
-
-    def close(self) -> None:
-        """Release all views and unlink every segment (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for name, _fmt, _width in _COLUMN_SPECS:
-            column = getattr(self, name)
-            if isinstance(column, _SharedColumn):
-                column._release()
-        for segment in self._segments:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
-        self._segments.clear()
-
-    def __enter__(self) -> "SharedPlanStore":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-def attach_shared_views(
-    layout: SharedStoreLayout, existing: dict | None = None
-) -> tuple[dict, dict]:
-    """Attach a worker to the segments of ``layout``.
-
-    Args:
-        layout: The driver's :meth:`SharedPlanStore.layout` snapshot.
-        existing: Segment-name -> SharedMemory map from a previous attach
-            (segments already mapped are reused; only new ones attach).
-
-    Returns:
-        ``(columns, segments)`` — column name -> :class:`SharedColumnView`
-        bounded at ``layout.length``, and the updated segment map. The
-        worker must ``close()`` (never unlink) each segment when done.
-    """
-    from multiprocessing import shared_memory
-
-    segments = dict(existing) if existing else {}
-    for name in layout.segment_names:
-        if name in segments:
-            continue
-        # Python 3.11 registers attach-side handles with the resource
-        # tracker too. Pool workers are forked, so they share the
-        # driver's tracker: the registration dedupes into the same set
-        # entry the driver created, and the driver's unlink clears it
-        # exactly once. (Unregistering here would strip the driver's own
-        # registration through the shared tracker.)
-        segments[name] = shared_memory.SharedMemory(name=name, create=False)
-    columns = {}
-    for column_name, fmt, width in _COLUMN_SPECS:
-        offset = _COLUMN_OFFSETS[column_name]
-        size = SEGMENT_CAPACITY * width
-        views = [
-            memoryview(segments[name].buf)[offset : offset + size].cast(fmt)
-            for name in layout.segment_names
-        ]
-        columns[column_name] = SharedColumnView(views, layout.length)
-    return columns, segments

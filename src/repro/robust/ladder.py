@@ -300,8 +300,6 @@ class RobustOptimizer(Optimizer):
                         technique,
                         budget=stage_budget,
                         cost_model=self.cost_model,
-                        workers=self.workers,
-                        bound=self.bound,
                     )
                     optimizer.checkpoint = self.checkpoint
                     try:

@@ -18,14 +18,13 @@ Algorithms:
         future-work section (k-dominance), SDP's experimental Option 3.
 """
 
-from repro.skyline.dominance import bound_covered, dominates
+from repro.skyline.dominance import dominates
 from repro.skyline.kdominant import k_dominant_skyline, k_dominates
 from repro.skyline.multiway import full_skyline, pairwise_union_skyline
 from repro.skyline.naive import naive_skyline
 from repro.skyline.sfs import sfs_skyline
 
 __all__ = [
-    "bound_covered",
     "dominates",
     "k_dominates",
     "k_dominant_skyline",

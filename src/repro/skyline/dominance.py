@@ -1,19 +1,10 @@
-"""Dominance tests for minimized feature vectors.
-
-Besides the pairwise :func:`dominates` the skyline algorithms are built
-on, this module carries :func:`bound_covered` — the threshold-augmented
-dominance rule behind the ``bound="dpconv"`` hybrid pruning: instead of
-comparing two realized vectors, it compares a set of incumbent slot
-costs against an admissible *lower bound* on everything a candidate
-producer could still emit. It is deliberately not part of any skyline
-pass — SDP's pruning semantics are untouched by the bound.
-"""
+"""Dominance test for minimized feature vectors."""
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Sequence
 
-__all__ = ["bound_covered", "dominates"]
+__all__ = ["dominates"]
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -37,35 +28,3 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
             strictly_better = True
     return strictly_better
 
-
-def bound_covered(
-    lbound: float,
-    slots: Mapping[Hashable, int],
-    slot_costs: Sequence[float],
-    keys: Iterable[Hashable],
-) -> bool:
-    """Threshold-augmented dominance against a candidate lower bound.
-
-    True iff for *every* key in ``keys`` an incumbent slot exists whose
-    cost is at or below ``lbound``. Under strict-improvement retention
-    (a candidate replaces a slot only when strictly cheaper), a covered
-    producer whose alternatives all cost at least ``lbound`` cannot
-    change any slot — it can be skipped without being costed, and the
-    search's retained plans, best costs and final plan are unchanged.
-
-    ``slots`` maps order keys to positions in ``slot_costs`` (the JCR
-    slot layout); a missing key means an alternative targeting it would
-    be retained unconditionally, so coverage fails.
-
-    >>> bound_covered(5.0, {None: 0}, [4.0], (None,))
-    True
-    >>> bound_covered(5.0, {None: 0}, [6.0], (None,))
-    False
-    >>> bound_covered(5.0, {None: 0}, [4.0], (None, 3))
-    False
-    """
-    for key in keys:
-        index = slots.get(key)
-        if index is None or slot_costs[index] > lbound:
-            return False
-    return True

@@ -40,7 +40,7 @@ def test_bench_harness_end_to_end(tmp_path):
     )
     elapsed = time.perf_counter() - started
     assert completed.returncode == 0, completed.stderr
-    # The big single-query parallel arms dominate; generous but bounded.
+    # The front-door load arms dominate; generous but bounded.
     assert elapsed < 300.0, f"harness smoke run took {elapsed:.1f}s"
 
     report = json.loads(output.read_text())
@@ -49,8 +49,7 @@ def test_bench_harness_end_to_end(tmp_path):
         "dp_star_12",
         "sdp_star_25",
         "grid_workers",
-        "dp_star_15_parallel",
-        "sdp_star_50_parallel",
+        "dpconv_exact",
         "plan_cache",
         "sql_workload",
         "frontdoor_load",

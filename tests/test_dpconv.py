@@ -1,19 +1,15 @@
-"""DPconv kernel plumbing and the convolution-bound hybrid pruning.
+"""DPconv kernel plumbing.
 
 Bit-identity of the ``dpconv`` kernel against the other kernels under
 C_out cost lives in ``tests/test_kernel_equivalence.py``; this module
 covers everything around it:
 
-* :func:`repro.skyline.bound_covered` — the threshold-augmented
-  dominance primitive the hybrid bound is built on;
-* ``bound="dpconv"`` hybrid pruning — identical final plan and cost to
-  an unbounded search, never more ``plans_costed``, across topologies,
-  techniques, the robust ladder, and the TPC-H-lite workload;
+* the cardinality-layer quantization the convolution buckets by;
 * the kernel registry as single source of truth — ``kernel_name``
   errors, ``sdp-bench --list-kernels`` and ``docs/api.md`` all agree
   with :data:`repro.core.kernel.KERNELS`;
-* the facade knobs — ``technique="dpconv"``, ``bound=``, their
-  rejection paths, and the ``service=`` mutual exclusion.
+* ``technique="DPconv"`` through the registry and the facade, and its
+  rejection of non-C_out cost models.
 """
 
 from __future__ import annotations
@@ -26,18 +22,11 @@ import repro
 from repro.core.base import SearchBudget, SearchCounters
 from repro.core.dpconv import DPconvPlanSpace, cardinality_layer
 from repro.core.kernel import KERNELS, kernel_name, make_planspace
-from repro.core.planspace import PLAN_SPACE_BOUNDS
 from repro.core.registry import available_techniques, make_optimizer
 from repro.cost import COUT_COST_MODEL, DEFAULT_COST_MODEL
 from repro.errors import DPconvUnsupportedError, OptimizationError
-from repro.skyline import bound_covered
 from repro.util.timer import Timer
-from repro.workloads import tpch_lite_queries, tpch_lite_schema
-from tests.conftest import (
-    make_chain_query,
-    make_star_chain_query,
-    make_star_query,
-)
+from tests.conftest import make_star_query
 
 BUDGET = SearchBudget(max_seconds=60.0)
 
@@ -59,25 +48,6 @@ def serialize(plan) -> tuple:
     )
 
 
-class TestBoundCovered:
-    def test_covered_when_every_key_cheap_enough(self):
-        assert bound_covered(5.0, {None: 0, "o": 1}, [4.0, 5.0], (None, "o"))
-
-    def test_equal_cost_counts_as_covered(self):
-        # Strict-improvement retention: a candidate at exactly the
-        # incumbent's cost would not replace it, so equality covers.
-        assert bound_covered(5.0, {None: 0}, [5.0], (None,))
-
-    def test_missing_slot_fails_coverage(self):
-        assert not bound_covered(5.0, {None: 0}, [4.0], (None, "order"))
-
-    def test_expensive_incumbent_fails_coverage(self):
-        assert not bound_covered(5.0, {None: 0, "o": 1}, [4.0, 6.0], (None, "o"))
-
-    def test_no_keys_is_trivially_covered(self):
-        assert bound_covered(0.0, {}, [], ())
-
-
 class TestCardinalityLayer:
     def test_small_cardinalities(self):
         assert cardinality_layer(0.0) == 0
@@ -97,62 +67,19 @@ class TestCardinalityLayer:
         assert layers == sorted(layers)
 
 
-@pytest.mark.parametrize("technique", ("DP", "SDP", "IDP(4)"))
-def test_hybrid_bound_preserves_outcomes(technique, small_schema, small_stats):
-    """``bound="dpconv"`` is pruning-only: same plan, never more costing."""
-    queries = (
-        make_star_query(small_schema, 8),
-        make_chain_query(small_schema, 8),
-        make_star_chain_query(small_schema, 4, 4),
-    )
-    for query in queries:
-        plain = make_optimizer(technique, budget=BUDGET).optimize(
-            query, small_stats
-        )
-        bounded = make_optimizer(technique, budget=BUDGET, bound="dpconv").optimize(
-            query, small_stats
-        )
-        label = f"{technique} {query.label}"
-        assert bounded.cost == plain.cost, label
-        assert bounded.rows == plain.rows, label
-        assert serialize(bounded.plan) == serialize(plain.plan), label
-        assert bounded.plans_costed <= plain.plans_costed, label
-
-
-def test_hybrid_bound_on_tpch_lite_workload():
-    schema = tpch_lite_schema()
-    stats = repro.analyze(schema)
-    for query in tpch_lite_queries(schema):
-        plain = make_optimizer("SDP", budget=BUDGET).optimize(query, stats)
-        bounded = make_optimizer("SDP", budget=BUDGET, bound="dpconv").optimize(
-            query, stats
-        )
-        assert bounded.cost == plain.cost, query.label
-        assert serialize(bounded.plan) == serialize(plain.plan), query.label
-        assert bounded.plans_costed <= plain.plans_costed, query.label
-
-
-def test_hybrid_bound_skips_work_on_sdp_star(small_schema, small_stats):
-    """On a star the bound must actually skip pairs, not just break even."""
-    query = make_star_query(small_schema, 8)
-    plain = make_optimizer("SDP", budget=BUDGET).optimize(query, small_stats)
-    bounded = make_optimizer("SDP", budget=BUDGET, bound="dpconv").optimize(
-        query, small_stats
-    )
-    assert bounded.cost == plain.cost
-    assert bounded.plans_costed < plain.plans_costed
-
-
 class TestKernelRegistry:
     def test_registry_names(self):
-        assert tuple(KERNELS) == ("fast", "reference", "parallel", "dpconv")
+        assert tuple(KERNELS) == ("fast", "reference", "dpconv")
         for name, description in KERNELS.items():
             assert kernel_name(name) == name
             assert description  # every kernel carries a one-line description
 
-    def test_unknown_kernel_error_lists_registry(self):
+    # "parallel" named a kernel that has since been removed: a leftover
+    # REPRO_KERNEL=parallel must fail with the same typed error.
+    @pytest.mark.parametrize("name", ("bogus", "parallel"))
+    def test_unknown_kernel_error_lists_registry(self, name):
         with pytest.raises(OptimizationError) as excinfo:
-            kernel_name("bogus")
+            kernel_name(name)
         for name in KERNELS:
             assert name in str(excinfo.value)
 
@@ -201,84 +128,10 @@ class TestDPconvTechnique:
         with pytest.raises(DPconvUnsupportedError):
             optimizer.optimize(query, small_stats)
 
-
-class TestFacadeBoundKnob:
-    def test_bound_matches_unbounded(self, small_schema, small_stats):
-        query = make_star_query(small_schema, 8)
-        plain = repro.optimize(query, stats=small_stats)
-        bounded = repro.optimize(query, stats=small_stats, bound="dpconv")
-        assert bounded.cost == plain.cost
-        assert serialize(bounded.plan) == serialize(plain.plan)
-        assert bounded.plans_costed <= plain.plans_costed
-
-    def test_robust_ladder_inherits_bound(self, small_schema, small_stats):
-        query = make_star_query(small_schema, 8)
-        plain = repro.optimize(query, stats=small_stats, robust=True)
-        bounded = repro.optimize(
-            query, stats=small_stats, robust=True, bound="dpconv"
-        )
-        assert bounded.cost == plain.cost
-        assert serialize(bounded.plan) == serialize(plain.plan)
-        assert bounded.plans_costed <= plain.plans_costed
-
-    def test_unknown_bound_rejected_everywhere(self, small_schema, small_stats):
-        query = make_star_query(small_schema, 5)
-        assert PLAN_SPACE_BOUNDS == ("dpconv",)
-        with pytest.raises(OptimizationError):
-            make_optimizer("SDP", bound="nope")
-        with pytest.raises(OptimizationError):
-            repro.optimize(query, stats=small_stats, bound="nope")
-        with pytest.raises(OptimizationError):
-            repro.optimize(query, stats=small_stats, robust=True, bound="nope")
-        counters = SearchCounters(BUDGET, Timer().start())
-        with pytest.raises(OptimizationError):
-            make_planspace(
-                query, small_stats, DEFAULT_COST_MODEL, counters, bound="nope"
-            )
-
-    def test_bound_conflicts_with_service(self, small_schema, small_stats):
-        query = make_star_query(small_schema, 5)
-        service = repro.OptimizationService(technique="SDP")
-        service.install_statistics(small_stats)
-        with pytest.raises(OptimizationError):
-            repro.optimize(query, service=service, bound="dpconv")
-
-
-class TestBoundForcesSerialKernel:
-    def test_parallel_request_with_bound_stays_serial(
-        self, small_schema, small_stats
-    ):
-        # The skip bookkeeping is per-space state the fan-out workers do
-        # not share, so a bound must select the serial fast kernel even
-        # when the parallel driver was requested.
+    def test_make_planspace_builds_dpconv_space(self, small_schema, small_stats):
         query = make_star_query(small_schema, 5)
         counters = SearchCounters(BUDGET, Timer().start())
         space = make_planspace(
-            query,
-            small_stats,
-            DEFAULT_COST_MODEL,
-            counters,
-            kernel="parallel",
-            level_parallel=True,
-            bound="dpconv",
+            query, small_stats, COUT_COST_MODEL, counters, kernel="dpconv"
         )
-        try:
-            assert type(space).__name__ == "PlanSpace"
-        finally:
-            space.release()
-
-    def test_dpconv_kernel_honors_bound_argument(self, small_schema, small_stats):
-        query = make_star_query(small_schema, 5)
-        counters = SearchCounters(BUDGET, Timer().start())
-        space = make_planspace(
-            query,
-            small_stats,
-            COUT_COST_MODEL,
-            counters,
-            kernel="dpconv",
-            bound="dpconv",
-        )
-        try:
-            assert isinstance(space, DPconvPlanSpace)
-        finally:
-            space.release()
+        assert isinstance(space, DPconvPlanSpace)

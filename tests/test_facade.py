@@ -134,6 +134,14 @@ class TestFacade:
             with pytest.raises(OptimizationError):
                 repro.optimize(query, service=service, **kwargs)
 
+    @pytest.mark.parametrize("knob", ({"workers": 2}, {"bound": "dpconv"}))
+    def test_removed_search_knobs_rejected(self, knob, small_schema, small_stats):
+        query = make_star_query(small_schema, 5)
+        with pytest.raises(TypeError):
+            repro.optimize(query, stats=small_stats, **knob)
+        with pytest.raises(TypeError):
+            repro.make_optimizer("SDP", **knob)
+
 
 class TestSqlFirst:
     def _sql(self, small_schema):

@@ -7,12 +7,6 @@ produce the *same search* as the preserved eager object-graph kernel
 tree, identical counter values. These tests sweep randomized chain, star,
 and clique instances (<= 10 relations, several workload seeds) through
 DP, SDP, and IDP under both kernels and compare everything observable.
-
-The same contract extends to the level-parallel driver
-(:mod:`repro.core.parallel`): for any worker count — including a real
-forked pool on a single-core host — DP and SDP must match the serial
-fast kernel bit-for-bit, and techniques that cannot level-parallelize
-(IDP) must silently run the serial kernel under ``REPRO_KERNEL=parallel``.
 """
 
 from __future__ import annotations
@@ -109,59 +103,7 @@ def test_kernels_agree(topology, size, technique, eq_schema, eq_stats):
         assert fast.modeled_memory_mb == reference.modeled_memory_mb, label
 
 
-#: Explicit counts force the parallel driver even on a single-core host:
-#: 1 exercises the in-process partition/merge path, 2 and 4 a real pool.
-WORKER_COUNTS = (1, 2, 4)
-
-
-@pytest.mark.parametrize("topology,size", GRAPHS, ids=[f"{t}-{s}" for t, s in GRAPHS])
-@pytest.mark.parametrize("technique", ("DP", "SDP"))
-def test_parallel_driver_agrees(topology, size, technique, eq_schema, eq_stats):
-    spec = WorkloadSpec(topology, size)
-    for instance in (0, 1):
-        query = make_query(spec, eq_schema, instance)
-        serial = make_optimizer(technique, budget=BUDGET).optimize(query, eq_stats)
-        for workers in WORKER_COUNTS:
-            parallel = make_optimizer(
-                technique, budget=BUDGET, workers=workers
-            ).optimize(query, eq_stats)
-            label = (
-                f"{technique} {spec.label} instance={instance} workers={workers}"
-            )
-            assert parallel.cost == serial.cost, label
-            assert parallel.rows == serial.rows, label
-            assert serialize(parallel.plan) == serialize(serial.plan), label
-            assert parallel.plans_costed == serial.plans_costed, label
-            assert parallel.jcrs_created == serial.jcrs_created, label
-            assert parallel.jcrs_pruned == serial.jcrs_pruned, label
-            assert parallel.modeled_memory_mb == serial.modeled_memory_mb, label
-
-
-def test_parallel_env_kernel_covers_non_level_techniques(eq_schema, eq_stats):
-    # IDP is not level-synchronous, so REPRO_KERNEL=parallel must hand it
-    # the serial fast kernel — same result, no pool involved.
-    query = make_query(WorkloadSpec("star", 8), eq_schema, 0)
-    fast = run("IDP(4)", query, eq_stats, "fast")
-    parallel = run("IDP(4)", query, eq_stats, "parallel")
-    assert parallel.cost == fast.cost
-    assert serialize(parallel.plan) == serialize(fast.plan)
-    assert parallel.plans_costed == fast.plans_costed
-
-
-def test_parallel_env_kernel_dp_identical(eq_schema, eq_stats):
-    # REPRO_KERNEL=parallel with no explicit worker count resolves via
-    # the auto policy (worker count is host-dependent); the search result
-    # must not be.
-    query = make_query(WorkloadSpec("chain", 8), eq_schema, 0)
-    fast = run("DP", query, eq_stats, "fast")
-    parallel = run("DP", query, eq_stats, "parallel")
-    assert parallel.cost == fast.cost
-    assert serialize(parallel.plan) == serialize(fast.plan)
-    assert parallel.plans_costed == fast.plans_costed
-    assert parallel.jcrs_created == fast.jcrs_created
-
-
-# SQL-first coverage: the same three-kernel contract on queries carrying
+# SQL-first coverage: the same kernel contract on queries carrying
 # selections and interesting orders. The labels pick the plan-space
 # features apart: an equality selection, selections plus an unindexed
 # non-join ORDER BY (enforcer sort only), a range selection plus a
@@ -199,22 +141,6 @@ def test_kernels_agree_on_selections_and_orders(label, technique, tpch):
     assert fast.plans_costed == reference.plans_costed, tag
     assert fast.jcrs_created == reference.jcrs_created, tag
     assert fast.jcrs_pruned == reference.jcrs_pruned, tag
-
-
-@pytest.mark.parametrize("label", SQL_LABELS)
-@pytest.mark.parametrize("technique", ("DP", "SDP"))
-def test_parallel_driver_agrees_on_selections_and_orders(label, technique, tpch):
-    _, stats, queries = tpch
-    query = queries[label]
-    serial = make_optimizer(technique, budget=BUDGET).optimize(query, stats)
-    for workers in (1, 2):
-        parallel = make_optimizer(
-            technique, budget=BUDGET, workers=workers
-        ).optimize(query, stats)
-        tag = f"{technique} {label} workers={workers}"
-        assert parallel.cost == serial.cost, tag
-        assert serialize(parallel.plan) == serialize(serial.plan), tag
-        assert parallel.plans_costed == serial.plans_costed, tag
 
 
 # The dpconv kernel's layered (min,+) convolution is exact only under a

@@ -87,20 +87,20 @@ class TestLayering:
     def test_dpconv_module_is_layer_covered(self, tmp_path):
         # Layer ranks are keyed by subpackage, so a new core/ module
         # (core/dpconv.py) is in scope automatically: its real imports
-        # (skyline, cost, errors) point down and are clean, while an
+        # (cost, errors, plans) point down and are clean, while an
         # upward edge in the same file fires without any registration.
         findings = lint_tree(tmp_path, {
             "src/repro/core/dpconv.py": """\
                 from repro.cost.cout import COUT_COST_MODEL
                 from repro.errors import DPconvUnsupportedError
-                from repro.skyline.dominance import bound_covered
+                from repro.plans.store import M_HASH_JOIN
             """,
         }, "RL001")
         assert findings == []
 
         findings = lint_tree(tmp_path, {
             "src/repro/core/dpconv.py": """\
-                from repro.skyline.dominance import bound_covered
+                from repro.plans.store import M_HASH_JOIN
                 from repro.service.frontdoor import FrontDoor
             """,
         }, "RL001")
@@ -734,19 +734,9 @@ class TestServiceOps:
         }, "RL008")
         assert findings == []
 
-    def test_core_parallel_in_scope(self, tmp_path):
+    def test_process_join_without_timeout_fires(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/core/parallel.py": """\
-                def collect(self):
-                    return self.outbox_queue.get()
-            """,
-        }, "RL008")
-        assert len(findings) == 1
-        assert ".get()" in findings[0].message
-
-    def test_core_parallel_process_join_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/core/parallel.py": """\
+            "src/repro/service/pool.py": """\
                 def shutdown(self):
                     for worker in self.workers:
                         worker.process.join()
@@ -755,9 +745,9 @@ class TestServiceOps:
         assert len(findings) == 1
         assert "shutdown" in findings[0].message
 
-    def test_core_parallel_bounded_ops_clean(self, tmp_path):
+    def test_bounded_worker_process_ops_clean(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/core/parallel.py": """\
+            "src/repro/service/pool.py": """\
                 def collect(self):
                     self.inbox_queue.put(("level",), timeout=60.0)
                     return self.outbox_queue.get(timeout=0.5)
@@ -996,7 +986,7 @@ class TestLockOrder:
 class TestResourceLifecycle:
     def test_early_return_leaks_segment(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/plans/store.py": """\
+            "src/repro/service/segments.py": """\
                 from multiprocessing import shared_memory
 
                 def grab(name, fast):
@@ -1013,7 +1003,7 @@ class TestResourceLifecycle:
 
     def test_close_without_unlink_on_owner_fires(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/plans/store.py": """\
+            "src/repro/service/segments.py": """\
                 from multiprocessing import shared_memory
 
                 def grab(name):
@@ -1027,7 +1017,7 @@ class TestResourceLifecycle:
 
     def test_exception_path_leak_fires(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/plans/store.py": """\
+            "src/repro/service/segments.py": """\
                 from multiprocessing import shared_memory
 
                 def grab(name, size):
@@ -1043,7 +1033,7 @@ class TestResourceLifecycle:
 
     def test_try_finally_cleanup_clean(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/plans/store.py": """\
+            "src/repro/service/segments.py": """\
                 from multiprocessing import shared_memory
 
                 def grab(name, fill):
@@ -1060,7 +1050,7 @@ class TestResourceLifecycle:
 
     def test_escape_to_attribute_transfers_ownership(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/plans/store.py": """\
+            "src/repro/service/segments.py": """\
                 from multiprocessing import shared_memory
 
                 class Store:
@@ -1074,7 +1064,7 @@ class TestResourceLifecycle:
 
     def test_attach_handle_needs_close_only(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/plans/store.py": """\
+            "src/repro/service/segments.py": """\
                 from multiprocessing import shared_memory
 
                 def peek(name):
@@ -1086,9 +1076,35 @@ class TestResourceLifecycle:
         }, "RL010")
         assert findings == []
 
+    def test_search_layers_out_of_scope(self, tmp_path):
+        # Only the serving layer creates processes and shared memory; the
+        # same leak in a search-side module is not RL010's business.
+        leak = """\
+            from multiprocessing import shared_memory
+
+            def grab(name):
+                seg = shared_memory.SharedMemory(
+                    name=name, create=True, size=8)
+                seg.close()
+        """
+        for path in ("src/repro/plans/store.py", "src/repro/core/dp.py"):
+            assert lint_tree(tmp_path, {path: leak}, "RL010") == [], path
+
+    def test_shared_store_needs_close(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "src/repro/service/segments.py": """\
+                def fill(rows, SharedRowStore):
+                    store = SharedRowStore()
+                    for row in rows:
+                        store.add(row)
+            """,
+        }, "RL010")
+        assert len(findings) == 1
+        assert "close" in findings[0].message
+
     def test_view_alive_when_buffer_closes_fires(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/plans/store.py": """\
+            "src/repro/service/segments.py": """\
                 def snapshot(seg):
                     view = memoryview(seg.buf)
                     seg.close()
@@ -1100,7 +1116,7 @@ class TestResourceLifecycle:
 
     def test_view_released_before_close_clean(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/plans/store.py": """\
+            "src/repro/service/segments.py": """\
                 def snapshot(seg):
                     view = memoryview(seg.buf)
                     view.release()
@@ -1153,7 +1169,7 @@ class TestResourceLifecycle:
 
     def test_rebind_while_obligated_fires(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/plans/store.py": """\
+            "src/repro/service/segments.py": """\
                 from multiprocessing import shared_memory
 
                 def churn(name):
@@ -1309,7 +1325,7 @@ class TestCrossProcessErrors:
                 class ReproError(Exception):
                     pass
             """,
-            "src/repro/core/parallel.py": """\
+            "src/repro/service/workers.py": """\
                 from multiprocessing import Process
 
                 class Boom(Exception):
@@ -1334,7 +1350,7 @@ class TestCrossProcessErrors:
                 class ReproError(Exception):
                     pass
             """,
-            "src/repro/core/parallel.py": """\
+            "src/repro/service/workers.py": """\
                 from multiprocessing import Process
 
                 class Boom(Exception):
@@ -1365,7 +1381,7 @@ class TestCrossProcessErrors:
                         super().__init__(index)
                         self.index = index
             """,
-            "src/repro/core/parallel.py": """\
+            "src/repro/service/workers.py": """\
                 from multiprocessing import Process
 
                 from repro.errors import WorkerFault
@@ -1387,7 +1403,7 @@ class TestCrossProcessErrors:
                 class ReproError(Exception):
                     pass
             """,
-            "src/repro/core/parallel.py": """\
+            "src/repro/service/workers.py": """\
                 from multiprocessing import Process
 
                 class Boom(Exception):
@@ -1500,7 +1516,7 @@ class TestConcurrencyNegativeSweep:
         pattern = textwrap.dedent(self.CLEANUP_PATTERNS[index]).format(i=index)
         source = "from multiprocessing import shared_memory\n\n" + pattern
         findings = lint_tree(
-            tmp_path, {"src/repro/plans/store.py": source}, "RL010")
+            tmp_path, {"src/repro/service/segments.py": source}, "RL010")
         assert findings == [], [f.render() for f in findings]
 
     def test_all_checkers_silent_on_correct_concurrent_module(self, tmp_path):
@@ -1542,7 +1558,7 @@ class TestConcurrencyNegativeSweep:
                     def stop(self):
                         self._stop.set()
             """,
-            "src/repro/core/parallel.py": """\
+            "src/repro/service/workers.py": """\
                 from multiprocessing import Process, shared_memory
 
                 from repro.errors import WorkerFault

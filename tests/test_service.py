@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import pickle
 import threading
 import time
@@ -22,6 +23,7 @@ from repro.service import (
     optimize_many,
     query_fingerprint,
 )
+from repro.service.parallel import execution_plan
 from tests.conftest import make_chain_query, make_star_query
 
 # ---------------------------------------------------------------------------
@@ -425,6 +427,15 @@ class TestOptimizeMany:
         assert clone.resource == "costing"
         assert clone.limit == 10 and clone.used == 11
         assert str(clone) == str(error)
+
+    def test_grid_execution_plan_reasons(self, monkeypatch):
+        assert execution_plan(4, 2) == ("serial", 1, "grid_too_small")
+        assert execution_plan(1, 16) == ("serial", 1, "workers_requested")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert execution_plan(None, 16) == ("serial", 1, "cpu_count")
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert execution_plan(None, 16) == ("pool", 8, None)
+        assert execution_plan(4, 16) == ("pool", 4, None)
 
 
 class TestParallelComparison:
