@@ -26,6 +26,7 @@ import time
 
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.experiments.common import ExperimentSettings
+from repro.errors import BenchmarkError
 
 __all__ = ["main"]
 
@@ -175,13 +176,6 @@ def _run_check(baseline_path: str, repeats: int, workers: int | None) -> int:
         f"{'grid_workers':14s} mode={grid['mode']} speedup={grid['speedup']} "
         f"identical_outcomes={grid['identical_outcomes']}{fallback}"
     )
-    dpconv = current["benchmarks"].get("dpconv_exact")
-    if dpconv is not None:
-        print(
-            f"{'dpconv_exact':14s} speedup={dpconv['speedup_vs_dp_pg']} "
-            f"plans_ratio={dpconv['plans_costed_ratio_vs_dp_pg']} "
-            f"identical_to_dp_cout={dpconv['identical_to_dp_cout']}"
-        )
     print(f"{'plan_cache':14s} speedup={current['benchmarks']['plan_cache']['speedup']}")
     sqlw = current["benchmarks"].get("sql_workload")
     if sqlw is not None:
@@ -245,7 +239,11 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    settings = _settings(args)
+    try:
+        settings = _settings(args)
+    except BenchmarkError as exc:
+        print(f"sdp-bench: {exc}", file=sys.stderr)
+        return 2
     if args.output is not None:
         os.makedirs(args.output, exist_ok=True)
     for name in names:

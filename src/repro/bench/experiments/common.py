@@ -16,6 +16,10 @@ Environment overrides: ``REPRO_BENCH_INSTANCES``,
 ``REPRO_BENCH_SEED``, ``REPRO_BENCH_SCHEMA_SEED``,
 ``REPRO_BENCH_ROBUST`` (``1`` enables fallback-ladder robust mode),
 ``REPRO_BENCH_WORKERS`` (process count for the optimization grid).
+
+A value that is not a number, or a size (``instances``,
+``heavy_instances``, ``max_seconds``) that is not positive, raises
+:class:`~repro.errors.BenchmarkError` naming its flag and variable.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.bench.workloads import WorkloadSpec
 from repro.catalog.schema import Schema, SchemaBuilder, paper_schema
 from repro.catalog.statistics import CatalogStatistics, analyze
 from repro.core.base import SearchBudget
+from repro.errors import BenchmarkError
 
 __all__ = [
     "ExperimentSettings",
@@ -38,14 +43,16 @@ __all__ = [
 ]
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_number(name: str, default, parse):
     value = os.environ.get(name)
-    return int(value) if value else default
-
-
-def _env_float(name: str, default: float) -> float:
-    value = os.environ.get(name)
-    return float(value) if value else default
+    if not value:
+        return default
+    try:
+        return parse(value)
+    except ValueError:
+        raise BenchmarkError(
+            f"{name}={value!r} is not a valid {parse.__name__}"
+        ) from None
 
 
 def _env_bool(name: str, default: bool) -> bool:
@@ -53,6 +60,14 @@ def _env_bool(name: str, default: bool) -> bool:
     if value is None or value == "":
         return default
     return value.lower() not in ("0", "false", "no")
+
+
+#: Sizes that must be positive: field -> (CLI flag, environment variable).
+_SIZES = {
+    "instances": ("--instances", "REPRO_BENCH_INSTANCES"),
+    "heavy_instances": ("--heavy-instances", "REPRO_BENCH_HEAVY_INSTANCES"),
+    "max_seconds": ("--max-seconds", "REPRO_BENCH_MAX_SECONDS"),
+}
 
 
 @dataclass(frozen=True)
@@ -70,19 +85,31 @@ class ExperimentSettings:
     #: Process count for the optimization grid (1 = serial in-process).
     workers: int = 1
 
+    def __post_init__(self) -> None:
+        for name, (flag, variable) in _SIZES.items():
+            value = getattr(self, name)
+            if not value > 0:
+                raise BenchmarkError(
+                    f"{flag} / {variable} must be positive, got {value}"
+                )
+
     @classmethod
     def from_env(cls) -> "ExperimentSettings":
         """Settings with environment-variable overrides applied."""
         return cls(
-            instances=_env_int("REPRO_BENCH_INSTANCES", cls.instances),
-            heavy_instances=_env_int(
-                "REPRO_BENCH_HEAVY_INSTANCES", cls.heavy_instances
+            instances=_env_number("REPRO_BENCH_INSTANCES", cls.instances, int),
+            heavy_instances=_env_number(
+                "REPRO_BENCH_HEAVY_INSTANCES", cls.heavy_instances, int
             ),
-            max_seconds=_env_float("REPRO_BENCH_MAX_SECONDS", cls.max_seconds),
-            seed=_env_int("REPRO_BENCH_SEED", cls.seed),
-            schema_seed=_env_int("REPRO_BENCH_SCHEMA_SEED", cls.schema_seed),
+            max_seconds=_env_number(
+                "REPRO_BENCH_MAX_SECONDS", cls.max_seconds, float
+            ),
+            seed=_env_number("REPRO_BENCH_SEED", cls.seed, int),
+            schema_seed=_env_number(
+                "REPRO_BENCH_SCHEMA_SEED", cls.schema_seed, int
+            ),
             robust=_env_bool("REPRO_BENCH_ROBUST", cls.robust),
-            workers=_env_int("REPRO_BENCH_WORKERS", cls.workers),
+            workers=_env_number("REPRO_BENCH_WORKERS", cls.workers, int),
         )
 
     def scaled(self, instances: int) -> "ExperimentSettings":

@@ -10,10 +10,6 @@ Times the scenarios this codebase optimizes hardest:
   requested worker count, asserting the aggregated outcomes are identical
   and recording the speedup plus the serial-vs-pool decision *and why*
   (:func:`repro.service.parallel.execution_plan`);
-* ``dpconv_exact`` — the layered (min,+) convolution kernel
-  (``technique="DPconv"``) against exhaustive DP: default-model DP as the
-  frontier baseline, C_out-model DP as the bit-identity witness, with a
-  speedup floor and a plans_costed-ratio ceiling as the guard pair;
 * ``plan_cache`` — cold vs. warm :class:`repro.service.OptimizationService`
   lookups on a repeated query;
 * ``sql_workload`` — the TPC-H-lite SQL suite (:mod:`repro.workloads`)
@@ -59,7 +55,6 @@ from repro.catalog.schema import SchemaBuilder, paper_schema
 from repro.catalog.statistics import analyze
 from repro.core.base import SearchBudget
 from repro.core.registry import make_optimizer
-from repro.cost.model import COUT_COST_MODEL
 from repro.service import OptimizationService
 from repro.service.parallel import execution_plan
 from repro.workloads import TPCH_LITE_SQL, tpch_lite_queries, tpch_lite_schema
@@ -71,13 +66,6 @@ BUDGET = SearchBudget(max_seconds=120.0)
 #: Scenario medians may regress by at most this factor before the guard
 #: trips. Wall-clock is machine-dependent; counters are exact.
 TIME_REGRESSION_FACTOR = 2.5
-
-#: dpconv_exact guard pair: under C_out the exact frontier itself moves —
-#: one alternative per pair instead of the full join-method fan-out — so
-#: DPconv must beat default-model DP by a wide margin on both axes.
-#: (Seed host: speedup 2.5x, ratio 0.14.)
-DPCONV_MIN_SPEEDUP = 1.5
-DPCONV_MAX_PLANS_RATIO = 0.25
 
 
 def _timed(fn, repeats: int):
@@ -146,83 +134,6 @@ def bench_grid(schema, stats, repeats: int, workers: int):
         "plans_costed": {
             name: serial.outcomes[name].plans_costed for name in serial.outcomes
         },
-    }
-
-
-def _serialize_plan(plan) -> tuple:
-    """Recursive plan identity (shape, methods, numbers) for arm guards."""
-    children = tuple(
-        _serialize_plan(child)
-        for child in (plan.left, plan.right)
-        if child is not None
-    )
-    return (
-        plan.method,
-        plan.mask,
-        plan.rel,
-        plan.eclass,
-        plan.order,
-        plan.rows,
-        plan.cost,
-        children,
-    )
-
-
-def bench_dpconv_exact(schema, stats, repeats: int) -> dict:
-    """The dpconv convolution kernel against exhaustive DP on a star.
-
-    Three arms on the same query:
-
-    * ``dp_pg`` — DP under the default PostgreSQL-style model, the
-      baseline frontier;
-    * ``dp_cout`` — DP under the C_out model, the bit-identity witness
-      (same plan space the convolution searches);
-    * ``dpconv`` — ``technique="DPconv"``, the layered min-plus kernel.
-
-    Under C_out the exact frontier itself moves: a single alternative
-    per pair instead of the full join-method fan-out, so the speedup
-    and plans_costed ratio against ``dp_pg`` quantify what the regime
-    buys, while cost/plan/counter identity against ``dp_cout`` proves
-    the convolution searched the same space exactly.
-    """
-    query = make_query(WorkloadSpec("star", 12), schema, 0)
-
-    dp_pg_opt = make_optimizer("DP", budget=BUDGET)
-    pg_median, pg_samples, dp_pg = _timed(
-        lambda: dp_pg_opt.optimize(query, stats), repeats
-    )
-    dp_cout_opt = make_optimizer("DP", budget=BUDGET, cost_model=COUT_COST_MODEL)
-    _cout_median, _, dp_cout = _timed(
-        lambda: dp_cout_opt.optimize(query, stats), repeats
-    )
-    dpconv_opt = make_optimizer("DPconv", budget=BUDGET)
-    conv_median, conv_samples, dpconv = _timed(
-        lambda: dpconv_opt.optimize(query, stats), repeats
-    )
-
-    exact = (
-        dpconv.cost == dp_cout.cost
-        and _serialize_plan(dpconv.plan) == _serialize_plan(dp_cout.plan)
-        and dpconv.plans_costed == dp_cout.plans_costed
-        and dpconv.jcrs_created == dp_cout.jcrs_created
-    )
-    return {
-        "workload": "star-12",
-        "dp_pg_median_seconds": round(pg_median, 6),
-        "dp_pg_samples_seconds": [round(s, 6) for s in pg_samples],
-        "dp_pg_plans_costed": dp_pg.plans_costed,
-        "dp_pg_cost": dp_pg.cost,
-        "dpconv_median_seconds": round(conv_median, 6),
-        "dpconv_samples_seconds": [round(s, 6) for s in conv_samples],
-        "dpconv_plans_costed": dpconv.plans_costed,
-        "dpconv_cost": dpconv.cost,
-        "speedup_vs_dp_pg": round(pg_median / conv_median, 3)
-        if conv_median
-        else 0.0,
-        "plans_costed_ratio_vs_dp_pg": round(
-            dpconv.plans_costed / dp_pg.plans_costed, 4
-        ),
-        "identical_to_dp_cout": exact,
     }
 
 
@@ -380,7 +291,6 @@ def run_harness(repeats: int = 5, workers: int | None = None) -> dict:
                 "SDP", WorkloadSpec("star", 25), wide_schema, wide_stats, repeats
             ),
             "grid_workers": bench_grid(schema, stats, repeats, workers),
-            "dpconv_exact": bench_dpconv_exact(schema, stats, repeats),
             "plan_cache": bench_plan_cache(schema, stats, repeats),
             "sql_workload": bench_sql_workload(min(repeats, 3)),
             "frontdoor_load": bench_frontdoor(schema, stats),
@@ -442,37 +352,6 @@ def compare_reports(
             f"grid_workers: serial fallback shows impossible slowdown "
             f"(speedup {grid_c['speedup']}; both arms run the same path)"
         )
-
-    # The convolution arm. The identity boolean and the speedup/ratio rule
-    # pair are contracts of the current run; counters and costs are
-    # additionally held bit-exact against baselines that carry the arm
-    # (older baselines may predate it).
-    conv = cur.get("dpconv_exact")
-    if conv is not None:
-        if not conv["identical_to_dp_cout"]:
-            problems.append(
-                "dpconv_exact: DPconv diverged from exhaustive DP under "
-                "C_out (cost/plan/counters not identical)"
-            )
-        if conv["speedup_vs_dp_pg"] < DPCONV_MIN_SPEEDUP:
-            problems.append(
-                f"dpconv_exact: speedup {conv['speedup_vs_dp_pg']} vs "
-                f"default-model DP below {DPCONV_MIN_SPEEDUP}x"
-            )
-        if conv["plans_costed_ratio_vs_dp_pg"] > DPCONV_MAX_PLANS_RATIO:
-            problems.append(
-                f"dpconv_exact: plans_costed ratio "
-                f"{conv['plans_costed_ratio_vs_dp_pg']} above "
-                f"{DPCONV_MAX_PLANS_RATIO}"
-            )
-        conv_b = base.get("dpconv_exact")
-        if conv_b is not None:
-            for field in ("dpconv_plans_costed", "dpconv_cost"):
-                if conv[field] != conv_b[field]:
-                    problems.append(
-                        f"dpconv_exact: {field} drifted "
-                        f"{conv_b[field]!r} -> {conv[field]!r}"
-                    )
 
     cache_c = cur["plan_cache"]
     if cache_c["speedup"] < 10.0:

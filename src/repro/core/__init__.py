@@ -26,7 +26,6 @@ from repro.core.base import (
 )
 from repro.core.dp import DynamicProgrammingOptimizer
 from repro.core.dpccp import connected_subgraphs, csg_cmp_pairs
-from repro.core.dpconv import DPconvOptimizer
 from repro.core.enumeration import level_pairs
 from repro.core.genetic import GeneticConfig, GeneticOptimizer
 from repro.core.greedy import GreedyOptimizer
@@ -49,7 +48,6 @@ __all__ = [
     "SearchBudget",
     "SearchCounters",
     "DynamicProgrammingOptimizer",
-    "DPconvOptimizer",
     "IDPOptimizer",
     "IDPConfig",
     "IDP2Optimizer",

@@ -47,17 +47,8 @@ class DynamicProgrammingOptimizer(Optimizer):
         counters: SearchCounters,
         timer: Timer,
     ) -> PlanRecord:
-        space = make_planspace(query, stats, self.cost_model, counters)
-        return self._search_in_space(query, stats, counters, space)
-
-    def _search_in_space(
-        self,
-        query: Query,
-        stats: CatalogStatistics,
-        counters: SearchCounters,
-        space,
-    ) -> PlanRecord:
         graph = query.graph
+        space = make_planspace(query, stats, self.cost_model, counters)
         table = space.new_table()
         tracer = current_tracer()
         with maybe_span(tracer, SPAN_DP_LEVEL, level=1) as span:
@@ -100,7 +91,7 @@ class DynamicProgrammingOptimizer(Optimizer):
             span.set(pairs=pair_count, levels=len(buckets))
 
         by_mask = table._by_mask
-        join_level = space.join_level
+        join_batch = space.join_batch
         for level in sorted(buckets):
             pairs = buckets[level]
             with maybe_span(tracer, SPAN_DP_LEVEL, level=level) as span:
@@ -111,7 +102,7 @@ class DynamicProgrammingOptimizer(Optimizer):
                     raise OptimizationError(
                         "DP enumeration order violated: missing sub-JCR"
                     ) from exc
-                join_level(table, jcr_pairs)
+                join_batch(table, jcr_pairs)
                 if tracer is not None:
                     span.set(
                         pairs=len(pairs),

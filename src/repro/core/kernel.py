@@ -1,18 +1,17 @@
 """Search-kernel selection.
 
-Three costing kernels implement the same plan-space surface; the
+Two costing kernels implement the same plan-space surface; the
 :data:`KERNELS` registry below is the single source of truth for their
 names and one-line descriptions (the CLI's ``--list-kernels``, the error
 message of :func:`kernel_name` and ``docs/api.md`` all render from it).
 
 Every optimizer builds its plan space through :func:`make_planspace`, so
 the whole stack (DP/SDP/IDP/IDP2/GOO/II-2PO/GEQO, the robust ladder, the
-service layer, the bench harness) can be flipped to another kernel with
-``REPRO_KERNEL=reference`` / ``REPRO_KERNEL=dpconv`` — which is exactly
-what the kernel equivalence tests do to assert identical winning costs,
-plan shapes, and counter values. The ``dpconv`` kernel is exact only
-under a C_out cost model (``cost_model.supports_dpconv_exact``) and
-raises :class:`~repro.errors.DPconvUnsupportedError` elsewhere.
+service layer, the bench harness) can be flipped to the oracle with
+``REPRO_KERNEL=reference`` — which is exactly what the kernel
+equivalence tests do to assert identical winning costs, plan shapes, and
+counter values. Both kernels honour every cost model, the C_out model
+(``cost_model.cout``) included.
 
 This module is the single place the determinism rules allow environment
 reads: kernel resolution (``REPRO_KERNEL``) happens here, never inside a
@@ -48,11 +47,6 @@ KERNELS: dict[str, str] = {
         "preserved eager object-graph kernel "
         "(repro.core.reference.ReferencePlanSpace), the equivalence oracle"
     ),
-    "dpconv": (
-        "cardinality-layered (min,+) convolution kernel "
-        "(repro.core.dpconv.DPconvPlanSpace); exact only under a C_out "
-        "cost model (supports_dpconv_exact)"
-    ),
 }
 
 
@@ -86,10 +80,6 @@ def make_planspace(
         from repro.core.reference import ReferencePlanSpace
 
         return ReferencePlanSpace(query, stats, cost_model, counters)
-    if name == "dpconv":
-        from repro.core.dpconv import DPconvPlanSpace
-
-        return DPconvPlanSpace(query, stats, cost_model, counters)
     from repro.core.planspace import PlanSpace
 
     return PlanSpace(query, stats, cost_model, counters)

@@ -41,11 +41,10 @@ Every costed alternative is still charged to the search counters (the
 paper's "Costing (in plans)" overhead) with exactly the same totals as the
 reference kernel in :mod:`repro.core.reference`.
 
-One regime modifies the space: under **C_out**
-(``cost_model.supports_dpconv_exact``) base relations cost 0 (a single
-sequential scan, no ordered access paths) and each join has a single
-alternative costing ``(left + right) + |output|`` — the regime in which
-the ``dpconv`` kernel's layered min-plus convolution is exact.
+One regime modifies the space: under **C_out** (``cost_model.cout``)
+base relations cost 0 (a single sequential scan, no ordered access paths)
+and each join has a single alternative costing ``(left + right) +
+|output|``, so a plan's cost is the sum of its intermediate result sizes.
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ class PlanSpace:
         counters: SearchCounters,
     ):
         #: C_out regime: see the module docstring.
-        self._cout = cost_model.supports_dpconv_exact
+        self._cout = cost_model.cout
         self.query = query
         self.graph = query.graph
         self.cm = cost_model
@@ -204,10 +203,6 @@ class PlanSpace:
     def new_table(self) -> JCRTable:
         """A fresh memo table backed by this space's shared plan arena."""
         return JCRTable(self.est, self.store)
-
-    def join_level(self, table: JCRTable, jcr_pairs) -> None:
-        """Cost one whole level of pairs (any iterable) — here, one batch."""
-        self.join_batch(table, jcr_pairs)
 
     def useful(self, mask: int) -> set[int]:
         """Useful order keys for ``mask`` (cached)."""
@@ -758,9 +753,8 @@ class PlanSpace:
     def _join_batch_cout(self, table: JCRTable, pairs) -> None:
         """C_out regime join loop: one alternative per connected pair.
 
-        Cost is ``(left.best + right.best) + |output|`` — the min-plus
-        combine the dpconv kernel convolves over — stored as a hash join
-        of the cheapest inputs. No ordered slots, no merge/sort/index
+        Cost is ``(left.best + right.best) + |output|``, stored as a hash
+        join of the cheapest inputs. No ordered slots, no merge/sort/index
         alternatives: interesting orders do not exist under C_out.
         """
         connecting = self.graph.connecting

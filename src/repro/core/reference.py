@@ -204,7 +204,7 @@ class ReferencePlanSpace:
         self.order_by_key = query.order_by_key
         #: C_out regime (mirrors PlanSpace): zero-cost base scans, one
         #: join alternative per pair costing inputs + output cardinality.
-        self._cout = cost_model.supports_dpconv_exact
+        self._cout = cost_model.cout
 
         graph = self.graph
         self._tables: list[TableStats] = [
@@ -258,10 +258,6 @@ class ReferencePlanSpace:
     def new_table(self) -> ReferenceJCRTable:
         """A fresh memo table (IDP creates one per iteration)."""
         return ReferenceJCRTable(self.est)
-
-    def join_level(self, table: ReferenceJCRTable, jcr_pairs) -> None:
-        """Cost one whole level of pairs — the oracle runs them one by one."""
-        self.join_batch(table, jcr_pairs)
 
     def useful(self, mask: int) -> set[int]:
         cached = self._useful_cache.get(mask)

@@ -11,7 +11,6 @@ import re
 
 from repro.core.base import Optimizer, SearchBudget
 from repro.core.dp import DynamicProgrammingOptimizer
-from repro.core.dpconv import DPconvOptimizer
 from repro.core.greedy import GreedyOptimizer
 from repro.core.genetic import GeneticOptimizer
 from repro.core.idp import IDPConfig, IDPOptimizer
@@ -34,7 +33,6 @@ def available_techniques() -> list[str]:
     """Technique names :func:`make_optimizer` accepts (IDP takes any k)."""
     return [
         "DP",
-        "DPconv",
         "IDP(4)",
         "IDP(7)",
         "IDP2(7)",
@@ -64,8 +62,6 @@ def make_optimizer(
     """
     if name == "DP":
         return DynamicProgrammingOptimizer(budget=budget, cost_model=cost_model)
-    if name == "DPconv":
-        return DPconvOptimizer(budget=budget, cost_model=cost_model)
     match = _IDP2_PATTERN.match(name)
     if match:
         return IDP2Optimizer(

@@ -188,7 +188,7 @@ class SDPOptimizer(Optimizer):
                 pairs_before = counters.enumerated_pairs
                 # A generator, not a list: level_pairs charges note_pairs
                 # as it yields, so pair charges interleave with costing.
-                space.join_level(
+                space.join_batch(
                     table, level_pairs(levels, level, graph, counters)
                 )
                 built = list(table.level(level))

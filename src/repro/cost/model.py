@@ -31,15 +31,11 @@ class CostModel:
             on nested-loop rescans (models materialization / caching).
         index_cache_factor: Fraction of index-lookup heap fetches assumed to
             hit cache when the same index is probed repeatedly.
-        supports_dpconv_exact: Capability flag for the DPconv kernel.
-            True switches every kernel into the C_out regime — base
-            relations cost 0, each join costs exactly the output
-            cardinality on top of its inputs, and there are no access-path
-            or interesting-order alternatives — which is precisely the
-            cost shape under which layered min-plus convolution is an
-            *exact* search. ``make_planspace`` rejects the ``dpconv``
-            kernel with :class:`repro.errors.DPconvUnsupportedError`
-            when this flag is False.
+        cout: Cost under C_out (plan cost = sum of intermediate result
+            cardinalities). True switches every kernel into the C_out
+            regime — base relations cost 0, each join costs exactly the
+            output cardinality on top of its inputs, and there are no
+            access-path, join-method or interesting-order alternatives.
     """
 
     seq_page_cost: float = 1.0
@@ -51,7 +47,7 @@ class CostModel:
     rescan_discount: float = 0.10
     index_cache_factor: float = 0.5
     page_size: int = 8192
-    supports_dpconv_exact: bool = False
+    cout: bool = False
 
     def __post_init__(self) -> None:
         for name in (
@@ -77,7 +73,6 @@ class CostModel:
 DEFAULT_COST_MODEL = CostModel()
 
 #: The C_out cost model: cost of a plan = sum of intermediate result
-#: cardinalities (base relations are free). The regime in which the
-#: ``dpconv`` kernel's layered min-plus convolution is exact; also the
-#: default model of the ``DPconv`` technique. Treat as read-only.
-COUT_COST_MODEL = CostModel(supports_dpconv_exact=True)
+#: cardinalities (base relations are free). Pass it as ``cost_model=``
+#: to any technique. Treat as read-only.
+COUT_COST_MODEL = CostModel(cout=True)

@@ -80,34 +80,6 @@ class OptimizationCancelled(OptimizationError):
         super().__init__(reason)
 
 
-class DPconvUnsupportedError(OptimizationError):
-    """The ``dpconv`` kernel was requested outside its exactness regime.
-
-    Layered min-plus convolution is an exact search only under C_out-style
-    cost (plan cost = sum of intermediate cardinalities); the kernel
-    therefore requires a cost model with ``supports_dpconv_exact=True``
-    (e.g. :data:`repro.cost.COUT_COST_MODEL`). Requesting
-    ``REPRO_KERNEL=dpconv`` or ``technique="DPconv"`` with any other
-    model raises this instead of silently returning a non-optimal plan.
-    """
-
-    def __init__(self, detail: str = ""):
-        self.detail = detail
-        message = (
-            "the dpconv kernel is exact only under C_out cost; "
-            "pass a cost model with supports_dpconv_exact=True "
-            "(e.g. repro.cost.COUT_COST_MODEL)"
-        )
-        if detail:
-            message += f": {detail}"
-        super().__init__(message)
-
-    def __reduce__(self):
-        # Default exception pickling replays ``cls(*self.args)`` — the
-        # pre-formatted message, which this constructor would re-prefix.
-        return (type(self), (self.detail,), self.__dict__)
-
-
 class FaultInjected(ReproError):
     """Base class for synthetic faults raised by ``repro.robust.faults``.
 

@@ -28,7 +28,6 @@ __all__ = [
     "SPAN_IDP_LEVEL",
     "SPAN_IDP_ITERATION",
     "SPAN_IDP_SELECT",
-    "SPAN_DPCONV_LEVEL",
     "SPAN_ROBUST_LADDER",
     "SPAN_ROBUST_RUNG",
     "SPAN_SERVICE_OPTIMIZE",
@@ -84,9 +83,6 @@ SPAN_IDP_ITERATION = "idp.iteration"
 
 #: IDP's greedy selection of the block winner.
 SPAN_IDP_SELECT = "idp.select"
-
-#: One cardinality-layered (min,+) convolution level in the dpconv kernel.
-SPAN_DPCONV_LEVEL = "dpconv.level"
 
 #: The whole fallback-ladder run (one per RobustOptimizer.optimize call).
 SPAN_ROBUST_LADDER = "robust.ladder"
@@ -169,7 +165,6 @@ SPAN_NAMES = frozenset(
         SPAN_IDP_LEVEL,
         SPAN_IDP_ITERATION,
         SPAN_IDP_SELECT,
-        SPAN_DPCONV_LEVEL,
         SPAN_ROBUST_LADDER,
         SPAN_ROBUST_RUNG,
         SPAN_SERVICE_OPTIMIZE,

@@ -6,8 +6,8 @@ tree during the search. Every *retained* alternative is appended to a
 numeric ones) holding the operator code, physical order, child entry ids,
 scan relation, join eclass, output rows and total cost. A plan is just an
 integer entry id; a plan *tree* is the chain of ``left``/``right`` entry ids,
-exactly the (left-slot, right-slot, operator, order) parent pointers of
-DPconv-style flattened DP tables.
+exactly the (left-slot, right-slot, operator, order) parent pointers of a
+flattened DP table.
 
 Entries are immutable once appended, which gives the same
 bind-at-costing-time semantics as the old object graph: a join alternative
@@ -133,22 +133,6 @@ class PlanStore:
 
     def __len__(self) -> int:
         return len(self.method)
-
-    def layer_views(self, entries) -> tuple[array, array]:
-        """Column-sliced ``(cost, rows)`` vectors for a set of entry ids.
-
-        The dpconv kernel buckets one search level's subproblems into
-        cardinality layers and convolves per-layer *cost vectors*; this
-        gathers those vectors straight from the struct-of-arrays columns
-        (a retained slot's cost **is** its store entry's cost column
-        value), keeping the layer build a pure SoA scan.
-        """
-        cost_col = self.cost
-        rows_col = self.rows
-        return (
-            array("d", (cost_col[eid] for eid in entries)),
-            array("d", (rows_col[eid] for eid in entries)),
-        )
 
     def materialize(self, eid: int) -> PlanRecord:
         """Reconstruct the :class:`PlanRecord` tree rooted at ``eid``.

@@ -49,7 +49,6 @@ def test_bench_harness_end_to_end(tmp_path):
         "dp_star_12",
         "sdp_star_25",
         "grid_workers",
-        "dpconv_exact",
         "plan_cache",
         "sql_workload",
         "frontdoor_load",

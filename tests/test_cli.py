@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.cli import main
-from repro.bench.experiments.common import clear_caches
+from repro.bench.experiments.common import ExperimentSettings, clear_caches
+from repro.errors import BenchmarkError
 
 
 @pytest.fixture(autouse=True)
@@ -66,3 +67,57 @@ def test_output_directory(tmp_path, capsys):
     written = out_dir / "table-2.2.txt"
     assert written.exists()
     assert "matches the paper" in written.read_text()
+
+
+# Malformed sizes fail before any experiment starts: exit 2, one line on
+# stderr naming the flag or variable, and no "== <experiment> ==" header.
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["table-1.1", "--instances", "0"],
+        ["table-1.1", "--instances", "-3"],
+        ["table-1.1", "--heavy-instances", "0"],
+        ["table-1.1", "--max-seconds", "0"],
+    ),
+    ids=(
+        "instances-0",
+        "instances-negative",
+        "heavy-instances-0",
+        "max-seconds-0",
+    ),
+)
+def test_non_positive_size_flag_rejected(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert argv[1] in lines[0]
+
+
+@pytest.mark.parametrize("value", ("abc", "0"))
+@pytest.mark.parametrize(
+    "variable",
+    (
+        "REPRO_BENCH_INSTANCES",
+        "REPRO_BENCH_HEAVY_INSTANCES",
+        "REPRO_BENCH_MAX_SECONDS",
+    ),
+)
+def test_malformed_size_variable_rejected(
+    variable, value, monkeypatch, capsys
+):
+    monkeypatch.setenv(variable, value)
+    assert main(["table-2.2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert variable in lines[0]
+
+
+def test_settings_reject_non_positive_sizes():
+    with pytest.raises(BenchmarkError, match="--instances"):
+        ExperimentSettings().scaled(0)
+    with pytest.raises(BenchmarkError, match="--heavy-instances"):
+        ExperimentSettings(heavy_instances=-1)

@@ -6,18 +6,24 @@ produce the *same search* as the preserved eager object-graph kernel
 (:mod:`repro.core.reference`) — bit-identical winning cost, identical plan
 tree, identical counter values. These tests sweep randomized chain, star,
 and clique instances (<= 10 relations, several workload seeds) through
-DP, SDP, and IDP under both kernels and compare everything observable.
+DP, SDP, and IDP under both kernels and compare everything observable,
+under the default cost model and under C_out. The kernel registry tests
+live here too.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
 from repro.bench.workloads import WorkloadSpec, make_query
 from repro.catalog import SchemaBuilder, analyze
 from repro.core.base import SearchBudget
-from repro.core.kernel import kernel_name, make_planspace
-from repro.core.registry import make_optimizer
+from repro.core.kernel import KERNELS, kernel_name, make_planspace
+from repro.core.registry import available_techniques, make_optimizer
+from repro.cost import COUT_COST_MODEL, DEFAULT_COST_MODEL
+from repro.errors import OptimizationError
 
 BUDGET = SearchBudget(max_seconds=60.0)
 
@@ -71,8 +77,8 @@ def serialize(plan) -> tuple:
     )
 
 
-def run(technique: str, query, stats, kernel: str):
-    optimizer = make_optimizer(technique, budget=BUDGET)
+def run(technique: str, query, stats, kernel: str, cost_model=None):
+    optimizer = make_optimizer(technique, budget=BUDGET, cost_model=cost_model)
     # Force the kernel through the same seam production uses.
     import repro.core.kernel as kernel_mod
 
@@ -84,23 +90,26 @@ def run(technique: str, query, stats, kernel: str):
         monkey.undo()
 
 
+def assert_kernels_agree(technique: str, query, stats, label, cost_model=None):
+    fast = run(technique, query, stats, "fast", cost_model)
+    reference = run(technique, query, stats, "reference", cost_model)
+    assert fast.cost == reference.cost, label
+    assert fast.rows == reference.rows, label
+    assert serialize(fast.plan) == serialize(reference.plan), label
+    assert fast.plans_costed == reference.plans_costed, label
+    assert fast.jcrs_created == reference.jcrs_created, label
+    assert fast.jcrs_pruned == reference.jcrs_pruned, label
+    assert fast.modeled_memory_mb == reference.modeled_memory_mb, label
+
+
 @pytest.mark.parametrize("topology,size", GRAPHS, ids=[f"{t}-{s}" for t, s in GRAPHS])
 @pytest.mark.parametrize("technique", TECHNIQUES)
 def test_kernels_agree(topology, size, technique, eq_schema, eq_stats):
     spec = WorkloadSpec(topology, size)
     for instance in INSTANCES:
         query = make_query(spec, eq_schema, instance)
-        fast = run(technique, query, eq_stats, "fast")
-        reference = run(technique, query, eq_stats, "reference")
-
         label = f"{technique} {spec.label} instance={instance}"
-        assert fast.cost == reference.cost, label
-        assert fast.rows == reference.rows, label
-        assert serialize(fast.plan) == serialize(reference.plan), label
-        assert fast.plans_costed == reference.plans_costed, label
-        assert fast.jcrs_created == reference.jcrs_created, label
-        assert fast.jcrs_pruned == reference.jcrs_pruned, label
-        assert fast.modeled_memory_mb == reference.modeled_memory_mb, label
+        assert_kernels_agree(technique, query, eq_stats, label)
 
 
 # SQL-first coverage: the same kernel contract on queries carrying
@@ -118,6 +127,20 @@ SQL_LABELS = (
 )
 
 
+# II scores whole plans through final_cost, the path the randomized
+# walkers use; the level-wise techniques never call it.
+SQL_TECHNIQUES = (*TECHNIQUES, "II")
+
+# Both cost models. Under C_out, base_jcr ignores selections (no Filter
+# entry), finalize sorts for ORDER BY for free, and final_cost takes its
+# own branch — each kernel has to agree there too.
+SQL_CASES = [
+    pytest.param(technique, model, id=technique + suffix)
+    for suffix, model in (("", DEFAULT_COST_MODEL), ("-cout", COUT_COST_MODEL))
+    for technique in SQL_TECHNIQUES
+]
+
+
 @pytest.fixture(scope="module")
 def tpch():
     from repro.workloads import tpch_lite_queries, tpch_lite_schema
@@ -128,100 +151,28 @@ def tpch():
 
 
 @pytest.mark.parametrize("label", SQL_LABELS)
-@pytest.mark.parametrize("technique", TECHNIQUES)
-def test_kernels_agree_on_selections_and_orders(label, technique, tpch):
+@pytest.mark.parametrize("technique,cost_model", SQL_CASES)
+def test_kernels_agree_on_selections_and_orders(
+    label, technique, cost_model, tpch
+):
     _, stats, queries = tpch
-    query = queries[label]
-    fast = run(technique, query, stats, "fast")
-    reference = run(technique, query, stats, "reference")
-    tag = f"{technique} {label}"
-    assert fast.cost == reference.cost, tag
-    assert fast.rows == reference.rows, tag
-    assert serialize(fast.plan) == serialize(reference.plan), tag
-    assert fast.plans_costed == reference.plans_costed, tag
-    assert fast.jcrs_created == reference.jcrs_created, tag
-    assert fast.jcrs_pruned == reference.jcrs_pruned, tag
+    tag = f"{technique} {label} cout={cost_model.cout}"
+    assert_kernels_agree(technique, queries[label], stats, tag, cost_model)
 
 
-# The dpconv kernel's layered (min,+) convolution is exact only under a
-# C_out cost model; inside that regime it must reproduce exhaustive DP's
-# search bit-for-bit — cost, plan tree, and counters — across every
-# topology, with the fast and reference kernels (also in their C_out
-# branches) as the second and third witnesses.
-
-
-def run_cout(technique: str, query, stats, kernel: str):
-    from repro.cost import COUT_COST_MODEL
-
-    optimizer = make_optimizer(
-        technique, budget=BUDGET, cost_model=COUT_COST_MODEL
-    )
-    import repro.core.kernel as kernel_mod
-
-    monkey = pytest.MonkeyPatch()
-    monkey.setenv(kernel_mod.KERNEL_ENV, kernel)
-    try:
-        return optimizer.optimize(query, stats)
-    finally:
-        monkey.undo()
+# The C_out regime (COUT_COST_MODEL) takes its own branch in every
+# kernel — one join alternative per pair, no ordered slots — so it gets
+# its own sweep over the same topologies.
 
 
 @pytest.mark.parametrize("topology,size", GRAPHS, ids=[f"{t}-{s}" for t, s in GRAPHS])
 @pytest.mark.parametrize("technique", TECHNIQUES)
-def test_dpconv_kernel_agrees_under_cout(
-    topology, size, technique, eq_schema, eq_stats
-):
+def test_kernels_agree_under_cout(topology, size, technique, eq_schema, eq_stats):
     spec = WorkloadSpec(topology, size)
     for instance in INSTANCES:
         query = make_query(spec, eq_schema, instance)
-        dpconv = run_cout(technique, query, eq_stats, "dpconv")
-        fast = run_cout(technique, query, eq_stats, "fast")
-        reference = run_cout(technique, query, eq_stats, "reference")
-
         label = f"{technique} {spec.label} instance={instance}"
-        assert dpconv.cost == fast.cost == reference.cost, label
-        assert dpconv.rows == fast.rows, label
-        assert serialize(dpconv.plan) == serialize(fast.plan), label
-        assert serialize(dpconv.plan) == serialize(reference.plan), label
-        assert dpconv.plans_costed == fast.plans_costed, label
-        assert dpconv.plans_costed == reference.plans_costed, label
-        assert dpconv.jcrs_created == fast.jcrs_created, label
-        assert dpconv.jcrs_pruned == fast.jcrs_pruned, label
-        assert dpconv.modeled_memory_mb == fast.modeled_memory_mb, label
-
-
-def test_dpconv_technique_matches_dp_under_cout(eq_schema, eq_stats):
-    # technique="DPconv" (which defaults its model to C_out) against DP
-    # under the same model: the winning cost must be bit-identical.
-    from repro.cost import COUT_COST_MODEL
-
-    for topology, size in GRAPHS:
-        query = make_query(WorkloadSpec(topology, size), eq_schema, 0)
-        dp = make_optimizer(
-            "DP", budget=BUDGET, cost_model=COUT_COST_MODEL
-        ).optimize(query, eq_stats)
-        dpconv = make_optimizer("DPconv", budget=BUDGET).optimize(
-            query, eq_stats
-        )
-        label = f"{topology}-{size}"
-        assert dpconv.cost == dp.cost, label
-        assert serialize(dpconv.plan) == serialize(dp.plan), label
-        assert dpconv.plans_costed == dp.plans_costed, label
-
-
-def test_dpconv_kernel_rejects_non_cout_models(eq_schema, eq_stats):
-    from repro.errors import DPconvUnsupportedError
-
-    query = make_query(WorkloadSpec("chain", 5), eq_schema, 0)
-    # Via the environment seam, with the (non-C_out) default model.
-    with pytest.raises(DPconvUnsupportedError):
-        run("DP", query, eq_stats, "dpconv")
-    # Via the technique registry with an explicit non-C_out model.
-    from repro.cost import DEFAULT_COST_MODEL
-
-    optimizer = make_optimizer("DPconv", cost_model=DEFAULT_COST_MODEL)
-    with pytest.raises(DPconvUnsupportedError):
-        optimizer.optimize(query, eq_stats)
+        assert_kernels_agree(technique, query, eq_stats, label, COUT_COST_MODEL)
 
 
 def test_kernel_env_selects_reference(monkeypatch):
@@ -248,3 +199,46 @@ def test_explicit_kernel_argument_overrides_env(monkeypatch, eq_schema, eq_stats
     assert isinstance(space, PlanSpace)
     space = make_planspace(query, eq_stats, model, counters)
     assert isinstance(space, ReferencePlanSpace)
+
+
+class TestKernelRegistry:
+    """:data:`repro.core.kernel.KERNELS` is the single source of truth:
+    ``kernel_name`` errors, ``sdp-bench --list-kernels`` and
+    ``docs/api.md`` all agree with it."""
+
+    def test_registry_names(self):
+        assert tuple(KERNELS) == ("fast", "reference")
+        for name, description in KERNELS.items():
+            assert kernel_name(name) == name
+            assert description  # every kernel carries a one-line description
+
+    # "parallel" and "dpconv" named kernels that have since been removed:
+    # a leftover REPRO_KERNEL value must fail with the same typed error.
+    @pytest.mark.parametrize("name", ("bogus", "parallel", "dpconv"))
+    def test_unknown_kernel_error_lists_registry(self, name):
+        with pytest.raises(OptimizationError) as excinfo:
+            kernel_name(name)
+        for name in KERNELS:
+            assert name in str(excinfo.value)
+
+    def test_removed_technique_rejected(self):
+        assert "DPconv" not in available_techniques()
+        with pytest.raises(OptimizationError):
+            make_optimizer("DPconv")
+
+    def test_docs_render_the_same_registry(self):
+        api_md = os.path.join(
+            os.path.dirname(__file__), "..", "docs", "api.md"
+        )
+        with open(api_md, encoding="utf-8") as handle:
+            text = handle.read()
+        for name in KERNELS:
+            assert f"`{name}`" in text, f"kernel {name!r} missing from docs/api.md"
+
+    def test_list_kernels_cli(self, capsys):
+        from repro.bench.cli import main
+
+        assert main(["--list-kernels"]) == 0
+        out = capsys.readouterr().out
+        for name in KERNELS:
+            assert out.startswith(name) or f"\n{name}" in out
