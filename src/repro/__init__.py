@@ -74,7 +74,7 @@ from repro.core import (
     make_optimizer,
 )
 from repro.compare import compare_techniques
-from repro.cost import COUT_COST_MODEL, DEFAULT_COST_MODEL, CostModel
+from repro.cost import DEFAULT_COST_MODEL, CostModel
 from repro.errors import (
     AdmissionRejected,
     FaultInjected,
@@ -156,7 +156,6 @@ __all__ = [
     # cost
     "CostModel",
     "DEFAULT_COST_MODEL",
-    "COUT_COST_MODEL",
     # optimizers
     "Optimizer",
     "OptimizerResult",

@@ -74,7 +74,7 @@ def _resolve_budget(budget) -> SearchBudget | None:
             f"budget must be a SearchBudget or seconds, got {budget!r}"
         )
     if isinstance(budget, (int, float)):
-        if budget <= 0:
+        if not budget > 0:
             raise OptimizationError(
                 f"a numeric budget is a wall-clock allowance in seconds "
                 f"and must be > 0, got {budget!r}"

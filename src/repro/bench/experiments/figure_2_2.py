@@ -4,13 +4,16 @@ The paper's running example is a nine-relation join graph whose hubs are
 relations 1 and 7 (Figure 2.1); Figure 2.2 walks SDP through its levels,
 showing the PruneGroup/FreeGroup split and the survivor JCRs per level.
 This experiment rebuilds that graph (edges 1-2, 1-3, 1-4, 1-5, 5-6, 6-7,
-7-8, 7-9) on the paper schema and prints the per-level trace.
+7-8, 7-9) on the paper schema and prints the per-level trace, read from
+the ``sdp.prune`` spans SDP records for every level it partitions.
 """
 
 from __future__ import annotations
 
 from repro.bench.experiments.common import ExperimentSettings, paper_catalog
 from repro.core.sdp import SDPOptimizer
+from repro.obs.names import SPAN_SDP_PRUNE
+from repro.obs.runtime import capture, current_tracer
 from repro.query.joingraph import JoinGraph
 from repro.query.query import Query
 from repro.query.topology import chain_joins, star_joins
@@ -39,9 +42,20 @@ def run(settings: ExperimentSettings | None = None) -> str:
     query = example_query(settings)
     _schema, stats = paper_catalog(settings)
 
-    events: list[dict] = []
-    optimizer = SDPOptimizer(budget=settings.budget(), trace=events.append)
-    result = optimizer.optimize(query, stats)
+    optimizer = SDPOptimizer(budget=settings.budget())
+    outer = current_tracer()
+    with capture() as exporter:
+        result = optimizer.optimize(query, stats)
+    if outer is not None:
+        # Hand the spans on, so an enclosing capture (``--profile``)
+        # still sees the search.
+        for span in exporter.spans:
+            outer.exporter.export(span)
+    events = [
+        span.attributes
+        for span in exporter.spans
+        if span.name == SPAN_SDP_PRUNE and "partitions" in span.attributes
+    ]
 
     graph = query.graph
     hubs = [graph.relation_names[i] for i in graph.hubs()]
@@ -56,7 +70,7 @@ def run(settings: ExperimentSettings | None = None) -> str:
         table.add_row(
             [
                 event["level"],
-                event["built"],
+                event["prune_group"] + event["free_group"],
                 event["prune_group"],
                 event["free_group"],
                 len(event["partitions"]),

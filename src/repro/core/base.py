@@ -89,7 +89,7 @@ class SearchBudget:
     def __post_init__(self) -> None:
         for name in ("max_memory_bytes", "max_plans_costed", "max_seconds"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:
                 raise ValueError(
                     f"SearchBudget.{name} must be positive (or None for "
                     f"unlimited), got {value!r}"

@@ -10,8 +10,10 @@ the whole stack (DP/SDP/IDP/IDP2/GOO/II-2PO/GEQO, the robust ladder, the
 service layer, the bench harness) can be flipped to the oracle with
 ``REPRO_KERNEL=reference`` — which is exactly what the kernel
 equivalence tests do to assert identical winning costs, plan shapes, and
-counter values. Both kernels honour every cost model, the C_out model
-(``cost_model.cout``) included.
+counter values. Both kernels cost plans under the same
+:class:`~repro.cost.model.CostModel`, whose fields are all numeric
+constants: there is one costing regime, and each kernel has one path for
+it.
 
 This module is the single place the determinism rules allow environment
 reads: kernel resolution (``REPRO_KERNEL``) happens here, never inside a

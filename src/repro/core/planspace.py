@@ -39,19 +39,17 @@ and integer entry ids:
 
 Every costed alternative is still charged to the search counters (the
 paper's "Costing (in plans)" overhead) with exactly the same totals as the
-reference kernel in :mod:`repro.core.reference`.
-
-One regime modifies the space: under **C_out** (``cost_model.cout``)
-base relations cost 0 (a single sequential scan, no ordered access paths)
-and each join has a single alternative costing ``(left + right) +
-|output|``, so a plan's cost is the sum of its intermediate result sizes.
+reference kernel in :mod:`repro.core.reference`. There is one costing
+path: every technique, on every query, is costed by :meth:`base_jcr`,
+:meth:`join_batch` and :meth:`finalize` under the one PostgreSQL-style
+:class:`~repro.cost.model.CostModel`.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.catalog.statistics import CatalogStatistics, ColumnStats, TableStats
+from repro.catalog.statistics import CatalogStatistics, TableStats
 from repro.core.base import SearchCounters
 from repro.core.table import JCRTable
 from repro.cost.cardinality import CardinalityEstimator
@@ -96,8 +94,6 @@ class PlanSpace:
         cost_model: CostModel,
         counters: SearchCounters,
     ):
-        #: C_out regime: see the module docstring.
-        self._cout = cost_model.cout
         self.query = query
         self.graph = query.graph
         self.cm = cost_model
@@ -112,18 +108,17 @@ class PlanSpace:
         self._tables: list[TableStats] = [
             stats.table(name) for name in graph.relation_names
         ]
-        # Per relation: [(eclass, column stats)] for indexed join columns.
-        self._indexed_join_columns: list[list[tuple[int, ColumnStats]]] = []
+        # Per relation: the eclasses of its indexed join columns.
+        self._indexed_eclasses: list[list[int]] = []
         for index, table in enumerate(self._tables):
-            entries = []
+            eclasses = []
             for column in graph.join_columns_of(index):
-                col_stats = table.column(column)
-                if not col_stats.has_index:
+                if not table.column(column).has_index:
                     continue
                 eclass = graph.eclass_of_column(index, column)
                 if eclass is not None:
-                    entries.append((eclass, col_stats))
-            self._indexed_join_columns.append(entries)
+                    eclasses.append(eclass)
+            self._indexed_eclasses.append(eclasses)
         self._useful_cache: dict[int, set[int]] = {}
         self._sort_cost_cache: dict[int, float] = {}
 
@@ -236,20 +231,24 @@ class PlanSpace:
         jcr, created = table.get_or_create(mask)
         if created:
             self.counters.note_jcr_created()
-        if self._cout:
-            # C_out regime: base relations are free and carry no
-            # interesting orders — a single zero-cost sequential scan
-            # (rows still reflect any selections via the estimator).
-            self.counters.note_plans_costed()
-            if jcr.improves(None, 0.0):
-                eid = table.store.add(
-                    M_SEQ_SCAN, 0.0, jcr.rows, rel=relation_index
-                )
-                _, new_slot = jcr.put(None, None, 0.0, eid)
-                if new_slot:
-                    self.counters.note_retained()
-            return jcr
         useful = self.useful(mask)
+
+        # Access paths as (method, order key, index eclass): the sequential
+        # scan, one index scan per useful indexed join column, and the
+        # ordered index scan for an indexed non-join ORDER BY column (under
+        # the query's synthetic order key).
+        paths: list[tuple[int, int | None, int]] = [(M_SEQ_SCAN, None, NO_FIELD)]
+        for eclass in self._indexed_eclasses[relation_index]:
+            if eclass in useful:
+                paths.append((M_INDEX_SCAN, eclass, eclass))
+        order_scan = self._order_index_scan
+        if (
+            order_scan is not None
+            and order_scan[0] == relation_index
+            and order_scan[1] in useful
+        ):
+            paths.append((M_INDEX_SCAN, order_scan[1], NO_FIELD))
+
         stats_table = self._tables[relation_index]
         cm = self.cm
         store_add = table.store.add
@@ -257,98 +256,36 @@ class PlanSpace:
         quals = self._selection_quals[relation_index]
         filter_add = self._filter_costs[relation_index]
         raw_rows = self._raw_rows[relation_index]
-
-        scan_cost = seq_scan_cost(stats_table, cm)
-        cost = scan_cost + filter_add if quals else scan_cost
-        counters.note_plans_costed()
-        if jcr.improves(None, cost):
-            if quals:
-                child = store_add(
-                    M_SEQ_SCAN, scan_cost, raw_rows, rel=relation_index
-                )
-                eid = store_add(
-                    M_FILTER, cost, jcr.rows, left=child, rel=relation_index
-                )
+        for method, order, eclass in paths:
+            if method == M_SEQ_SCAN:
+                scan_cost = seq_scan_cost(stats_table, cm)
             else:
-                eid = store_add(M_SEQ_SCAN, cost, jcr.rows, rel=relation_index)
-            _, new_slot = jcr.put(None, None, cost, eid)
-            if new_slot:
-                counters.note_retained()
-
-        for eclass, _col_stats in self._indexed_join_columns[relation_index]:
-            if eclass not in useful:
-                continue
-            scan_cost = index_scan_full_cost(stats_table, cm)
+                scan_cost = index_scan_full_cost(stats_table, cm)
             cost = scan_cost + filter_add if quals else scan_cost
             counters.note_plans_costed()
-            if jcr.improves(eclass, cost):
-                if quals:
-                    child = store_add(
-                        M_INDEX_SCAN,
-                        scan_cost,
-                        raw_rows,
-                        order=eclass,
-                        rel=relation_index,
-                        eclass=eclass,
-                    )
-                    eid = store_add(
-                        M_FILTER,
-                        cost,
-                        jcr.rows,
-                        order=eclass,
-                        left=child,
-                        rel=relation_index,
-                    )
-                else:
-                    eid = store_add(
-                        M_INDEX_SCAN,
-                        cost,
-                        jcr.rows,
-                        order=eclass,
-                        rel=relation_index,
-                        eclass=eclass,
-                    )
-                _, new_slot = jcr.put(eclass, eclass, cost, eid)
-                if new_slot:
-                    counters.note_retained()
-
-        # Non-join ORDER BY column with an index: one more ordered access
-        # path under the synthetic order key.
-        order_scan = self._order_index_scan
-        if order_scan is not None and order_scan[0] == relation_index:
-            key = order_scan[1]
-            if key in useful:
-                scan_cost = index_scan_full_cost(stats_table, cm)
-                cost = scan_cost + filter_add if quals else scan_cost
-                counters.note_plans_costed()
-                if jcr.improves(key, cost):
-                    if quals:
-                        child = store_add(
-                            M_INDEX_SCAN,
-                            scan_cost,
-                            raw_rows,
-                            order=key,
-                            rel=relation_index,
-                        )
-                        eid = store_add(
-                            M_FILTER,
-                            cost,
-                            jcr.rows,
-                            order=key,
-                            left=child,
-                            rel=relation_index,
-                        )
-                    else:
-                        eid = store_add(
-                            M_INDEX_SCAN,
-                            cost,
-                            jcr.rows,
-                            order=key,
-                            rel=relation_index,
-                        )
-                    _, new_slot = jcr.put(key, key, cost, eid)
-                    if new_slot:
-                        counters.note_retained()
+            if not jcr.improves(order, cost):
+                continue
+            stored_order = NO_FIELD if order is None else order
+            eid = store_add(
+                method,
+                scan_cost,
+                raw_rows if quals else jcr.rows,
+                order=stored_order,
+                rel=relation_index,
+                eclass=eclass,
+            )
+            if quals:
+                eid = store_add(
+                    M_FILTER,
+                    cost,
+                    jcr.rows,
+                    order=stored_order,
+                    left=eid,
+                    rel=relation_index,
+                )
+            _, new_slot = jcr.put(order, order, cost, eid)
+            if new_slot:
+                counters.note_retained()
         return jcr
 
     # -- joins ---------------------------------------------------------------------
@@ -385,9 +322,6 @@ class PlanSpace:
         reference kernel. Pairs that overlap or are not connected are
         skipped (cartesian products are not explored).
         """
-        if self._cout:
-            self._join_batch_cout(table, pairs)
-            return
         graph = self.graph
         connecting = graph.connecting
         by_mask = table._by_mask
@@ -750,77 +684,6 @@ class PlanSpace:
         if pending_costed:
             note_plans_costed(pending_costed)
 
-    def _join_batch_cout(self, table: JCRTable, pairs) -> None:
-        """C_out regime join loop: one alternative per connected pair.
-
-        Cost is ``(left.best + right.best) + |output|``, stored as a hash
-        join of the cheapest inputs. No ordered slots, no merge/sort/index
-        alternatives: interesting orders do not exist under C_out.
-        """
-        connecting = self.graph.connecting
-        by_mask = table._by_mask
-        get_or_create = table.get_or_create
-        counters = self.counters
-        note_plans_costed = counters.note_plans_costed
-        note_retained = counters.note_retained
-        note_jcr_created = counters.note_jcr_created
-        store = table.store
-        st_method = store.method
-        st_order = store.order
-        st_left = store.left
-        st_right = store.right
-        st_rel = store.rel
-        st_eclass = store.eclass
-        st_rows = store.rows
-        st_cost = store.cost
-        pending_costed = 0
-
-        for left, right in pairs:
-            lmask = left.mask
-            rmask = right.mask
-            if lmask & rmask:
-                continue
-            if not connecting(lmask, rmask):
-                continue
-            union = lmask | rmask
-            jcr = by_mask.get(union)
-            if jcr is None:
-                jcr, _ = get_or_create(union)
-                note_jcr_created()
-            out_rows = jcr.rows
-            cost = (left.best_cost + right.best_cost) + out_rows
-            pending_costed += 1
-            slots = jcr.slots
-            index = slots.get(None)
-            if index is None or cost < jcr.slot_costs[index]:
-                entry = len(st_method)
-                st_method.append(M_HASH_JOIN)
-                st_order.append(NO_FIELD)
-                st_left.append(left.best_entry)
-                st_right.append(right.best_entry)
-                st_rel.append(NO_FIELD)
-                st_eclass.append(NO_FIELD)
-                st_rows.append(out_rows)
-                st_cost.append(cost)
-                if index is None:
-                    slots[None] = len(jcr.slot_costs)
-                    jcr.slot_orders.append(None)
-                    jcr.slot_costs.append(cost)
-                    jcr.slot_entries.append(entry)
-                    note_retained()
-                else:
-                    jcr.slot_costs[index] = cost
-                    jcr.slot_entries[index] = entry
-                if cost < jcr.best_cost:
-                    jcr.best_cost = cost
-                    jcr.best_entry = entry
-            if pending_costed >= 1024:
-                note_plans_costed(pending_costed)
-                pending_costed = 0
-
-        if pending_costed:
-            note_plans_costed(pending_costed)
-
     # -- finishing --------------------------------------------------------------
 
     def _final_slot(self, jcr: JCR) -> tuple[float, int, bool]:
@@ -868,28 +731,6 @@ class PlanSpace:
             )
         if self.query.order_by is None:
             return jcr.best
-        if self._cout:
-            # C_out charges only intermediate cardinalities, so the
-            # enforcer sort is free: one costed alternative, same cost.
-            self.counters.note_plans_costed()
-            store = jcr.store
-            eid = store.add(
-                M_SORT,
-                jcr.best_cost,
-                jcr.rows,
-                order=(
-                    self.order_by_key
-                    if self.order_by_key is not None
-                    else NO_FIELD
-                ),
-                left=jcr.best_entry,
-                eclass=(
-                    self.order_by_eclass
-                    if self.order_by_eclass is not None
-                    else NO_FIELD
-                ),
-            )
-            return store.materialize(eid)
         cost, position, wrapped = self._final_slot(jcr)
         entry = jcr.slot_entries[position]
         store = jcr.store
@@ -918,9 +759,6 @@ class PlanSpace:
                 f"finalize() called on incomplete JCR {jcr.mask:#x}"
             )
         if self.query.order_by is None:
-            return jcr.best_cost
-        if self._cout:
-            self.counters.note_plans_costed()
             return jcr.best_cost
         cost, _, _ = self._final_slot(jcr)
         return cost

@@ -5,8 +5,10 @@ This module preserves the pre-mask-native costing kernel — eager
 as it behaved before the struct-of-arrays rewrite. It exists for one
 reason: to be the *oracle* the fast kernel is checked against. The
 equivalence property tests (``tests/test_kernel_equivalence.py``) run DP,
-SDP and IDP through both kernels on randomized join graphs and assert
-identical winning cost, plan shape, and counter values.
+SDP and IDP through both kernels on randomized chain, star and clique
+graphs, each with and without a join-column ORDER BY, and on SQL queries
+with selections and ORDER BY, and assert identical winning cost, plan
+shape, and counter values.
 
 Select it process-wide with ``REPRO_KERNEL=reference`` (see
 :mod:`repro.core.kernel`). It is intentionally slow — every costed
@@ -202,9 +204,6 @@ class ReferencePlanSpace:
         )
         self.order_by_eclass = query.order_by_eclass
         self.order_by_key = query.order_by_key
-        #: C_out regime (mirrors PlanSpace): zero-cost base scans, one
-        #: join alternative per pair costing inputs + output cardinality.
-        self._cout = cost_model.cout
 
         graph = self.graph
         self._tables: list[TableStats] = [
@@ -290,15 +289,6 @@ class ReferencePlanSpace:
         jcr, created = table.get_or_create(mask)
         if created:
             self.counters.note_jcr_created()
-        if self._cout:
-            # C_out: base relations are free, no ordered access paths.
-            self.counters.note_plans_costed()
-            self._offer(
-                jcr,
-                PlanRecord(mask, jcr.rows, 0.0, SEQ_SCAN, rel=relation_index),
-                None,
-            )
-            return jcr
         useful = self.useful(mask)
         stats_table = self._tables[relation_index]
         cm = self.cm
@@ -417,28 +407,6 @@ class ReferencePlanSpace:
         jcr, created = table.get_or_create(union)
         if created:
             self.counters.note_jcr_created()
-        if self._cout:
-            # C_out: a single alternative, inputs plus output cardinality
-            # (the same association order as the fast kernel's branch).
-            out_rows = jcr.rows
-            cost = (left.best_cost + right.best_cost) + out_rows
-            self.counters.note_plans_costed()
-            slots_before = len(jcr.plans)
-            if jcr.improves(None, cost):
-                jcr.add(
-                    PlanRecord(
-                        union,
-                        out_rows,
-                        cost,
-                        HASH_JOIN,
-                        left=left.best,
-                        right=right.best,
-                    ),
-                    None,
-                )
-            if len(jcr.plans) > slots_before:
-                self.counters.note_retained()
-            return jcr
         useful = self.useful(union)
         out_rows = jcr.rows
         cm = self.cm
@@ -648,20 +616,6 @@ class ReferencePlanSpace:
             )
         if self.query.order_by is None:
             return jcr.best
-        if self._cout:
-            # The enforcer sort is free under C_out (no new intermediate
-            # result); one costed alternative, cost unchanged.
-            self.counters.note_plans_costed()
-            best = jcr.best
-            return PlanRecord(
-                jcr.mask,
-                jcr.rows,
-                best.cost,
-                SORT,
-                order=self.order_by_key,
-                left=best,
-                eclass=self.order_by_eclass,
-            )
         final_sort = self._sort_cost(jcr)
         best: PlanRecord | None = None
         for plan in jcr.plans.values():

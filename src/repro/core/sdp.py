@@ -120,7 +120,6 @@ class SDPOptimizer(Optimizer):
         budget: SearchBudget | None = None,
         cost_model: CostModel | None = None,
         name: str | None = None,
-        trace=None,
     ):
         """Create an SDP optimizer.
 
@@ -129,13 +128,12 @@ class SDPOptimizer(Optimizer):
             budget: Search budget (1 GB modeled memory by default).
             cost_model: Cost constants.
             name: Display-name override.
-            trace: Optional callable receiving one dict per pruned level —
-                keys ``level``, ``built``, ``prune_group``, ``free_group``,
-                ``partitions`` (hub-parent mask -> member count) and
-                ``survivors``. Used by the Figure 2.2 walk-through.
+
+        Each pruning pass records an ``sdp.prune`` span (level, PruneGroup
+        and FreeGroup sizes, per-partition member counts, survivors) when
+        observability is on — see :func:`repro.obs.runtime.capture`.
         """
         super().__init__(budget=budget, cost_model=cost_model)
-        self.trace = trace
         self.config = config if config is not None else SDPConfig()
         if name is not None:
             self.name = name
@@ -365,20 +363,6 @@ class SDPOptimizer(Optimizer):
                 for jcr in prune_group
                 if jcr.mask not in failed or jcr.mask in rescued
             )
-            if self.trace is not None:
-                self.trace(
-                    {
-                        "level": level,
-                        "built": len(built),
-                        "prune_group": len(prune_group),
-                        "free_group": len(free_group),
-                        "partitions": {
-                            key: len(members)
-                            for key, members in partitions.items()
-                        },
-                        "survivors": len(survivors),
-                    }
-                )
             span.set(
                 prune_group=len(prune_group),
                 free_group=len(free_group),

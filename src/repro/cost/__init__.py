@@ -27,14 +27,13 @@ from repro.cost.joins import (
     merge_join_cost,
     nestloop_cost,
 )
-from repro.cost.model import COUT_COST_MODEL, DEFAULT_COST_MODEL, CostModel
+from repro.cost.model import DEFAULT_COST_MODEL, CostModel
 from repro.cost.scans import index_lookup_cost, index_scan_full_cost, seq_scan_cost
 from repro.cost.selectivity import eclass_selectivity, predicate_selectivity
 from repro.cost.sorts import sort_cost
 
 __all__ = [
     "CostModel",
-    "COUT_COST_MODEL",
     "DEFAULT_COST_MODEL",
     "CardinalityEstimator",
     "seq_scan_cost",

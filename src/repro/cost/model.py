@@ -1,18 +1,21 @@
 """Cost-model constants.
 
 The defaults mirror PostgreSQL's planner GUCs (``seq_page_cost`` = 1 defines
-the cost unit). A :class:`CostModel` is immutable; experiments that want a
-different I/O-to-CPU balance construct their own instance and thread it
-through the optimizer — all costing functions take the model explicitly.
+the cost unit). A :class:`CostModel` is immutable and every field is a
+finite number; experiments that want a different I/O-to-CPU balance
+construct their own instance and thread it through the optimizer — all
+costing functions take the model explicitly. The model has no regime
+switches: every technique and both search kernels cost plans the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from repro.errors import CatalogError
 
-__all__ = ["CostModel", "COUT_COST_MODEL", "DEFAULT_COST_MODEL"]
+__all__ = ["CostModel", "DEFAULT_COST_MODEL"]
 
 
 @dataclass(frozen=True)
@@ -31,11 +34,8 @@ class CostModel:
             on nested-loop rescans (models materialization / caching).
         index_cache_factor: Fraction of index-lookup heap fetches assumed to
             hit cache when the same index is probed repeatedly.
-        cout: Cost under C_out (plan cost = sum of intermediate result
-            cardinalities). True switches every kernel into the C_out
-            regime — base relations cost 0, each join costs exactly the
-            output cardinality on top of its inputs, and there are no
-            access-path, join-method or interesting-order alternatives.
+        page_size: Bytes per page (index leaf pages, spilled sorts and
+            hash joins).
     """
 
     seq_page_cost: float = 1.0
@@ -47,9 +47,11 @@ class CostModel:
     rescan_discount: float = 0.10
     index_cache_factor: float = 0.5
     page_size: int = 8192
-    cout: bool = False
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise CatalogError(f"{field.name} must be a finite number")
         for name in (
             "seq_page_cost",
             "random_page_cost",
@@ -71,8 +73,3 @@ class CostModel:
 
 #: Shared default model; treat as read-only.
 DEFAULT_COST_MODEL = CostModel()
-
-#: The C_out cost model: cost of a plan = sum of intermediate result
-#: cardinalities (base relations are free). Pass it as ``cost_model=``
-#: to any technique. Treat as read-only.
-COUT_COST_MODEL = CostModel(cout=True)

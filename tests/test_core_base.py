@@ -27,7 +27,7 @@ class TestSearchBudgetValidation:
     @pytest.mark.parametrize(
         "field", ["max_memory_bytes", "max_plans_costed", "max_seconds"]
     )
-    @pytest.mark.parametrize("value", [0, -1, -0.5])
+    @pytest.mark.parametrize("value", [0, -1, -0.5, float("nan")])
     def test_zero_and_negative_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             SearchBudget(**{field: value})

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 from repro.catalog.statistics import ColumnStats, TableStats
+from repro.core.sdp import SDPOptimizer
 from repro.cost import (
     DEFAULT_COST_MODEL,
     CardinalityEstimator,
@@ -63,6 +66,39 @@ class TestCostModel:
             CostModel(work_mem_bytes=0)
         with pytest.raises(CatalogError):
             CostModel(rescan_discount=2.0)
+        # NaN and +-inf pass every sign and range comparison, so each
+        # field is checked for finiteness and named in the error.
+        for field in (
+            "cpu_tuple_cost",
+            "seq_page_cost",
+            "cpu_operator_cost",
+            "work_mem_bytes",
+            "page_size",
+        ):
+            for bad in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(CatalogError, match=field):
+                    CostModel(**{field: bad})
+
+    def test_removed_options_are_rejected(self):
+        # One costing regime: the model is nine numeric constants with no
+        # regime switch, the package exports one model, and SDP's pruning
+        # is observed through its sdp.prune spans (no callback argument).
+        assert [field.name for field in fields(CostModel)] == [
+            "seq_page_cost",
+            "random_page_cost",
+            "cpu_tuple_cost",
+            "cpu_index_tuple_cost",
+            "cpu_operator_cost",
+            "work_mem_bytes",
+            "rescan_discount",
+            "index_cache_factor",
+            "page_size",
+        ]
+        assert [
+            name for name in repro.__all__ if name.endswith("COST_MODEL")
+        ] == ["DEFAULT_COST_MODEL"]
+        with pytest.raises(TypeError):
+            SDPOptimizer(trace=print)
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

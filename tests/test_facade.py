@@ -78,7 +78,7 @@ class TestFacade:
                 budget=SearchBudget(max_plans_costed=10),
             )
 
-    @pytest.mark.parametrize("bad", [0, -2.5, True, "fast"])
+    @pytest.mark.parametrize("bad", [0, -2.5, float("nan"), True, "fast"])
     def test_invalid_budget_rejected(self, small_schema, small_stats, bad):
         query = make_star_query(small_schema, 5)
         with pytest.raises(OptimizationError):

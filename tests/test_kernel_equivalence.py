@@ -5,10 +5,10 @@ be a pure performance change: for any query, any technique, it has to
 produce the *same search* as the preserved eager object-graph kernel
 (:mod:`repro.core.reference`) — bit-identical winning cost, identical plan
 tree, identical counter values. These tests sweep randomized chain, star,
-and clique instances (<= 10 relations, several workload seeds) through
-DP, SDP, and IDP under both kernels and compare everything observable,
-under the default cost model and under C_out. The kernel registry tests
-live here too.
+and clique instances (<= 10 relations, several workload seeds), each
+unordered and with an ORDER BY on a join column, plus SQL queries with
+selections and ORDER BY, through DP, SDP, and IDP under both kernels and
+compare everything observable. The kernel registry tests live here too.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.catalog import SchemaBuilder, analyze
 from repro.core.base import SearchBudget
 from repro.core.kernel import KERNELS, kernel_name, make_planspace
 from repro.core.registry import available_techniques, make_optimizer
-from repro.cost import COUT_COST_MODEL, DEFAULT_COST_MODEL
 from repro.errors import OptimizationError
 
 BUDGET = SearchBudget(max_seconds=60.0)
@@ -39,6 +38,20 @@ GRAPHS = (
     ("clique", 6),
     ("clique", 7),
 )
+
+# Every cell unordered and ordered: the ordered variant puts an ORDER BY
+# on a random join column, so base_jcr's index-scan access paths and
+# finalize's sort-or-skip choice are part of the comparison.
+CELLS = [
+    pytest.param(
+        topology,
+        size,
+        ordered,
+        id=f"{topology}-{size}" + ("-ordered" if ordered else ""),
+    )
+    for ordered in (False, True)
+    for topology, size in GRAPHS
+]
 
 INSTANCES = (0, 1, 2)
 
@@ -77,8 +90,8 @@ def serialize(plan) -> tuple:
     )
 
 
-def run(technique: str, query, stats, kernel: str, cost_model=None):
-    optimizer = make_optimizer(technique, budget=BUDGET, cost_model=cost_model)
+def run(technique: str, query, stats, kernel: str):
+    optimizer = make_optimizer(technique, budget=BUDGET)
     # Force the kernel through the same seam production uses.
     import repro.core.kernel as kernel_mod
 
@@ -90,9 +103,9 @@ def run(technique: str, query, stats, kernel: str, cost_model=None):
         monkey.undo()
 
 
-def assert_kernels_agree(technique: str, query, stats, label, cost_model=None):
-    fast = run(technique, query, stats, "fast", cost_model)
-    reference = run(technique, query, stats, "reference", cost_model)
+def assert_kernels_agree(technique: str, query, stats, label):
+    fast = run(technique, query, stats, "fast")
+    reference = run(technique, query, stats, "reference")
     assert fast.cost == reference.cost, label
     assert fast.rows == reference.rows, label
     assert serialize(fast.plan) == serialize(reference.plan), label
@@ -102,10 +115,10 @@ def assert_kernels_agree(technique: str, query, stats, label, cost_model=None):
     assert fast.modeled_memory_mb == reference.modeled_memory_mb, label
 
 
-@pytest.mark.parametrize("topology,size", GRAPHS, ids=[f"{t}-{s}" for t, s in GRAPHS])
+@pytest.mark.parametrize("topology,size,ordered", CELLS)
 @pytest.mark.parametrize("technique", TECHNIQUES)
-def test_kernels_agree(topology, size, technique, eq_schema, eq_stats):
-    spec = WorkloadSpec(topology, size)
+def test_kernels_agree(topology, size, ordered, technique, eq_schema, eq_stats):
+    spec = WorkloadSpec(topology, size, ordered=ordered)
     for instance in INSTANCES:
         query = make_query(spec, eq_schema, instance)
         label = f"{technique} {spec.label} instance={instance}"
@@ -131,15 +144,6 @@ SQL_LABELS = (
 # walkers use; the level-wise techniques never call it.
 SQL_TECHNIQUES = (*TECHNIQUES, "II")
 
-# Both cost models. Under C_out, base_jcr ignores selections (no Filter
-# entry), finalize sorts for ORDER BY for free, and final_cost takes its
-# own branch — each kernel has to agree there too.
-SQL_CASES = [
-    pytest.param(technique, model, id=technique + suffix)
-    for suffix, model in (("", DEFAULT_COST_MODEL), ("-cout", COUT_COST_MODEL))
-    for technique in SQL_TECHNIQUES
-]
-
 
 @pytest.fixture(scope="module")
 def tpch():
@@ -151,28 +155,10 @@ def tpch():
 
 
 @pytest.mark.parametrize("label", SQL_LABELS)
-@pytest.mark.parametrize("technique,cost_model", SQL_CASES)
-def test_kernels_agree_on_selections_and_orders(
-    label, technique, cost_model, tpch
-):
+@pytest.mark.parametrize("technique", SQL_TECHNIQUES)
+def test_kernels_agree_on_selections_and_orders(label, technique, tpch):
     _, stats, queries = tpch
-    tag = f"{technique} {label} cout={cost_model.cout}"
-    assert_kernels_agree(technique, queries[label], stats, tag, cost_model)
-
-
-# The C_out regime (COUT_COST_MODEL) takes its own branch in every
-# kernel — one join alternative per pair, no ordered slots — so it gets
-# its own sweep over the same topologies.
-
-
-@pytest.mark.parametrize("topology,size", GRAPHS, ids=[f"{t}-{s}" for t, s in GRAPHS])
-@pytest.mark.parametrize("technique", TECHNIQUES)
-def test_kernels_agree_under_cout(topology, size, technique, eq_schema, eq_stats):
-    spec = WorkloadSpec(topology, size)
-    for instance in INSTANCES:
-        query = make_query(spec, eq_schema, instance)
-        label = f"{technique} {spec.label} instance={instance}"
-        assert_kernels_agree(technique, query, eq_stats, label, COUT_COST_MODEL)
+    assert_kernels_agree(technique, queries[label], stats, f"{technique} {label}")
 
 
 def test_kernel_env_selects_reference(monkeypatch):

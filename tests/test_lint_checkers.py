@@ -91,7 +91,7 @@ class TestLayering:
         # without any registration.
         findings = lint_tree(tmp_path, {
             "src/repro/core/new_kernel.py": """\
-                from repro.cost.model import COUT_COST_MODEL
+                from repro.cost.model import DEFAULT_COST_MODEL
                 from repro.errors import OptimizationError
                 from repro.plans.store import M_HASH_JOIN
             """,

@@ -26,6 +26,8 @@ from repro.core.planspace import PlanSpace
 from repro.core.table import JCRTable
 from repro.cost.model import DEFAULT_COST_MODEL
 from repro.errors import OptimizationBudgetExceeded, OptimizationError
+from repro.obs.names import SPAN_SDP_LEVEL, SPAN_SDP_PRUNE
+from repro.obs.runtime import capture
 from repro.plans import validate_plan
 from repro.query import JoinGraph, Query, cycle_joins, star_joins
 from repro.util.bitset import subsets_of
@@ -199,13 +201,25 @@ class TestSDP:
         assert opt1.jcrs_created >= opt2.jcrs_created
 
     def test_trace_events(self, small_schema, small_stats):
-        events = []
         query = make_star_query(small_schema, 6)
-        SDPOptimizer(trace=events.append).optimize(query, small_stats)
+        with capture() as exporter:
+            SDPOptimizer().optimize(query, small_stats)
+        built = {
+            span.span_id: span.attributes["built"]
+            for span in exporter.spans
+            if span.name == SPAN_SDP_LEVEL
+        }
+        events = [
+            span
+            for span in exporter.spans
+            if span.name == SPAN_SDP_PRUNE and "partitions" in span.attributes
+        ]
         assert events
-        for event in events:
-            assert event["built"] == event["prune_group"] + event["free_group"]
-            assert event["survivors"] <= event["built"]
+        for span in events:
+            event = span.attributes
+            level_built = built[span.parent_id]
+            assert level_built == event["prune_group"] + event["free_group"]
+            assert event["survivors"] <= level_built
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
