@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full pre-merge verification: static analysis, the tier-1 test suite,
-# the SQL workload smoke, the hot-path regression guard, and the
-# front-door overload smoke, in fail-fast order (cheapest first).
+# the end-to-end benchmark's answer check, the SQL workload smoke, the
+# hot-path regression guard, and the front-door overload smoke, in
+# fail-fast order (cheapest first).
 #
 #   scripts/verify.sh            # from the repo root
 #
@@ -20,17 +21,26 @@ stage_done() {
   STAGE_T0=$SECONDS
 }
 
-echo "== 1/5 static analysis (python -m repro.lint) =="
+echo "== 1/6 static analysis (python -m repro.lint) =="
 python -m repro.lint src/
 
 stage_done
 
-echo "== 2/5 tier-1 tests (pytest) =="
+echo "== 2/6 tier-1 tests (pytest) =="
 python -m pytest
 
 stage_done
 
-echo "== 3/5 SQL workload smoke (TPC-H-lite through the front door) =="
+# Every e2e workload for 0.5 s, failing if any answer differs from
+# benchmarks/e2e/expected.json (the reference kernel's cost and
+# plans_costed for the benchmark's queries, up to star-25), and the check
+# that a tampered expected entry is caught.
+echo "== 3/6 benchmark answer check (pytest benchmarks/e2e) =="
+python -m pytest benchmarks/e2e -k "smoke or tampered"
+
+stage_done
+
+echo "== 4/6 SQL workload smoke (TPC-H-lite through the front door) =="
 python - <<'SMOKE'
 import repro
 from repro.plans.validate import validate_plan
@@ -50,12 +60,12 @@ SMOKE
 
 stage_done
 
-echo "== 4/5 hot-path regression guard (sdp-bench --check) =="
+echo "== 5/6 hot-path regression guard (sdp-bench --check) =="
 python -m repro.bench --check BENCH_optimize.json
 
 stage_done
 
-echo "== 5/5 overload smoke (pytest -m stress) =="
+echo "== 6/6 overload smoke (pytest -m stress) =="
 python -m pytest -m stress
 
 stage_done

@@ -56,6 +56,10 @@ def resolve_technique(technique: str) -> str:
     ``"idp(7)"`` to ``"IDP(7)"``. Unknown names raise
     :class:`~repro.errors.OptimizationError` listing the known techniques.
     """
+    if not isinstance(technique, str):
+        raise OptimizationError(
+            f"technique must be a name, got {type(technique).__name__}"
+        )
     known = {name.lower(): name for name in available_techniques()}
     resolved = known.get(technique.strip().lower())
     if resolved is None:
@@ -133,8 +137,9 @@ def optimize(
         satisfying the :class:`~repro.core.base.PlanResult` protocol.
 
     Raises:
-        OptimizationError: unknown technique, invalid argument combo, or
-            SQL text without a parse target.
+        OptimizationError: unknown technique, a ``query`` or ``technique``
+            of the wrong type, invalid argument combo, or SQL text without
+            a parse target.
         QueryError: malformed SQL text.
         OptimizationBudgetExceeded: the search outgrew ``budget`` (single
             technique only; ``robust=True`` degrades instead).
@@ -150,6 +155,10 @@ def optimize(
                 "schema=, or a service that has analyzed one"
             )
         # else: the service parses against its analyzed schema below.
+    elif not isinstance(query, Query):
+        raise OptimizationError(
+            f"query must be a Query or SQL text, got {type(query).__name__}"
+        )
     elif schema is not None:
         raise OptimizationError(
             "schema= only applies to SQL text input; the Query already "

@@ -25,13 +25,14 @@ and integer entry ids:
   formulas in :mod:`repro.cost.joins` — float addition is not associative,
   and the kernel's costs must be bit-identical to the reference kernel's;
 * candidate costs are compared against slot incumbents by plain float
-  comparison on :attr:`repro.plans.JCR.slot_costs`; nothing is allocated
-  for a losing candidate;
-* winners append one row to the shared struct-of-arrays
-  :class:`~repro.plans.store.PlanStore` — (operator, order, left entry,
-  right entry) parent pointers — and :class:`~repro.plans.PlanRecord`
-  trees are only reconstructed for the final winning plan at
-  :meth:`finalize` time;
+  comparison on the cost of the ``(order, cost, entry)`` tuples in
+  :attr:`repro.plans.JCR.slots`; nothing is allocated for a losing
+  candidate;
+* a winner costs one :meth:`~repro.plans.store.PlanStore.add` call — a row
+  of (operator, order, left entry, right entry) parent pointers in the
+  shared struct-of-arrays arena — and one slot tuple;
+  :class:`~repro.plans.PlanRecord` trees are only reconstructed for the
+  final winning plan at :meth:`finalize` time;
 * counter/budget traffic is batched to one ``note_plans_costed(n)`` call
   per pair (the budget checkpoint interval in :mod:`repro.core.base`
   amortizes the rest), so the disabled-observability path costs one
@@ -283,8 +284,7 @@ class PlanSpace:
                     left=eid,
                     rel=relation_index,
                 )
-            _, new_slot = jcr.put(order, order, cost, eid)
-            if new_slot:
+            if jcr.put(order, order, cost, eid):
                 counters.note_retained()
         return jcr
 
@@ -315,17 +315,19 @@ class PlanSpace:
         This is the hottest loop in the repository (exhaustive DP pushes
         hundreds of thousands of pairs per query through it, a level at a
         time). Everything is local floats and ints: every batch-invariant —
-        cost constants, store columns, caches, counter methods — is hoisted
-        into locals once per call, and the cost expressions inline the
-        formulas of :mod:`repro.cost.joins` term by term, preserving their
+        cost constants, caches, counter and store methods — is hoisted into
+        locals once per call, and the cost expressions inline the formulas
+        of :mod:`repro.cost.joins` term by term, preserving their
         association order exactly so costs stay bit-identical to the
-        reference kernel. Pairs that overlap or are not connected are
-        skipped (cartesian products are not explored).
+        reference kernel. Each candidate is tested against its slot's
+        incumbent inline; only a winner calls :meth:`PlanStore.add` and
+        stores a new slot tuple. Pairs that overlap or are not connected
+        are skipped (cartesian products are not explored).
         """
-        graph = self.graph
-        connecting = graph.connecting
+        connecting = self.graph.connecting
         by_mask = table._by_mask
         get_or_create = table.get_or_create
+        store_add = table.store.add
         counters = self.counters
         note_plans_costed = counters.note_plans_costed
         note_retained = counters.note_retained
@@ -338,18 +340,6 @@ class PlanSpace:
         probe_per_match = self._probe_per_match
         indexed_names_all = self._indexed_names
         filter_per_row = self._filter_per_row
-
-        # Store columns, aliased for inline appends (store.add is too hot to
-        # call ~100k times per query; the append sequence below is its body).
-        store = table.store
-        st_method = store.method
-        st_order = store.order
-        st_left = store.left
-        st_right = store.right
-        st_rel = store.rel
-        st_eclass = store.eclass
-        st_rows = store.rows
-        st_cost = store.cost
 
         ctc = self._ctc
         coc = self._coc
@@ -384,32 +374,23 @@ class PlanSpace:
             out_rows = jcr.rows
             out_tc = out_rows * ctc
             costed = 0
-            new_slots = 0
-
             slots = jcr.slots
             slots_get = slots.get
-            slot_orders = jcr.slot_orders
-            slot_costs = jcr.slot_costs
-            slot_entries = jcr.slot_entries
+            slots_before = len(slots)
             best_cost = jcr.best_cost
             best_entry = jcr.best_entry
-            # The unordered slot is hit by most candidates (hash joins
-            # always, NL/merge whenever the order is not useful); track its
-            # position in a local instead of a dict probe per candidate.
-            none_index = slots_get(None)
 
             for outer, inner in ((left, right), (right, left)):
                 outer_rows = outer.rows
                 inner_rows = inner.rows
-                outer_best_cost = outer.best_cost
-                outer_best_entry = outer.best_entry
+                outer_slots = outer.slots.values()
                 inner_best_cost = inner.best_cost
                 inner_best_entry = inner.best_entry
 
                 # Hash join: cheapest inputs, order destroyed.
                 build = inner_rows * oc_tc
                 probe = outer_rows * coc * 1.5
-                cost = outer_best_cost + inner_best_cost + build + probe + out_tc
+                cost = outer.best_cost + inner_best_cost + build + probe + out_tc
                 inner_width = inner.width
                 iw = inner_width if inner_width > 1 else 1
                 build_bytes = inner_rows * iw
@@ -418,27 +399,13 @@ class PlanSpace:
                     spill_pages = (build_bytes + outer_rows * iw) / page_size
                     cost = cost + 2.0 * spill_pages * spc
                 costed += 1
-                index = none_index
-                if index is None or cost < slot_costs[index]:
-                    entry = len(st_method)
-                    st_method.append(M_HASH_JOIN)
-                    st_order.append(NO_FIELD)
-                    st_left.append(outer_best_entry)
-                    st_right.append(inner_best_entry)
-                    st_rel.append(NO_FIELD)
-                    st_eclass.append(NO_FIELD)
-                    st_rows.append(out_rows)
-                    st_cost.append(cost)
-                    if index is None:
-                        none_index = slots[None] = len(slot_costs)
-                        slot_orders.append(None)
-                        slot_costs.append(cost)
-                        slot_entries.append(entry)
-                        new_slots += 1
-                    else:
-                        slot_orders[index] = None
-                        slot_costs[index] = cost
-                        slot_entries[index] = entry
+                slot = slots_get(None)
+                if slot is None or cost < slot[1]:
+                    entry = store_add(
+                        M_HASH_JOIN, cost, out_rows, NO_FIELD,
+                        outer.best_entry, inner_best_entry,
+                    )
+                    slots[None] = (None, cost, entry)
                     if cost < best_cost:
                         best_cost = cost
                         best_entry = entry
@@ -449,36 +416,18 @@ class PlanSpace:
                     rescans = 0.0
                 rescan_term = rescans * (inner_rows * ctc * rescan_discount)
                 qual = outer_rows * inner_rows * coc
-                outer_orders = outer.slot_orders
-                outer_entries = outer.slot_entries
-                for position, outer_cost in enumerate(outer.slot_costs):
+                costed += len(outer_slots)
+                for order, outer_cost, outer_entry in outer_slots:
                     cost = outer_cost + inner_best_cost + rescan_term + qual + out_tc
-                    costed += 1
-                    order = outer_orders[position]
                     key = order if order in useful else None
-                    index = none_index if key is None else slots_get(key)
-                    if index is None or cost < slot_costs[index]:
-                        entry = len(st_method)
-                        st_method.append(M_NESTLOOP)
-                        st_order.append(order if order is not None else NO_FIELD)
-                        st_left.append(outer_entries[position])
-                        st_right.append(inner_best_entry)
-                        st_rel.append(NO_FIELD)
-                        st_eclass.append(NO_FIELD)
-                        st_rows.append(out_rows)
-                        st_cost.append(cost)
-                        if index is None:
-                            slots[key] = len(slot_costs)
-                            if key is None:
-                                none_index = slots[None]
-                            slot_orders.append(order)
-                            slot_costs.append(cost)
-                            slot_entries.append(entry)
-                            new_slots += 1
-                        else:
-                            slot_orders[index] = order
-                            slot_costs[index] = cost
-                            slot_entries[index] = entry
+                    slot = slots_get(key)
+                    if slot is None or cost < slot[1]:
+                        entry = store_add(
+                            M_NESTLOOP, cost, out_rows,
+                            NO_FIELD if order is None else order,
+                            outer_entry, inner_best_entry,
+                        )
+                        slots[key] = (order, cost, entry)
                         if cost < best_cost:
                             best_cost = cost
                             best_entry = entry
@@ -524,50 +473,24 @@ class PlanSpace:
                             # relation; its entry is only created if some
                             # candidate is retained.
                             probe_entry = -1
-                            for position, outer_cost in enumerate(
-                                outer.slot_costs
-                            ):
+                            costed += len(outer_slots)
+                            for order, outer_cost, outer_entry in outer_slots:
                                 cost = outer_cost + probe_term + out_tc
-                                costed += 1
-                                order = outer_orders[position]
                                 key = order if order in useful else None
-                                index = (
-                                    none_index if key is None else slots_get(key)
-                                )
-                                if index is None or cost < slot_costs[index]:
+                                slot = slots_get(key)
+                                if slot is None or cost < slot[1]:
                                     if probe_entry < 0:
-                                        probe_entry = len(st_method)
-                                        st_method.append(M_INDEX_SCAN)
-                                        st_order.append(NO_FIELD)
-                                        st_left.append(NO_FIELD)
-                                        st_right.append(NO_FIELD)
-                                        st_rel.append(inner_index)
-                                        st_eclass.append(eclass)
-                                        st_rows.append(per_probe_rows)
-                                        st_cost.append(probe)
-                                    entry = len(st_method)
-                                    st_method.append(M_INDEX_NESTLOOP)
-                                    st_order.append(
-                                        order if order is not None else NO_FIELD
+                                        probe_entry = store_add(
+                                            M_INDEX_SCAN, probe, per_probe_rows,
+                                            NO_FIELD, NO_FIELD, NO_FIELD,
+                                            inner_index, eclass,
+                                        )
+                                    entry = store_add(
+                                        M_INDEX_NESTLOOP, cost, out_rows,
+                                        NO_FIELD if order is None else order,
+                                        outer_entry, probe_entry, NO_FIELD, eclass,
                                     )
-                                    st_left.append(outer_entries[position])
-                                    st_right.append(probe_entry)
-                                    st_rel.append(NO_FIELD)
-                                    st_eclass.append(eclass)
-                                    st_rows.append(out_rows)
-                                    st_cost.append(cost)
-                                    if index is None:
-                                        slots[key] = len(slot_costs)
-                                        if key is None:
-                                            none_index = slots[None]
-                                        slot_orders.append(order)
-                                        slot_costs.append(cost)
-                                        slot_entries.append(entry)
-                                        new_slots += 1
-                                    else:
-                                        slot_orders[index] = order
-                                        slot_costs[index] = cost
-                                        slot_entries[index] = entry
+                                    slots[key] = (order, cost, entry)
                                     if cost < best_cost:
                                         best_cost = cost
                                         best_entry = entry
@@ -582,7 +505,9 @@ class PlanSpace:
             else:
                 eclasses = tuple(dict.fromkeys(pred.eclass for pred in preds))
             if eclasses:
-                left_rows_plus_right = left.rows + right.rows
+                left_rows = left.rows
+                right_rows = right.rows
+                merge = (left_rows + right_rows) * coc
                 left_sort = sort_cache.get(lmask)
                 if left_sort is None:
                     left_sort = sort_fn(left)
@@ -592,82 +517,49 @@ class PlanSpace:
                 left_slots_get = left.slots.get
                 right_slots_get = right.slots.get
                 for eclass in eclasses:
-                    # Cheapest way to feed each side sorted on `eclass`: an
-                    # already-ordered retained plan, or the unordered best
-                    # plus an explicit sort (ties keep the ordered plan,
-                    # matching the reference kernel's `<=`).
+                    # Cheapest way to feed each side sorted on `eclass`: the
+                    # input's retained plan for that order, taken as it is,
+                    # or its unordered best plus an explicit sort (ties keep
+                    # the ordered plan, matching the reference kernel's
+                    # `<=`). The eclass connects both sides, so it is useful
+                    # for each: an input plan sorted on it always sits in
+                    # that slot, and a best taken here lacks the order.
                     left_cost = left.best_cost + left_sort
-                    left_entry = left.best_entry
-                    position = left_slots_get(eclass)
-                    if (
-                        position is not None
-                        and left.slot_costs[position] <= left_cost
-                    ):
-                        left_cost = left.slot_costs[position]
-                        left_entry = left.slot_entries[position]
+                    left_input = left_slots_get(eclass)
+                    if left_input is not None and left_input[1] <= left_cost:
+                        left_cost = left_input[1]
+                    else:
+                        left_input = None
                     right_cost = right.best_cost + right_sort
-                    right_entry = right.best_entry
-                    position = right_slots_get(eclass)
-                    if (
-                        position is not None
-                        and right.slot_costs[position] <= right_cost
-                    ):
-                        right_cost = right.slot_costs[position]
-                        right_entry = right.slot_entries[position]
-                    merge = left_rows_plus_right * coc
+                    right_input = right_slots_get(eclass)
+                    if right_input is not None and right_input[1] <= right_cost:
+                        right_cost = right_input[1]
+                    else:
+                        right_input = None
                     cost = left_cost + right_cost + merge + out_tc
                     costed += 1
                     key = eclass if eclass in useful else None
-                    index = none_index if key is None else slots_get(key)
-                    if index is None or cost < slot_costs[index]:
-                        # Wrap an input in a Sort entry only if the chosen
-                        # plan lacks the physical order (a demoted-but-ordered
-                        # best still skips its sort).
-                        if st_order[left_entry] != eclass:
-                            left_child = len(st_method)
-                            st_method.append(M_SORT)
-                            st_order.append(eclass)
-                            st_left.append(left_entry)
-                            st_right.append(NO_FIELD)
-                            st_rel.append(NO_FIELD)
-                            st_eclass.append(eclass)
-                            st_rows.append(left.rows)
-                            st_cost.append(left_cost)
+                    slot = slots_get(key)
+                    if slot is None or cost < slot[1]:
+                        if left_input is None:
+                            left_child = store_add(
+                                M_SORT, left_cost, left_rows, eclass,
+                                left.best_entry, NO_FIELD, NO_FIELD, eclass,
+                            )
                         else:
-                            left_child = left_entry
-                        if st_order[right_entry] != eclass:
-                            right_child = len(st_method)
-                            st_method.append(M_SORT)
-                            st_order.append(eclass)
-                            st_left.append(right_entry)
-                            st_right.append(NO_FIELD)
-                            st_rel.append(NO_FIELD)
-                            st_eclass.append(eclass)
-                            st_rows.append(right.rows)
-                            st_cost.append(right_cost)
+                            left_child = left_input[2]
+                        if right_input is None:
+                            right_child = store_add(
+                                M_SORT, right_cost, right_rows, eclass,
+                                right.best_entry, NO_FIELD, NO_FIELD, eclass,
+                            )
                         else:
-                            right_child = right_entry
-                        entry = len(st_method)
-                        st_method.append(M_MERGE_JOIN)
-                        st_order.append(eclass)
-                        st_left.append(left_child)
-                        st_right.append(right_child)
-                        st_rel.append(NO_FIELD)
-                        st_eclass.append(eclass)
-                        st_rows.append(out_rows)
-                        st_cost.append(cost)
-                        if index is None:
-                            slots[key] = len(slot_costs)
-                            if key is None:
-                                none_index = slots[None]
-                            slot_orders.append(eclass)
-                            slot_costs.append(cost)
-                            slot_entries.append(entry)
-                            new_slots += 1
-                        else:
-                            slot_orders[index] = eclass
-                            slot_costs[index] = cost
-                            slot_entries[index] = entry
+                            right_child = right_input[2]
+                        entry = store_add(
+                            M_MERGE_JOIN, cost, out_rows, eclass,
+                            left_child, right_child, NO_FIELD, eclass,
+                        )
+                        slots[key] = (eclass, cost, entry)
                         if cost < best_cost:
                             best_cost = cost
                             best_entry = entry
@@ -678,8 +570,8 @@ class PlanSpace:
             if pending_costed >= 1024:
                 note_plans_costed(pending_costed)
                 pending_costed = 0
-            if new_slots > 0:
-                note_retained(new_slots)
+            if len(slots) > slots_before:
+                note_retained(len(slots) - slots_before)
 
         if pending_costed:
             note_plans_costed(pending_costed)
@@ -687,7 +579,7 @@ class PlanSpace:
     # -- finishing --------------------------------------------------------------
 
     def _final_slot(self, jcr: JCR) -> tuple[float, int, bool]:
-        """Pick the winning finalize slot: ``(cost, slot position, wrapped)``.
+        """Pick the winning finalize slot: ``(cost, entry, wrapped)``.
 
         Charges one costed plan per retained slot, exactly like the
         reference kernel's finalize loop.
@@ -695,27 +587,19 @@ class PlanSpace:
         final_sort = self._sort_cost(jcr)
         order_by_key = self.order_by_key
         note = self.counters.note_plans_costed
-        best_cost = 0.0
-        best_position = -1
-        best_wrapped = False
-        slot_orders = jcr.slot_orders
-        for position, cost in enumerate(jcr.slot_costs):
-            if (
-                order_by_key is not None
-                and slot_orders[position] == order_by_key
-            ):
+        best: tuple[float, int, bool] | None = None
+        for order, cost, entry in jcr.slots.values():
+            if order_by_key is not None and order == order_by_key:
                 wrapped = False
             else:
                 cost = cost + final_sort
                 wrapped = True
             note()
-            if best_position < 0 or cost < best_cost:
-                best_cost = cost
-                best_position = position
-                best_wrapped = wrapped
-        if best_position < 0:
+            if best is None or cost < best[0]:
+                best = (cost, entry, wrapped)
+        if best is None:
             raise OptimizationError("JCR has no plans to finalize")
-        return best_cost, best_position, best_wrapped
+        return best
 
     def finalize(self, jcr: JCR) -> PlanRecord:
         """Pick the final plan, appending the ORDER BY sort when required.
@@ -731,8 +615,7 @@ class PlanSpace:
             )
         if self.query.order_by is None:
             return jcr.best
-        cost, position, wrapped = self._final_slot(jcr)
-        entry = jcr.slot_entries[position]
+        cost, entry, wrapped = self._final_slot(jcr)
         store = jcr.store
         if not wrapped:
             return store.materialize(entry)

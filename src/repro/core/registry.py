@@ -58,8 +58,13 @@ def make_optimizer(
     """Build the optimizer the paper calls ``name``.
 
     Raises:
-        OptimizationError: for an unknown technique name.
+        OptimizationError: for an unknown technique name, or a ``name``
+            that is not a string.
     """
+    if not isinstance(name, str):
+        raise OptimizationError(
+            f"technique must be a name, got {type(name).__name__}"
+        )
     if name == "DP":
         return DynamicProgrammingOptimizer(budget=budget, cost_model=cost_model)
     match = _IDP2_PATTERN.match(name)

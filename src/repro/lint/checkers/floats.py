@@ -12,7 +12,7 @@ deterministic ordering.
 
 A comparand is "cost-like" when it is a name or attribute whose
 identifier mentions cost or selectivity (``cost``, ``best_cost``,
-``slot_costs``, ``selectivity``, ``log_sel``); identifiers like
+``left_cost``, ``selectivity``, ``log_sel``); identifiers like
 ``cost_model`` (an object, not a value) are exempt. Intentional exact
 comparisons (bit-identity regression guards) belong outside the kernel
 or carry a waiver.

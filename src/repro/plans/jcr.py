@@ -11,21 +11,18 @@ hence skyline-equivalent) so that the cartesian products of 40+-relation
 composites stay inside float range; see
 :meth:`repro.cost.CardinalityEstimator.log_selectivity`.
 
-Mask-native layout: retained plans live in three parallel lists —
-``slot_orders`` (the occupant's *physical* order), ``slot_costs`` (raw
-floats the hot path compares without attribute chasing) and
-``slot_entries`` — indexed through the interned ``slots`` map (order key →
-slot index; key None is the unordered slot). An entry is an integer id
-into the shared :class:`~repro.plans.store.PlanStore` when the JCR is
-store-backed, or a fully built :class:`PlanRecord` when constructed
-standalone (record mode — what direct ``add()`` users get). The search
-kernel mutates the lists in place; everything record-shaped
-(:attr:`best`, :attr:`plans`, :meth:`plan_for_order`) materializes lazily
-and memoized from the store.
+Mask-native layout: retained plans live in one dict, ``slots``, mapping an
+order key (None is the unordered slot) to a ``(physical order, cost,
+entry)`` tuple, kept in slot-creation order. The entry is an integer id
+into the shared :class:`~repro.plans.store.PlanStore`; the cost is the raw
+float the hot path compares against. The search kernel reads and replaces
+the tuples directly; everything record-shaped (:attr:`best`,
+:attr:`plans`, :meth:`plan_for_order`) materializes lazily and memoized
+from the store.
 
-The physical order in ``slot_orders`` can differ from the slot key: a plan
-whose order is not *useful* for this relation set is demoted into the None
-slot but keeps its physical order, which downstream merge/finalize
+The physical order in a slot can differ from its key: a plan whose order
+is not *useful* for this relation set is demoted into the None slot but
+keeps its physical order, which downstream nested-loop and finalize
 decisions consult (a demoted-but-ordered plan still skips its sort).
 """
 
@@ -48,13 +45,11 @@ class JCR:
         level: Number of member relations.
         rows: Estimated output cardinality (shared by all plans).
         log_sel: Output selectivity (natural log), the S feature.
-        width: Estimated output row width in bytes (0 when unknown —
-            standalone record mode; the hash-spill check reads it).
-        store: Shared plan arena (None in standalone record mode).
-        slots: Order key -> slot index (None = cheapest unordered).
-        slot_orders: Physical order of each slot's occupant.
-        slot_costs: Total cost of each slot's occupant.
-        slot_entries: Store entry id (or PlanRecord in record mode) per slot.
+        width: Estimated output row width in bytes (0 when unknown; the
+            hash-spill check reads it).
+        store: Shared plan arena the entry ids point into.
+        slots: Order key (None = cheapest unordered) -> ``(physical order,
+            cost, entry id)`` of the slot's occupant, in creation order.
         best_cost: Cost of the cheapest retained plan (``inf`` when empty).
         best_entry: Entry of the cheapest retained plan (None when empty).
     """
@@ -67,9 +62,6 @@ class JCR:
         "width",
         "store",
         "slots",
-        "slot_orders",
-        "slot_costs",
-        "slot_entries",
         "best_cost",
         "best_entry",
     )
@@ -79,7 +71,7 @@ class JCR:
         mask: int,
         rows: float,
         log_sel: float,
-        store: PlanStore | None = None,
+        store: PlanStore,
         width: int = 0,
     ):
         if mask == 0:
@@ -90,12 +82,9 @@ class JCR:
         self.log_sel = log_sel
         self.width = width
         self.store = store
-        self.slots: dict[int | None, int] = {}
-        self.slot_orders: list[int | None] = []
-        self.slot_costs: list[float] = []
-        self.slot_entries: list = []
+        self.slots: dict[int | None, tuple[int | None, float, int]] = {}
         self.best_cost: float = inf
-        self.best_entry = None
+        self.best_entry: int | None = None
 
     def improves(self, key: int | None, cost: float) -> bool:
         """Would a plan with order slot ``key`` and ``cost`` be retained?
@@ -108,73 +97,28 @@ class JCR:
             key: The order slot, already demoted to None if not useful.
             cost: The candidate's total cost.
         """
-        index = self.slots.get(key)
-        return index is None or cost < self.slot_costs[index]
+        slot = self.slots.get(key)
+        return slot is None or cost < slot[1]
 
-    def put(
-        self, key: int | None, order: int | None, cost: float, entry
-    ) -> tuple[bool, bool]:
+    def put(self, key: int | None, order: int | None, cost: float, entry: int) -> bool:
         """Install ``entry`` in slot ``key`` if it beats the incumbent.
 
         Args:
             key: Order slot (already demoted to None if not useful).
             order: The plan's *physical* order (may differ from ``key``).
             cost: Total cost.
-            entry: Store entry id, or a PlanRecord in record mode.
+            entry: Store entry id.
 
         Returns:
-            ``(improved, new_slot)`` — whether the plan was retained (in its
-            slot or as the new best), and whether it opened a new slot.
+            Whether the plan opened a new slot.
         """
-        index = self.slots.get(key)
-        improved = False
-        new_slot = False
-        if index is None:
-            self.slots[key] = len(self.slot_costs)
-            self.slot_orders.append(order)
-            self.slot_costs.append(cost)
-            self.slot_entries.append(entry)
-            improved = True
-            new_slot = True
-        elif cost < self.slot_costs[index]:
-            self.slot_orders[index] = order
-            self.slot_costs[index] = cost
-            self.slot_entries[index] = entry
-            improved = True
+        slot = self.slots.get(key)
+        if slot is None or cost < slot[1]:
+            self.slots[key] = (order, cost, entry)
         if cost < self.best_cost:
             self.best_cost = cost
             self.best_entry = entry
-            improved = True
-        return improved, new_slot
-
-    def add(self, plan: PlanRecord, useful: set[int] | None = None) -> bool:
-        """Offer a fully built plan; keep it if it improves its order slot.
-
-        Record-mode convenience (tests and external tooling build JCRs this
-        way); the search kernel installs store entries via :meth:`put`.
-
-        Args:
-            plan: Candidate plan (``plan.mask`` must equal the JCR's mask).
-            useful: Order keys worth retaining; orders outside the set are
-                demoted to None (unordered). ``None`` means keep any order.
-
-        Returns:
-            True if the plan was retained.
-        """
-        if plan.mask != self.mask:
-            raise PlanError(
-                f"plan mask {plan.mask:#x} does not match JCR {self.mask:#x}"
-            )
-        key = plan.order
-        if key is not None and useful is not None and key not in useful:
-            key = None
-        improved, _ = self.put(key, plan.order, plan.cost, plan)
-        return improved
-
-    def _materialize(self, entry) -> PlanRecord:
-        if type(entry) is int:
-            return self.store.materialize(entry)
-        return entry
+        return slot is None
 
     @property
     def best(self) -> PlanRecord:
@@ -186,31 +130,30 @@ class JCR:
         entry = self.best_entry
         if entry is None:
             raise PlanError(f"JCR {self.mask:#x} has no plans")
-        return self._materialize(entry)
+        return self.store.materialize(entry)
 
     @property
     def plans(self) -> dict[int | None, PlanRecord]:
         """Retained plans keyed by order slot, in slot-creation order.
 
         Materializes every retained entry — a read-model view for tests,
-        tooling and explain output, not for the hot path (which reads the
-        parallel slot lists directly).
+        tooling and explain output, not for the hot path (which reads
+        :attr:`slots` directly).
         """
-        materialize = self._materialize
-        entries = self.slot_entries
-        return {key: materialize(entries[i]) for key, i in self.slots.items()}
+        materialize = self.store.materialize
+        return {key: materialize(slot[2]) for key, slot in self.slots.items()}
 
     def plan_for_order(self, eclass: int | None) -> PlanRecord | None:
         """Cheapest retained plan sorted on ``eclass`` (None = unordered)."""
-        index = self.slots.get(eclass)
-        if index is None:
+        slot = self.slots.get(eclass)
+        if slot is None:
             return None
-        return self._materialize(self.slot_entries[index])
+        return self.store.materialize(slot[2])
 
     @property
     def plan_count(self) -> int:
         """Number of retained plan slots (the modeled-memory unit)."""
-        return len(self.slot_costs)
+        return len(self.slots)
 
     def feature_vector(self) -> tuple[float, float, float]:
         """The SDP feature vector ``(R, C, S)``, all minimized.
@@ -225,5 +168,5 @@ class JCR:
     def __repr__(self) -> str:
         return (
             f"JCR(mask={self.mask:#x}, level={self.level}, rows={self.rows:.0f}, "
-            f"plans={len(self.slot_costs)})"
+            f"plans={len(self.slots)})"
         )

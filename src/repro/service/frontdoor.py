@@ -590,8 +590,10 @@ class FrontDoor:
         """Admit ``query`` or raise a typed rejection, synchronously.
 
         ``query`` may be raw SQL text; it is parsed at admission time
-        against the backing service's analyzed schema, so malformed SQL
-        is rejected synchronously rather than poisoning a worker.
+        against the backing service's analyzed schema, so malformed SQL —
+        like anything that is neither a ``Query`` nor text, which raises
+        :class:`~repro.errors.ServiceError` — is rejected synchronously
+        rather than poisoning a worker.
 
         Admission order: shutdown check, then the tenant's token bucket
         (a shed there must not consume queue capacity), then the bounded
@@ -613,6 +615,10 @@ class FrontDoor:
                 )
             sql = query
             query = parse_sql(schema, sql)
+        elif not isinstance(query, Query):
+            raise ServiceError(
+                f"query must be a Query or SQL text, got {type(query).__name__}"
+            )
 
         bucket = self.tenants.bucket(tenant)
         if not bucket.try_acquire():
@@ -688,20 +694,20 @@ class FrontDoor:
             brownout_level=level.level, entry=entry,
         ) as span:
             try:
-                # SQL submissions re-enter the service as text so the
-                # result carries full query/sql provenance (the re-parse
-                # is noise next to the search).
-                target = request.sql if request.sql is not None else request.query
                 if level.level == 0:
                     # Baseline: the exact service path an unloaded caller
                     # would take (cached, single-flighted, full budget).
-                    inner = self.service.optimize(target)
+                    inner = self.service.optimize(request.query)
                 else:
                     optimizer = RobustOptimizer(
                         ladder=ladder_from(level.entry),
                         budget=_scaled_budget(request.budget, level.budget_scale),
                     )
-                    inner = self.service.optimize(target, optimizer=optimizer)
+                    inner = self.service.optimize(
+                        request.query, optimizer=optimizer
+                    )
+                if request.sql is not None:
+                    inner = replace(inner, sql=request.sql)
             except Exception as exc:
                 span.set(outcome="error")
                 self._count("errors")

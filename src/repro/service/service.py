@@ -186,7 +186,8 @@ class OptimizationService:
 
         Raises:
             ServiceError: SQL text submitted with no schema to parse
-                against, or ``schema=`` passed alongside a ``Query``.
+                against, ``schema=`` passed alongside a ``Query``, or a
+                ``query`` that is neither a ``Query`` nor text.
             QueryError: malformed SQL text.
             OptimizationBudgetExceeded: propagated from the backing
                 optimizer; budget trips are never cached.
@@ -201,6 +202,10 @@ class OptimizationService:
                     "schema= or analyze() one first"
                 )
             query = parse_sql(parse_schema, sql)
+        elif not isinstance(query, Query):
+            raise ServiceError(
+                f"query must be a Query or SQL text, got {type(query).__name__}"
+            )
         elif schema is not None:
             raise ServiceError(
                 "schema= only applies to SQL text submissions"

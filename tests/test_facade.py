@@ -41,6 +41,16 @@ class TestTechniqueResolution:
         with pytest.raises(OptimizationError, match="known:"):
             repro.resolve_technique("postgres")
 
+    @pytest.mark.parametrize("bad", [None, 7])
+    def test_wrong_type_technique_rejected(self, bad, small_schema, small_stats):
+        sql = repro.render_sql(make_star_query(small_schema, 4))
+        with pytest.raises(OptimizationError, match="technique must be"):
+            repro.optimize(
+                sql, schema=small_schema, stats=small_stats, technique=bad
+            )
+        with pytest.raises(OptimizationError, match="technique must be"):
+            repro.make_optimizer(bad)
+
 
 class TestFacade:
     def test_default_matches_direct_sdp(self, small_schema, small_stats):
@@ -190,6 +200,11 @@ class TestSqlFirst:
         query = make_star_query(small_schema, 5)
         with pytest.raises(OptimizationError, match="SQL text"):
             repro.optimize(query, schema=small_schema, stats=small_stats)
+
+    @pytest.mark.parametrize("bad", [123, None, b"SELECT"])
+    def test_wrong_type_query_rejected(self, bad, small_stats):
+        with pytest.raises(OptimizationError, match="Query or SQL text"):
+            repro.optimize(bad, stats=small_stats)
 
     def test_malformed_sql_raises_query_error(self, small_schema):
         from repro.errors import QueryError

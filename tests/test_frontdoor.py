@@ -15,7 +15,12 @@ import time
 import pytest
 
 from repro.core.base import SearchBudget
-from repro.errors import AdmissionRejected, ServiceError, TenantBudgetExhausted
+from repro.errors import (
+    AdmissionRejected,
+    ReproError,
+    ServiceError,
+    TenantBudgetExhausted,
+)
 from repro.service import (
     DEFAULT_BROWNOUT_LEVELS,
     BrownoutLevel,
@@ -319,6 +324,21 @@ class TestFrontDoorServing:
         with pytest.raises(ServiceError):
             door.submit(query)
 
+    def test_wrong_type_submission_rejected_worker_survives(
+        self, service, query
+    ):
+        # One worker: a bad request reaching it would kill the only thread
+        # and leave every later request waiting for a TimeoutError.
+        config = FrontDoorConfig(workers=1, cooldown_seconds=60.0)
+        with FrontDoor(service, config) as door:
+            for bad in (123, None):
+                with pytest.raises(ReproError, match="Query or SQL text"):
+                    door.submit(bad)
+            served = door.optimize(query, timeout=30.0)
+            assert served.result.plan is not None
+        stats = door.stats()
+        assert stats.admitted == stats.completed == 1
+
 
 class TestFrontDoorSql:
     def _analyzed_service(self, small_schema):
@@ -335,18 +355,33 @@ class TestFrontDoorSql:
             f"WHERE {names[0]}.c1 = {names[1]}.c2 AND {names[0]}.c3 < 40"
         )
 
-    def test_sql_submission_matches_query_path(self, small_schema):
+    def test_sql_submission_matches_query_path(self, small_schema, monkeypatch):
+        import repro.service.frontdoor as frontdoor_module
+        import repro.service.service as service_module
         from repro.query import parse_sql
 
+        parsed = []
+
+        def counting_parse(schema, sql):
+            parsed.append(sql)
+            return parse_sql(schema, sql)
+
+        monkeypatch.setattr(frontdoor_module, "parse_sql", counting_parse)
+        monkeypatch.setattr(service_module, "parse_sql", counting_parse)
         sql = self._sql(small_schema)
         svc = self._analyzed_service(small_schema)
         config = FrontDoorConfig(workers=2, cooldown_seconds=60.0)
         with FrontDoor(svc, config) as door:
             from_sql = door.optimize(sql)
+            # One parse per SQL submission: the worker reuses the Query
+            # parsed at admission.
+            assert parsed == [sql]
             from_query = door.optimize(parse_sql(small_schema, sql))
+            assert parsed == [sql]
             assert from_sql.result.cost == from_query.result.cost
             assert from_sql.result.sql == sql
             assert from_sql.result.query is not None
+            assert from_query.result.sql is None
             # Same canonical form: the second submission is a warm hit.
             assert from_query.result.cache_hit
 

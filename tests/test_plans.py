@@ -20,6 +20,7 @@ from repro.plans import (
     validate_plan,
 )
 from repro.plans.ordering import is_useful_order
+from repro.plans.store import M_INDEX_SCAN, M_SEQ_SCAN, NO_FIELD, PlanStore
 from repro.query.joingraph import JoinGraph
 
 
@@ -72,47 +73,58 @@ class TestPlanRecord:
         assert j.is_join and not j.is_scan
 
 
+def put_scan(jcr, cost, order=None, key=None):
+    """Append a scan entry to ``jcr``'s store and offer it to slot ``key``."""
+    method = M_SEQ_SCAN if order is None else M_INDEX_SCAN
+    entry = jcr.store.add(
+        method, cost, jcr.rows,
+        order=NO_FIELD if order is None else order, rel=0,
+    )
+    return jcr.put(key, order, cost, entry)
+
+
 class TestJCR:
     def test_empty_mask_rejected(self):
         with pytest.raises(PlanError):
-            JCR(0, 1.0, 0.0)
+            JCR(0, 1.0, 0.0, PlanStore())
 
     def test_best_requires_plans(self):
-        jcr = JCR(0b11, 100.0, -1.0)
+        jcr = JCR(0b11, 100.0, -1.0, PlanStore())
         with pytest.raises(PlanError):
             _ = jcr.best
 
     def test_keeps_cheapest_per_order(self):
-        jcr = JCR(1, 100.0, 0.0)
-        jcr.add(scan(0, cost=10.0))
-        jcr.add(scan(0, cost=5.0))
-        jcr.add(scan(0, cost=7.0))
+        jcr = JCR(1, 100.0, 0.0, PlanStore())
+        # put() reports only whether the plan opened a new slot.
+        assert put_scan(jcr, 10.0) is True
+        assert put_scan(jcr, 5.0) is False
+        assert put_scan(jcr, 7.0) is False
         assert jcr.best.cost == 5.0
         assert jcr.plan_count == 1
+        assert jcr.slots[None][1] == 5.0
 
     def test_separate_order_slots(self):
-        jcr = JCR(1, 100.0, 0.0)
-        jcr.add(scan(0, cost=5.0))
-        jcr.add(scan(0, cost=20.0, order=3))
+        jcr = JCR(1, 100.0, 0.0, PlanStore())
+        assert put_scan(jcr, 5.0) is True
+        assert put_scan(jcr, 20.0, order=3, key=3) is True
         assert jcr.plan_count == 2
+        assert list(jcr.slots) == [None, 3]
         assert jcr.plan_for_order(3).cost == 20.0
         assert jcr.plan_for_order(None).cost == 5.0
         assert jcr.best.cost == 5.0
 
     def test_useless_order_demoted(self):
-        jcr = JCR(1, 100.0, 0.0)
-        jcr.add(scan(0, cost=5.0, order=7), useful=set())
+        jcr = JCR(1, 100.0, 0.0, PlanStore())
+        # The caller demotes a useless order to the None slot; the slot
+        # keeps the plan's physical order.
+        put_scan(jcr, 5.0, order=7, key=None)
         assert jcr.plan_for_order(7) is None
-        assert jcr.plan_for_order(None) is not None
-
-    def test_mask_mismatch_rejected(self):
-        jcr = JCR(0b10, 100.0, 0.0)
-        with pytest.raises(PlanError):
-            jcr.add(scan(0))
+        assert jcr.plan_for_order(None).order == 7
+        assert jcr.slots[None][0] == 7
 
     def test_feature_vector(self):
-        jcr = JCR(1, 123.0, -4.5)
-        jcr.add(scan(0, cost=9.0))
+        jcr = JCR(1, 123.0, -4.5, PlanStore())
+        put_scan(jcr, 9.0)
         rows, cost, sel = jcr.feature_vector()
         assert (rows, cost, sel) == (123.0, 9.0, -4.5)
 

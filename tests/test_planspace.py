@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+import repro.core.dp as dp_module
+import repro.core.sdp as sdp_module
+from repro.catalog import analyze
 from repro.core.base import SearchBudget, SearchCounters
+from repro.core.kernel import KERNEL_ENV, make_planspace
 from repro.core.planspace import PlanSpace
+from repro.core.registry import make_optimizer
 from repro.core.table import JCRTable
 from repro.cost.model import DEFAULT_COST_MODEL
 from repro.errors import OptimizationError
 from repro.plans.records import INDEX_SCAN, SEQ_SCAN, SORT
+from repro.plans.store import METHOD_NAMES
 from repro.query import JoinGraph, Query, star_joins
 from repro.util.timer import Timer
+from repro.workloads import tpch_lite_queries, tpch_lite_schema
 
 
 @pytest.fixture
@@ -128,3 +137,56 @@ class TestFinalize:
         final = space.finalize(current)
         assert final.order == query.order_by_eclass or final.method == SORT
         assert final.cost >= current.best.cost
+
+
+# Plan-arena entries one completed search appends: the total, and per
+# operator. A losing candidate allocates nothing, and Sort and index-probe
+# entries exist only under a retained merge join or index nested loop, so
+# these counts pin the kernel's allocation behaviour, which the reference
+# kernel (it has no arena) cannot check. Between them the two templates
+# use every operator.
+ARENA = {
+    ("market-share", "DP"): (682, {
+        "Filter": 5, "HashJoin": 150, "IndexNestLoop": 117, "IndexScan": 86,
+        "MergeJoin": 50, "NestLoop": 166, "SeqScan": 8, "Sort": 100,
+    }),
+    ("market-share", "SDP"): (469, {
+        "Filter": 5, "HashJoin": 103, "IndexNestLoop": 79, "IndexScan": 66,
+        "MergeJoin": 24, "NestLoop": 136, "SeqScan": 8, "Sort": 48,
+    }),
+    ("min-cost-supplier", "DP"): (92, {
+        "Filter": 4, "HashJoin": 17, "IndexNestLoop": 7, "IndexScan": 12,
+        "MergeJoin": 6, "NestLoop": 28, "SeqScan": 5, "Sort": 13,
+    }),
+    ("min-cost-supplier", "SDP"): (97, {
+        "Filter": 4, "HashJoin": 22, "IndexNestLoop": 7, "IndexScan": 12,
+        "MergeJoin": 6, "NestLoop": 28, "SeqScan": 5, "Sort": 13,
+    }),
+}
+
+
+@pytest.fixture(scope="module")
+def tpch():
+    schema = tpch_lite_schema()
+    queries = {q.label: q for q in tpch_lite_queries(schema)}
+    return analyze(schema), queries
+
+
+@pytest.mark.parametrize(("label", "technique"), sorted(ARENA))
+def test_plan_arena_is_pinned(label, technique, tpch, monkeypatch):
+    stats, queries = tpch
+    spaces = []
+
+    def capture(*args, **kwargs):
+        space = make_planspace(*args, **kwargs)
+        spaces.append(space)
+        return space
+
+    monkeypatch.delenv(KERNEL_ENV, raising=False)
+    monkeypatch.setattr(dp_module, "make_planspace", capture)
+    monkeypatch.setattr(sdp_module, "make_planspace", capture)
+    make_optimizer(technique).optimize(queries[label], stats)
+    (space,) = spaces
+    size, per_method = ARENA[(label, technique)]
+    assert len(space.store) == size
+    assert Counter(METHOD_NAMES[code] for code in space.store.method) == per_method

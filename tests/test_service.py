@@ -13,7 +13,11 @@ from repro.bench.runner import run_comparison
 from repro.catalog import analyze
 from repro.bench.workloads import WorkloadSpec
 from repro.core.base import SearchBudget
-from repro.errors import OptimizationBudgetExceeded, ServiceError
+from repro.errors import (
+    OptimizationBudgetExceeded,
+    OptimizationError,
+    ServiceError,
+)
 from repro.query import JoinGraph, Query
 from repro.service import (
     BatchItem,
@@ -345,6 +349,18 @@ class TestServiceSql:
         query = make_star_query(small_schema, 4)
         with pytest.raises(ServiceError, match="SQL text"):
             service.optimize(query, schema=small_schema)
+
+    @pytest.mark.parametrize("bad", [123, None])
+    def test_wrong_type_query_rejected(self, bad, small_stats):
+        service = OptimizationService(technique="SDP")
+        service.install_statistics(small_stats)
+        with pytest.raises(ServiceError, match="Query or SQL text"):
+            service.optimize(bad)
+        assert service.cache_stats.misses == 0
+
+    def test_wrong_type_technique_rejected(self):
+        with pytest.raises(OptimizationError, match="technique must be"):
+            OptimizationService(technique=None)
 
 
 # ---------------------------------------------------------------------------
