@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full pre-merge verification: static analysis, the tier-1 test suite,
-# the end-to-end benchmark's answer check, the SQL workload smoke, the
-# hot-path regression guard, and the front-door overload smoke, in
-# fail-fast order (cheapest first).
+# the end-to-end benchmark's answer check, the TPC-H-lite smoke through
+# the front door, the hot-path regression guard, and the front-door
+# overload smoke, in fail-fast order (cheapest first).
 #
 #   scripts/verify.sh            # from the repo root
 #
@@ -40,22 +40,50 @@ python -m pytest benchmarks/e2e -k "smoke or tampered"
 
 stage_done
 
+# The 13 TPC-H-lite texts go through a started FrontDoor over an analyzed
+# SDP service twice. The second pass must be all plan-cache hits that
+# never call parse_sql, with cost and plans_costed equal to
+# repro.optimize(query) on the parsed Query.
 echo "== 4/6 SQL workload smoke (TPC-H-lite through the front door) =="
 python - <<'SMOKE'
 import repro
+import repro.service.service as service_module
 from repro.plans.validate import validate_plan
 
+parses = []
+parse_sql = service_module.parse_sql
+
+
+def counting_parse(schema, sql):
+    parses.append(sql)
+    return parse_sql(schema, sql)
+
+
+service_module.parse_sql = counting_parse
 schema = repro.tpch_lite_schema()
-for (label, sql), query in zip(repro.TPCH_LITE_SQL,
-                               repro.tpch_lite_queries(schema)):
-    from_sql = repro.optimize(sql, schema=schema)
-    from_query = repro.optimize(query)
-    assert from_sql.cost == from_query.cost, label
-    assert from_sql.plans_costed == from_query.plans_costed, label
-    validate_plan(from_sql.plan, query.graph)
-    assert from_sql.tree() is not None      # provenance carries the query
-    print(f"  {label}: sql==query, plan valid "
-          f"(cost={from_sql.cost:.1f}, plans_costed={from_sql.plans_costed})")
+service = repro.OptimizationService(technique="SDP")
+stats = service.analyze(schema)
+texts = [sql for _label, sql in repro.TPCH_LITE_SQL]
+with repro.FrontDoor(service) as door:
+    # One tenant per template: the default bucket admits 8 at once.
+    for label, sql in repro.TPCH_LITE_SQL:
+        door.optimize(sql, tenant=label)
+    assert sorted(parses) == sorted(texts), "first pass parses each text once"
+    parses.clear()
+    second = [door.optimize(sql, tenant=label) for label, sql in repro.TPCH_LITE_SQL]
+assert parses == [], f"second pass parsed {len(parses)} texts"
+for (label, sql), query, served in zip(
+    repro.TPCH_LITE_SQL, repro.tpch_lite_queries(schema), second
+):
+    inner = served.result
+    direct = repro.optimize(query, stats=stats, technique="SDP")
+    assert inner.cache_hit and not served.degraded, label
+    assert inner.cost == direct.cost, label
+    assert inner.plans_costed == direct.plans_costed, label
+    assert inner.sql == sql and inner.tree() is not None, label
+    validate_plan(inner.plan, inner.query.graph)
+    print(f"  {label}: cache hit == repro.optimize, no parse "
+          f"(cost={inner.cost:.1f}, plans_costed={inner.plans_costed})")
 SMOKE
 
 stage_done

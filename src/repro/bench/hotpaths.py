@@ -2,8 +2,8 @@
 
 Times the scenarios this codebase optimizes hardest:
 
-* ``dp_star_12`` — exhaustive DP on a 12-relation star (the join-graph
-  memoization and plan-space hot loops dominate here);
+* ``dp_star_12`` — exhaustive DP on a 12-relation star (DPccp
+  enumeration and the plan-space hot loops dominate here);
 * ``sdp_star_25`` — SDP on a 25-relation star (the scale DP cannot reach;
   exercises skyline pruning plus the same hot paths);
 * ``grid_workers`` — a full ``run_comparison`` grid serially and with the

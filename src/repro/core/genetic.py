@@ -142,8 +142,8 @@ class GeneticOptimizer(Optimizer):
         child = [mother[0]]
         used = {mother[0]}
         mask = 1 << mother[0]
+        frontier = graph.neighbor_mask(mother[0])
         while len(child) < len(mother):
-            frontier = graph.neighbors(mask)
             pick = None
             for parent in (mother, father):
                 for rel in parent:
@@ -158,4 +158,5 @@ class GeneticOptimizer(Optimizer):
             child.append(pick)
             used.add(pick)
             mask |= 1 << pick
+            frontier = (frontier | graph.neighbor_mask(pick)) & ~mask
         return child

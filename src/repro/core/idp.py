@@ -262,12 +262,13 @@ class IDPOptimizer(Optimizer):
         """
         graph = space.graph
         current = candidate
+        frontier = graph.neighbors(candidate.mask)
         remaining = [node for node in nodes if not node.mask & candidate.mask]
         while remaining:
             best_node = None
             best_rows = math.inf
             for node in remaining:
-                if not graph.connected(current.mask, node.mask):
+                if not frontier & node.mask:
                     continue
                 rows = space.rows(current.mask | node.mask)
                 if rows < best_rows:
@@ -279,5 +280,6 @@ class IDPOptimizer(Optimizer):
             if joined is None:
                 return math.inf
             current = joined
+            frontier = (frontier | graph.neighbors(best_node.mask)) & ~current.mask
             remaining = [node for node in remaining if node is not best_node]
         return current.best_cost

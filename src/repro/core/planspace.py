@@ -122,6 +122,10 @@ class PlanSpace:
             self._indexed_eclasses.append(eclasses)
         self._useful_cache: dict[int, set[int]] = {}
         self._sort_cost_cache: dict[int, float] = {}
+        # Connecting predicates per (left, right) mask pair, for
+        # single-pair joins only: greedy, IDP and the randomized walks
+        # revisit pairs through join(), level batches (DP, SDP) never do.
+        self._pair_preds: dict[tuple[int, int], tuple] = {}
 
         # Selections, grouped per relation: qual counts, unfiltered base
         # cardinalities, and the per-relation filter cost added on top of
@@ -296,18 +300,25 @@ class PlanSpace:
         Returns the (created or updated) output JCR, or None when the inputs
         overlap or are not connected (cartesian products are not explored).
 
-        Single-pair convenience over :meth:`join_batch` (the connectivity
-        probe repeats the batch's, but ``JoinGraph.connecting`` memoizes per
-        mask pair, so the second lookup is one dict hit).
+        Single-pair convenience over :meth:`join_batch`, with each pair's
+        connecting predicates memoized for the rest of this search.
         """
         lmask = left.mask
         rmask = right.mask
         if lmask & rmask:
             return None
-        if not self.graph.connecting(lmask, rmask):
+        if not self._connecting(lmask, rmask):
             return None
-        self.join_batch(table, ((left, right),))
+        self._join_pairs(table, ((left, right),), self._connecting)
         return table._by_mask[lmask | rmask]
+
+    def _connecting(self, lmask: int, rmask: int) -> tuple:
+        """``JoinGraph.connecting`` through this space's pair memo."""
+        key = (lmask, rmask)
+        preds = self._pair_preds.get(key)
+        if preds is None:
+            preds = self._pair_preds[key] = self.graph.connecting(lmask, rmask)
+        return preds
 
     def join_batch(self, table: JCRTable, pairs) -> None:
         """Cost all join alternatives for every ``(left, right)`` JCR pair.
@@ -324,7 +335,11 @@ class PlanSpace:
         stores a new slot tuple. Pairs that overlap or are not connected
         are skipped (cartesian products are not explored).
         """
-        connecting = self.graph.connecting
+        self._join_pairs(table, pairs, self.graph.connecting)
+
+    def _join_pairs(self, table: JCRTable, pairs, connecting) -> None:
+        """:meth:`join_batch`, with ``connecting(lmask, rmask)`` supplying
+        each pair's predicates (:meth:`join` passes its pair memo)."""
         by_mask = table._by_mask
         get_or_create = table.get_or_create
         store_add = table.store.add

@@ -81,8 +81,8 @@ class _JoinOrderWalk:
         graph = self.graph
         order = [self.rng.randrange(graph.n)]
         mask = 1 << order[0]
+        frontier = graph.neighbor_mask(order[0])
         while len(order) < graph.n:
-            frontier = graph.neighbors(mask)
             choices = []
             remaining = frontier
             while remaining:
@@ -92,16 +92,17 @@ class _JoinOrderWalk:
             nxt = self.rng.choice(choices)
             order.append(nxt)
             mask |= 1 << nxt
+            frontier = (frontier | graph.neighbor_mask(nxt)) & ~mask
         return order
 
     def is_valid(self, order: list[int]) -> bool:
         """Every prefix of the order must be connected."""
+        neighbor_mask = self.graph.neighbor_mask
         mask = 1 << order[0]
         for rel in order[1:]:
-            bit = 1 << rel
-            if not self.graph.neighbors(mask) & bit:
+            if not neighbor_mask(rel) & mask:
                 return False
-            mask |= bit
+            mask |= 1 << rel
         return True
 
     def random_move(self, order: list[int]) -> list[int] | None:

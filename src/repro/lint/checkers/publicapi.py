@@ -5,6 +5,7 @@
     <!-- repro-lint:public-api
     facade optimize(query, *, technique='sdp', ...)
     facade resolve_technique(technique)
+    method OptimizationService.parse(self, sql)
     symbol optimize
     symbol PlanResult
     ...
@@ -16,7 +17,9 @@ This checker compares it against the scanned tree:
   versa (drift in either direction is a finding);
 * every ``facade NAME(...)`` line must textually match the canonical
   rendering of ``def NAME`` in ``repro/api.py`` (defaults included), so
-  a signature change forces a doc update in the same commit.
+  a signature change forces a doc update in the same commit;
+* every ``method CLASS.NAME(...)`` line must match ``def NAME`` in the
+  first module defining ``class CLASS``, rendered the same way.
 
 When the scanned tree has no ``repro/__init__.py`` with an ``__all__``
 or the repo has no ``docs/api.md``, the checker stays silent — partial
@@ -41,28 +44,47 @@ def _docs_path(project) -> Path:
     return project.repo_root / "docs" / "api.md"
 
 
-def parse_inventory(text: str) -> tuple[dict[str, int], dict[str, tuple[str, int]], int] | None:
-    """``(symbols, facades, block_line)`` from the api.md inventory block.
+def parse_inventory(
+    text: str,
+) -> tuple[
+    dict[str, int], dict[str, tuple[str, int]], dict[str, tuple[str, int]], int
+] | None:
+    """``(symbols, facades, methods, block_line)`` from the inventory block.
 
     ``symbols`` maps name -> line number; ``facades`` maps function name
-    -> (signature text, line number). Returns None when no block exists.
+    and ``methods`` maps ``Class.name`` -> (signature text, line number).
+    Returns None when no block exists.
     """
     match = _BLOCK_RE.search(text)
     if match is None:
         return None
     block_line = text[: match.start()].count("\n") + 1
     symbols: dict[str, int] = {}
-    facades: dict[str, tuple[str, int]] = {}
+    signatures: dict[str, dict[str, tuple[str, int]]] = {"facade": {}, "method": {}}
     for offset, raw in enumerate(match.group(1).splitlines()):
         line = raw.strip()
         lineno = block_line + 1 + offset
-        if line.startswith("symbol "):
-            symbols[line[len("symbol "):].strip()] = lineno
-        elif line.startswith("facade "):
-            signature = line[len("facade "):].strip()
+        kind, _, rest = line.partition(" ")
+        if kind == "symbol":
+            symbols[rest.strip()] = lineno
+        elif kind in signatures:
+            signature = rest.strip()
             name = signature.split("(", 1)[0].strip()
-            facades[name] = (signature, lineno)
-    return symbols, facades, block_line
+            signatures[kind][name] = (signature, lineno)
+    return symbols, signatures["facade"], signatures["method"], block_line
+
+
+def _method_defs(project, class_name: str) -> dict[str, ast.FunctionDef] | None:
+    """Methods of the first top-level ``class_name`` in the tree, if any."""
+    for module in project.modules:
+        for node in module.tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == class_name:
+                return {
+                    item.name: item
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                }
+    return None
 
 
 def _exported_all(module) -> tuple[list[str], int] | None:
@@ -119,7 +141,7 @@ def render_signature(func: ast.FunctionDef) -> str:
 class PublicApiChecker(Checker):
     code = "RL007"
     name = "public-api-drift"
-    description = "repro.__all__ and facade signatures match docs/api.md"
+    description = "repro.__all__, facade and method signatures match docs/api.md"
 
     def check(self, project):
         init_module = project.find("__init__.py")
@@ -145,7 +167,7 @@ class PublicApiChecker(Checker):
                 "block; document the public surface so drift is checkable",
             )
             return
-        symbols, facades, block_line = inventory
+        symbols, facades, methods, block_line = inventory
         all_names, all_line = exported
 
         for name in all_names:
@@ -162,6 +184,24 @@ class PublicApiChecker(Checker):
                     docs_rel, lineno, 0, self.code,
                     f"docs/api.md lists symbol {name!r} but repro.__all__ "
                     f"does not export it",
+                )
+
+        for qualified, (documented, lineno) in methods.items():
+            class_name, _, method_name = qualified.partition(".")
+            func = (_method_defs(project, class_name) or {}).get(method_name)
+            if func is None:
+                yield Finding(
+                    docs_rel, lineno, 0, self.code,
+                    f"docs/api.md documents method {qualified!r} but no "
+                    f"class {class_name!r} in the tree defines it",
+                )
+                continue
+            rendered = f"{class_name}.{render_signature(func)}"
+            if rendered != documented:
+                yield Finding(
+                    docs_rel, lineno, 0, self.code,
+                    f"method signature drift for {qualified!r}: docs say "
+                    f"{documented!r}, code is {rendered!r}",
                 )
 
         api_module = project.find("api.py")

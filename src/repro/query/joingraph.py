@@ -145,15 +145,6 @@ class JoinGraph:
                 mask |= 1 << rel
             self._eclass_rel_masks[eclass] = mask
 
-        # Hot-path memo caches. The graph is immutable after construction,
-        # so both caches are valid for its whole lifetime; they persist
-        # across optimizer runs over the same query (IDP iterations, SDP
-        # partitions, the robust ladder) and are bounded by the number of
-        # distinct masks / mask pairs a search actually visits.
-        self._neighbors_cache: dict[int, int] = {}
-        self._connecting_cache: dict[tuple[int, int], tuple[JoinPredicate, ...]] = {}
-        self._eclass_pair_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-
         if self.n > 1 and not self.is_connected(self.all_mask):
             raise JoinGraphError("join graph is disconnected")
 
@@ -305,19 +296,14 @@ class JoinGraph:
     # -- set-level operations ------------------------------------------------
 
     def neighbors(self, mask: int) -> int:
-        """Relations adjacent to (but outside) the set ``mask`` (memoized)."""
-        cached = self._neighbors_cache.get(mask)
-        if cached is not None:
-            return cached
+        """Relations adjacent to (but outside) the set ``mask``."""
         result = 0
         remaining = mask
         while remaining:
             bit = remaining & -remaining
             result |= self._neighbor_masks[bit.bit_length() - 1]
             remaining ^= bit
-        result &= ~mask
-        self._neighbors_cache[mask] = result
-        return result
+        return result & ~mask
 
     def outside_degree(self, mask: int) -> int:
         """Number of distinct outside relations adjacent to the set ``mask``.
@@ -345,15 +331,7 @@ class JoinGraph:
     def connecting(
         self, left_mask: int, right_mask: int
     ) -> tuple[JoinPredicate, ...]:
-        """Predicates with one endpoint in each (disjoint) set (memoized).
-
-        The result is cached per ``(left, right)`` pair and the same tuple
-        object is returned on every call — callers must treat it as
-        read-only (it is a tuple for exactly that reason).
-        """
-        cached = self._connecting_cache.get((left_mask, right_mask))
-        if cached is not None:
-            return cached
+        """Predicates with one endpoint in each (disjoint) set."""
         if left_mask & right_mask:
             raise JoinGraphError("connecting() requires disjoint sets")
         # Scan the per-relation predicate lists of the smaller side only.
@@ -371,32 +349,11 @@ class JoinGraph:
                 # so scanning each small relation's list visits it once.
                 if endpoint_mask & other:
                     found.append(pred)
-        result = tuple(found)
-        self._connecting_cache[(left_mask, right_mask)] = result
-        return result
+        return tuple(found)
 
     def connected(self, left_mask: int, right_mask: int) -> bool:
         """True iff some edge links the two disjoint sets."""
         return bool(self.neighbors(left_mask) & right_mask)
-
-    def connecting_eclasses(
-        self, left_mask: int, right_mask: int
-    ) -> tuple[int, ...]:
-        """Distinct eclasses among the connecting predicates (memoized).
-
-        The tuple freezes the iteration order of a one-shot
-        ``{p.eclass for p in connecting(...)}`` set, so repeated calls —
-        and the mask-native kernel's merge-join loop — visit eclasses in
-        exactly the order a per-call set comprehension would.
-        """
-        key = (left_mask, right_mask)
-        cached = self._eclass_pair_cache.get(key)
-        if cached is None:
-            cached = tuple(
-                {pred.eclass for pred in self.connecting(left_mask, right_mask)}
-            )
-            self._eclass_pair_cache[key] = cached
-        return cached
 
     # -- hubs and eclasses ---------------------------------------------------
 

@@ -40,7 +40,8 @@ class Deadline:
     __slots__ = ("seconds", "_started")
 
     def __init__(self, seconds: float | None):
-        if seconds is not None and seconds <= 0:
+        # ``not > 0`` also rejects NaN, which would never expire.
+        if seconds is not None and not seconds > 0:
             raise ValueError(f"deadline must be positive or None, got {seconds!r}")
         self.seconds = seconds
         self._started = time.perf_counter()

@@ -75,16 +75,22 @@ class PlanCache:
     """Bounded LRU mapping cache keys to cached optimization results.
 
     Args:
-        capacity: Maximum number of retained entries (> 0).
+        capacity: Maximum number of retained entries, an ``int`` >= 1.
 
     Keys are ``(fingerprint, epoch)`` tuples in service use, but any
     hashable key works — the cache does not interpret them.
     """
 
     def __init__(self, capacity: int = 128):
-        if capacity < 1:
+        # A NaN or float capacity would compare so that nothing is ever
+        # evicted; a bool is an int by accident.
+        if (
+            isinstance(capacity, bool)
+            or not isinstance(capacity, int)
+            or capacity < 1
+        ):
             raise ServiceError(
-                f"plan cache capacity must be >= 1, got {capacity!r}"
+                f"plan cache capacity must be an int >= 1, got {capacity!r}"
             )
         self.capacity = capacity
         self._entries: OrderedDict[Hashable, object] = OrderedDict()

@@ -57,7 +57,6 @@ from repro.obs.names import (
 )
 from repro.obs.runtime import current_tracer, enabled as _obs_enabled, metrics as _obs_metrics
 from repro.obs.trace import maybe_span
-from repro.query.parser import parse_sql
 from repro.query.query import Query
 from repro.robust.ladder import RobustOptimizer, ladder_from
 from repro.service.service import OptimizationService, ServiceResult
@@ -590,10 +589,12 @@ class FrontDoor:
         """Admit ``query`` or raise a typed rejection, synchronously.
 
         ``query`` may be raw SQL text; it is parsed at admission time
-        against the backing service's analyzed schema, so malformed SQL —
-        like anything that is neither a ``Query`` nor text, which raises
+        through the backing service's :meth:`~OptimizationService.parse`
+        memo, so malformed SQL — like anything that is neither a
+        ``Query`` nor text, which raises
         :class:`~repro.errors.ServiceError` — is rejected synchronously
-        rather than poisoning a worker.
+        rather than poisoning a worker. The worker hands the service the
+        text, which the memo answers without parsing again.
 
         Admission order: shutdown check, then the tenant's token bucket
         (a shed there must not consume queue capacity), then the bounded
@@ -607,14 +608,8 @@ class FrontDoor:
             raise ServiceError("front door not started (use start() or a with-block)")
         sql: str | None = None
         if isinstance(query, str):
-            schema = self.service.schema
-            if schema is None:
-                raise ServiceError(
-                    "SQL text needs an analyzed schema on the backing "
-                    "service (call service.analyze(schema) first)"
-                )
             sql = query
-            query = parse_sql(schema, sql)
+            query, _ = self.service.parse(sql)
         elif not isinstance(query, Query):
             raise ServiceError(
                 f"query must be a Query or SQL text, got {type(query).__name__}"
@@ -688,6 +683,7 @@ class FrontDoor:
         )
         level = self.config.brownout_levels[level_index]
         entry = level.entry or self.service.technique
+        submission = request.query if request.sql is None else request.sql
         with maybe_span(
             current_tracer(), SPAN_FRONTDOOR_REQUEST,
             query=request.query.label, tenant=request.tenant,
@@ -697,17 +693,13 @@ class FrontDoor:
                 if level.level == 0:
                     # Baseline: the exact service path an unloaded caller
                     # would take (cached, single-flighted, full budget).
-                    inner = self.service.optimize(request.query)
+                    inner = self.service.optimize(submission)
                 else:
                     optimizer = RobustOptimizer(
                         ladder=ladder_from(level.entry),
                         budget=_scaled_budget(request.budget, level.budget_scale),
                     )
-                    inner = self.service.optimize(
-                        request.query, optimizer=optimizer
-                    )
-                if request.sql is not None:
-                    inner = replace(inner, sql=request.sql)
+                    inner = self.service.optimize(submission, optimizer=optimizer)
             except Exception as exc:
                 span.set(outcome="error")
                 self._count("errors")

@@ -27,12 +27,16 @@ The service is safe to call from many threads (the front door,
 * cold misses on the same ``(fingerprint, epoch)`` are **single-flight**:
   one caller runs the search, the rest wait (bounded) and then serve the
   cached result, so a thundering herd on a hot fingerprint costs one
-  search, not N.
+  search, not N;
+* SQL text is parsed once per distinct text: :meth:`OptimizationService.parse`
+  keeps a bounded LRU from text to ``(Query, fingerprint)`` for the
+  retained schema, shared by every caller under the service lock.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 from repro.catalog.schema import Schema
@@ -84,7 +88,8 @@ class OptimizationService:
             ``"DP"``, ``"Robust"``, ...).
         budget: Per-optimization search budget.
         cost_model: Cost-model override.
-        cache_capacity: Plan-cache LRU capacity.
+        cache_capacity: Plan-cache LRU capacity (an ``int`` >= 1); it
+            bounds the SQL-text memo of :meth:`parse` too.
     """
 
     def __init__(
@@ -99,6 +104,8 @@ class OptimizationService:
             technique, budget=budget, cost_model=cost_model
         )
         self._cache = PlanCache(cache_capacity)
+        # SQL text -> (Query, fingerprint) parsed against ``_schema``.
+        self._parsed: OrderedDict[str, tuple[Query, str]] = OrderedDict()
         self._stats: CatalogStatistics | None = None
         self._schema: Schema | None = None
         self._epoch = 0
@@ -115,9 +122,12 @@ class OptimizationService:
         Bumps the statistics epoch and invalidates the plan cache: every
         plan optimized before this call is considered stale. The schema
         is retained so subsequent :meth:`optimize` calls may submit raw
-        SQL text without re-passing it.
+        SQL text without re-passing it; a schema other than the retained
+        one drops the texts :meth:`parse` memoized against the old one.
         """
         with self._lock:
+            if schema is not self._schema:
+                self._parsed.clear()
             self._schema = schema
             return self.install_statistics(analyze(schema))
 
@@ -128,7 +138,8 @@ class OptimizationService:
         happen under the service lock, so concurrent ``optimize()`` calls
         see either the old (snapshot, epoch) pair or the new one — never
         a mix. In-flight searches against the old epoch finish and cache
-        under their old key, which can no longer be served.
+        under their old key, which can no longer be served. The SQL-text
+        memo survives: parsing reads no statistics.
         """
         with self._lock:
             self._stats = stats
@@ -152,6 +163,50 @@ class OptimizationService:
         """Schema retained by :meth:`analyze` (SQL-text parsing target)."""
         return self._schema
 
+    def parse(self, sql: str) -> tuple[Query, str]:
+        """``(Query, fingerprint)`` of ``sql`` parsed against the retained schema.
+
+        Memoized per text in an LRU bounded by ``cache_capacity``, so a
+        repeated text costs one dict lookup instead of a parse and a
+        fingerprint, and every caller of one text shares one ``Query``.
+        Statistics installs keep the memo; :meth:`analyze` of another
+        schema drops it. Malformed text is never memoized.
+
+        Raises:
+            ServiceError: ``sql`` is not text, or no schema is retained.
+            QueryError: malformed SQL text.
+        """
+        if not isinstance(sql, str):
+            raise ServiceError(f"sql must be text, got {type(sql).__name__}")
+        return self._parse(sql, None)
+
+    def _parse(self, sql: str, schema: Schema | None) -> tuple[Query, str]:
+        """:meth:`parse` against ``schema``; only the retained one is memoized."""
+        with self._lock:
+            retained = self._schema
+            if schema is None or schema is retained:
+                parsed = self._parsed.get(sql)
+                if parsed is not None:
+                    self._parsed.move_to_end(sql)
+                    return parsed
+        target = retained if schema is None else schema
+        if target is None:
+            raise ServiceError(
+                "SQL text needs a schema to parse against: pass "
+                "schema= or analyze() one first"
+            )
+        query = parse_sql(target, sql)
+        parsed = (query, query_fingerprint(query))
+        if target is retained:
+            with self._lock:
+                if self._schema is retained:
+                    # A racing parse of the same text may have landed
+                    # first: keep its entry so all callers share it.
+                    parsed = self._parsed.setdefault(sql, parsed)
+                    if len(self._parsed) > self._cache.capacity:
+                        self._parsed.popitem(last=False)
+        return parsed
+
     def optimize(
         self,
         query: Query | str,
@@ -165,12 +220,13 @@ class OptimizationService:
         Args:
             query: The query to optimize — a :class:`~repro.query.Query`,
                 or raw SQL text. Text is parsed against ``schema`` (or
-                the schema retained by the last :meth:`analyze`); the
-                parsed form is fingerprinted with selection constants
-                collapsed into selectivity buckets, so a templated
-                workload re-issuing one SQL shape with different
-                constants hits the warm cache.
-            schema: Parse target for SQL text. Only valid with text.
+                the schema retained by the last :meth:`analyze`, through
+                the :meth:`parse` memo); the parsed form is fingerprinted
+                with selection constants collapsed into selectivity
+                buckets, so a templated workload re-issuing one SQL shape
+                with different constants hits the warm cache.
+            schema: Parse target for SQL text. Only valid with text; a
+                schema other than the retained one bypasses the memo.
             stats: Optional snapshot override. Passing a *different* object
                 than the installed one installs it first (bumping the epoch
                 and invalidating the cache); passing the installed object
@@ -193,15 +249,10 @@ class OptimizationService:
                 optimizer; budget trips are never cached.
         """
         sql: str | None = None
+        fingerprint: str | None = None
         if isinstance(query, str):
             sql = query
-            parse_schema = schema if schema is not None else self._schema
-            if parse_schema is None:
-                raise ServiceError(
-                    "SQL text needs a schema to parse against: pass "
-                    "schema= or analyze() one first"
-                )
-            query = parse_sql(parse_schema, sql)
+            query, fingerprint = self._parse(sql, schema)
         elif not isinstance(query, Query):
             raise ServiceError(
                 f"query must be a Query or SQL text, got {type(query).__name__}"
@@ -224,7 +275,8 @@ class OptimizationService:
             current_tracer(), SPAN_SERVICE_OPTIMIZE,
             technique=self.technique, query=query.label,
         ) as span:
-            fingerprint = query_fingerprint(query)
+            if fingerprint is None:
+                fingerprint = query_fingerprint(query)
             span.set(fingerprint=fingerprint, epoch=epoch)
             key = (fingerprint, epoch)
             cached = self._cache.get(key)

@@ -58,11 +58,12 @@ class TenantBudget:
         refill_per_second: float = 16.0,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if capacity <= 0:
+        # ``not > 0`` also rejects NaN, which would refuse every admission.
+        if not capacity > 0:
             raise ServiceError(
                 f"tenant bucket capacity must be > 0, got {capacity!r}"
             )
-        if refill_per_second <= 0:
+        if not refill_per_second > 0:
             raise ServiceError(
                 f"tenant refill rate must be > 0, got {refill_per_second!r}"
             )

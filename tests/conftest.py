@@ -71,6 +71,22 @@ def make_star_chain_query(
 
 
 @pytest.fixture
+def parse_calls(monkeypatch) -> list[str]:
+    """Every SQL text the serving layer parses, in order."""
+    import repro.service.service as service_module
+    from repro.query import parse_sql
+
+    calls: list[str] = []
+
+    def counting_parse(schema, sql):
+        calls.append(sql)
+        return parse_sql(schema, sql)
+
+    monkeypatch.setattr(service_module, "parse_sql", counting_parse)
+    return calls
+
+
+@pytest.fixture
 def star5_query(small_schema):
     return make_star_query(small_schema, 5)
 

@@ -30,6 +30,7 @@ from repro.service import (
     LoadController,
     OptimizationService,
     StatsRefreshBreaker,
+    TenantBudget,
     TenantPolicy,
     TenantRegistry,
 )
@@ -285,6 +286,13 @@ class TestFrontDoorConfig:
                 brownout_levels=(BrownoutLevel(0, None), BrownoutLevel(2, "GOO"))
             )
 
+    @pytest.mark.parametrize("bad", [0, -1.0, float("nan")])
+    def test_tenant_budget_validation(self, bad):
+        with pytest.raises(ServiceError, match="capacity"):
+            TenantBudget(capacity=bad)
+        with pytest.raises(ServiceError, match="refill"):
+            TenantBudget(refill_per_second=bad)
+
     def test_stats_properties(self):
         stats = FrontDoorStats(
             admitted=5, completed=4, shed_queue=2, shed_tenant=1, shed_shutdown=3
@@ -355,44 +363,50 @@ class TestFrontDoorSql:
             f"WHERE {names[0]}.c1 = {names[1]}.c2 AND {names[0]}.c3 < 40"
         )
 
-    def test_sql_submission_matches_query_path(self, small_schema, monkeypatch):
-        import repro.service.frontdoor as frontdoor_module
-        import repro.service.service as service_module
+    def test_sql_submission_matches_query_path(self, small_schema, parse_calls):
         from repro.query import parse_sql
 
-        parsed = []
-
-        def counting_parse(schema, sql):
-            parsed.append(sql)
-            return parse_sql(schema, sql)
-
-        monkeypatch.setattr(frontdoor_module, "parse_sql", counting_parse)
-        monkeypatch.setattr(service_module, "parse_sql", counting_parse)
         sql = self._sql(small_schema)
         svc = self._analyzed_service(small_schema)
         config = FrontDoorConfig(workers=2, cooldown_seconds=60.0)
         with FrontDoor(svc, config) as door:
-            from_sql = door.optimize(sql)
-            # One parse per SQL submission: the worker reuses the Query
-            # parsed at admission.
-            assert parsed == [sql]
+            # N submissions of one text parse it once: admission and the
+            # worker both answer from the service's text memo.
+            served = [door.optimize(sql) for _ in range(5)]
+            assert parse_calls == [sql]
+            from_sql = served[0]
+            assert [s.result.cache_hit for s in served] == [False] + [True] * 4
+            assert all(s.result.query is from_sql.result.query for s in served)
+            assert all(s.result.cost == from_sql.result.cost for s in served)
             from_query = door.optimize(parse_sql(small_schema, sql))
-            assert parsed == [sql]
+            assert parse_calls == [sql]
             assert from_sql.result.cost == from_query.result.cost
             assert from_sql.result.sql == sql
             assert from_sql.result.query is not None
             assert from_query.result.sql is None
             # Same canonical form: the second submission is a warm hit.
             assert from_query.result.cache_hit
+        # Two service.optimize(sql) calls of another text parse it once.
+        other = sql.replace("< 40", "< 45")
+        first, second = svc.optimize(other), svc.optimize(other)
+        assert parse_calls == [sql, other]
+        assert second.sql == other and second.query is first.query
 
-    def test_malformed_sql_rejected_at_admission(self, small_schema):
+    def test_malformed_sql_rejected_at_admission(self, small_schema, parse_calls):
         from repro.errors import QueryError
 
+        bad = "SELECT * FROM nope WHERE"
         svc = self._analyzed_service(small_schema)
         with FrontDoor(svc) as door:
-            with pytest.raises(QueryError):
-                door.submit("SELECT * FROM nope WHERE")
+            for _ in range(3):
+                with pytest.raises(QueryError):
+                    door.submit(bad)
+        with pytest.raises(QueryError):
+            svc.optimize(bad)
+        # Every submission parsed afresh: nothing was memoized or cached.
+        assert parse_calls == [bad] * 4
         assert door.stats().admitted == 0
+        assert len(svc.cache) == 0 and svc.cache_stats.lookups == 0
 
     def test_sql_needs_analyzed_schema(self, service, small_schema):
         # The shared fixture installs statistics but never a schema.

@@ -560,6 +560,11 @@ def _api_fixture(docs_block: str) -> dict[str, str]:
             def optimize(query, *, technique='sdp'):
                 return query
         """,
+        "src/repro/service.py": """\
+            class Service:
+                def parse(self, sql):
+                    return sql
+        """,
         "docs/api.md": docs_block,
     }
 
@@ -569,6 +574,7 @@ _GOOD_BLOCK = """\
 
     <!-- repro-lint:public-api
     facade optimize(query, *, technique='sdp')
+    method Service.parse(self, sql)
     symbol optimize
     symbol PlanResult
     -->
@@ -606,6 +612,21 @@ class TestPublicApi:
         findings = lint_tree(tmp_path, _api_fixture(block), "RL007")
         assert len(findings) == 1
         assert "drift" in findings[0].message
+
+    def test_method_signature_drift_fires(self, tmp_path):
+        block = _GOOD_BLOCK.replace("parse(self, sql)", "parse(sql)")
+        findings = lint_tree(tmp_path, _api_fixture(block), "RL007")
+        assert len(findings) == 1
+        assert "method signature drift" in findings[0].message
+
+    @pytest.mark.parametrize(
+        "line", ["Service.gone(self, sql)", "Missing.parse(self, sql)"]
+    )
+    def test_undefined_method_fires(self, tmp_path, line):
+        block = _GOOD_BLOCK.replace("Service.parse(self, sql)", line)
+        findings = lint_tree(tmp_path, _api_fixture(block), "RL007")
+        assert len(findings) == 1
+        assert line.split("(")[0] in findings[0].message
 
     def test_partial_fixture_tree_silent(self, tmp_path):
         findings = lint_tree(tmp_path, {

@@ -209,6 +209,8 @@ class TestCancellation:
             Deadline(0)
         with pytest.raises(ValueError):
             Deadline(-1)
+        with pytest.raises(ValueError):
+            Deadline(float("nan"))
 
 
 class TestConcurrentDeadlines:

@@ -175,8 +175,13 @@ class TestFingerprintSelections:
 
 class TestPlanCache:
     def test_capacity_must_be_positive(self):
-        with pytest.raises(ServiceError):
-            PlanCache(0)
+        # NaN compared false against the length, so nothing was evicted;
+        # "8" raised a bare TypeError.
+        for capacity in (0, -1, float("nan"), 1.5, 8.0, "8", True, None):
+            with pytest.raises(ServiceError, match="capacity"):
+                PlanCache(capacity)
+            with pytest.raises(ServiceError, match="capacity"):
+                OptimizationService(technique="GOO", cache_capacity=capacity)
 
     def test_hit_miss_counters(self):
         cache = PlanCache(4)
@@ -356,11 +361,168 @@ class TestServiceSql:
         service.install_statistics(small_stats)
         with pytest.raises(ServiceError, match="Query or SQL text"):
             service.optimize(bad)
+        with pytest.raises(ServiceError, match="text"):
+            service.parse(bad)
         assert service.cache_stats.misses == 0
 
     def test_wrong_type_technique_rejected(self):
         with pytest.raises(OptimizationError, match="technique must be"):
             OptimizationService(technique=None)
+
+
+class TestTextMemo:
+    """``OptimizationService.parse``: SQL text -> (Query, fingerprint)."""
+
+    def _star_sql(self, schema, size):
+        from repro.query import render_sql
+
+        return render_sql(make_star_query(schema, size))
+
+    def test_parse_returns_query_and_fingerprint(self, small_schema, parse_calls):
+        service = OptimizationService(technique="SDP")
+        service.analyze(small_schema)
+        sql = self._star_sql(small_schema, 4)
+        query, fingerprint = service.parse(sql)
+        assert query.schema is small_schema
+        assert fingerprint == query_fingerprint(query)
+        assert service.parse(sql) == (query, fingerprint)
+        assert parse_calls == [sql]
+
+    def test_statistics_installs_keep_the_memo(self, small_schema, parse_calls):
+        service = OptimizationService(technique="SDP")
+        service.analyze(small_schema)
+        sql = self._star_sql(small_schema, 4)
+        cold = service.optimize(sql)
+        service.install_statistics(analyze(small_schema))
+        service.analyze(small_schema)  # same schema: a statistics refresh
+        again = service.optimize(sql)
+        assert not again.cache_hit and again.stats_epoch == 3
+        assert again.query is cold.query
+        assert parse_calls == [sql]
+
+    def test_other_schema_never_gets_another_schemas_parse(
+        self, small_schema, parse_calls
+    ):
+        from repro.catalog import SchemaBuilder
+
+        other = SchemaBuilder(
+            seed=2, relation_count=10, column_count=8,
+            max_cardinality=50_000, max_domain=50_000, name="small-10-b",
+        ).build()
+        assert other.relation_names == small_schema.relation_names
+        service = OptimizationService(technique="SDP")
+        service.analyze(small_schema)
+        sql = self._star_sql(small_schema, 3)
+        mine, _ = service.parse(sql)
+        # An explicit other schema bypasses the memo both ways.
+        explicit = service.optimize(sql, schema=other)
+        assert explicit.query.schema is other
+        assert service.parse(sql)[0] is mine
+        # The retained schema passed explicitly is the memo's own.
+        assert service.optimize(sql, schema=small_schema).query is mine
+        assert parse_calls == [sql, sql]
+        # analyze() of another schema drops every memoized parse.
+        service.analyze(other)
+        theirs, _ = service.parse(sql)
+        assert theirs.schema is other and theirs is not mine
+        assert parse_calls == [sql, sql, sql]
+
+    def test_distinct_texts_evict_lru_first(self, small_schema, parse_calls):
+        import repro
+        from repro.query import parse_sql
+
+        service = OptimizationService(technique="SDP", cache_capacity=2)
+        service.analyze(small_schema)
+        texts = [self._star_sql(small_schema, size) for size in (3, 4, 5)]
+        requests = [*texts, texts[2], texts[1], texts[0], texts[2]]
+        expected_parses = [*texts, texts[0], texts[2]]
+        for sql in requests:
+            served = service.optimize(sql)
+            direct = repro.optimize(
+                parse_sql(small_schema, sql),
+                stats=service.statistics,
+                technique="SDP",
+            )
+            assert served.cost == direct.cost
+            assert served.plans_costed == direct.plans_costed
+            assert repr(served.plan) == repr(direct.plan)
+        assert parse_calls == expected_parses
+
+
+def _reachable_dicts(root) -> dict[int, dict]:
+    """Every dict reachable from ``root`` (not through classes or code)."""
+    import gc
+    import types
+
+    opaque = (type, types.ModuleType, types.FunctionType, types.MethodType,
+              types.BuiltinFunctionType, types.CodeType)
+    seen: set[int] = set()
+    found: dict[int, dict] = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, opaque):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            found[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestResultsHoldNoSearchState:
+    """A result keeps its plan and query, never its search's memos."""
+
+    @pytest.fixture
+    def spaces(self, monkeypatch):
+        from repro.core.planspace import PlanSpace
+
+        created = []
+        init = PlanSpace.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            created.append(self)
+
+        monkeypatch.setattr(PlanSpace, "__init__", recording_init)
+        return created
+
+    def _assert_no_grown_dict(self, result, before, spaces):
+        search_dicts = {
+            key
+            for space in spaces
+            for key in _reachable_dicts(space)
+            if key not in before
+        }
+        assert search_dicts
+        for key, value in _reachable_dicts(result).items():
+            assert key not in search_dicts
+            if key in before:
+                assert len(value) == before[key]
+
+    @pytest.mark.parametrize("technique", ["DP", "SDP", "II"])
+    def test_optimizer_result(self, small_schema, small_stats, spaces, technique):
+        import repro
+
+        query = make_star_query(small_schema, 7)
+        before = {k: len(v) for k, v in _reachable_dicts(query).items()}
+        result = repro.optimize(query, stats=small_stats, technique=technique)
+        assert result.query is query and spaces
+        self._assert_no_grown_dict(result, before, spaces)
+
+    def test_cached_service_result(self, small_schema, spaces):
+        from repro.query import render_sql
+
+        service = OptimizationService(technique="SDP")
+        service.analyze(small_schema)
+        sql = render_sql(make_star_query(small_schema, 7))
+        query, fingerprint = service.parse(sql)
+        before = {k: len(v) for k, v in _reachable_dicts(query).items()}
+        served = service.optimize(sql)
+        cached = service.cache.get((fingerprint, service.stats_epoch))
+        assert cached is not None and cached.query is query and spaces
+        self._assert_no_grown_dict(served, before, spaces)
+        self._assert_no_grown_dict(cached, before, spaces)
 
 
 # ---------------------------------------------------------------------------
