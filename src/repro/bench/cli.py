@@ -164,6 +164,8 @@ def _run_check(baseline_path: str, repeats: int, workers: int | None) -> int:
         print(
             f"{name:14s} median={bench['median_seconds']}s "
             f"(baseline {base['median_seconds']}s) "
+            f"peak_traced={bench['peak_traced_mb']}MB "
+            f"(baseline {base.get('peak_traced_mb', '-')}MB) "
             f"plans_costed={bench['plans_costed']} cost={bench['cost']}"
         )
     grid = current["benchmarks"]["grid_workers"]

@@ -5,11 +5,13 @@ Times the scenarios this codebase optimizes hardest:
 * ``dp_star_12`` — exhaustive DP on a 12-relation star (DPccp
   enumeration and the plan-space hot loops dominate here);
 * ``sdp_star_25`` — SDP on a 25-relation star (the scale DP cannot reach;
-  exercises skyline pruning plus the same hot paths);
-* ``grid_workers`` — a full ``run_comparison`` grid serially and with the
-  requested worker count, asserting the aggregated outcomes are identical
-  and recording the speedup plus the serial-vs-pool decision *and why*
-  (:func:`repro.service.parallel.execution_plan`);
+  exercises skyline pruning plus the same hot paths); both search arms
+  also record the traced peak allocation of one untimed search
+  (``peak_traced_mb``, :mod:`tracemalloc`);
+* ``grid_workers`` — a star-chain-14 ``run_comparison`` grid serially and
+  with the requested worker count, asserting the aggregated outcomes are
+  identical and recording the speedup plus the serial-vs-pool decision
+  *and why* (:func:`repro.service.parallel.execution_plan`);
 * ``plan_cache`` — cold vs. warm :class:`repro.service.OptimizationService`
   lookups on a repeated query;
 * ``sql_workload`` — the TPC-H-lite SQL suite (:mod:`repro.workloads`)
@@ -33,11 +35,12 @@ against the committed trajectory::
     python benchmarks/bench_hot_paths.py              # regenerate
     sdp-bench --check BENCH_optimize.json             # regression guard
 
-:func:`compare_reports` is the guard itself: exact counter/cost identity
-and a bounded time regression (default 2.5x — generous because absolute
-numbers are machine-dependent; counters are not). The ``perf``-marked
-test in ``tests/test_bench_harness.py`` runs it opt-in via
-``pytest -m perf``.
+:func:`compare_reports` is the guard itself: exact counter/cost identity,
+a bounded time regression (default 2.5x — generous because absolute
+numbers are machine-dependent; counters are not) and a bounded
+traced-peak regression (1.5x, loose enough for the Python 3.11/3.12
+CI matrix). The ``perf``-marked test in
+``tests/test_bench_harness.py`` runs it opt-in via ``pytest -m perf``.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import os
 import platform
 import statistics
 import time
+import tracemalloc
 
 from repro.api import optimize as front_door
 from repro.bench.loadgen import LoadScenario, run_load
@@ -67,6 +71,9 @@ BUDGET = SearchBudget(max_seconds=120.0)
 #: trips. Wall-clock is machine-dependent; counters are exact.
 TIME_REGRESSION_FACTOR = 2.5
 
+#: A search arm's traced peak may grow by at most this factor.
+MEMORY_REGRESSION_FACTOR = 1.5
+
 
 def _timed(fn, repeats: int):
     """Median wall-clock over ``repeats`` calls plus the last result."""
@@ -76,6 +83,17 @@ def _timed(fn, repeats: int):
         result = fn()
         samples.append(time.perf_counter() - started)
     return statistics.median(samples), samples, result
+
+
+def _traced_peak_mb(fn) -> float:
+    """Peak traced allocation (MB) of one call, made outside any timing."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return round(peak / 2**20, 3)
 
 
 def bench_optimizer(technique: str, spec: WorkloadSpec, schema, stats, repeats: int):
@@ -89,13 +107,16 @@ def bench_optimizer(technique: str, spec: WorkloadSpec, schema, stats, repeats: 
         "workload": spec.label,
         "median_seconds": round(median, 6),
         "samples_seconds": [round(s, 6) for s in samples],
+        "peak_traced_mb": _traced_peak_mb(lambda: optimizer.optimize(query, stats)),
         "plans_costed": result.plans_costed,
         "cost": result.cost,
     }
 
 
 def bench_grid(schema, stats, repeats: int, workers: int):
-    spec = WorkloadSpec("star-chain", 10)
+    # Big enough for a pool to pay off: a star-chain-10 grid ran in about
+    # 45 ms serially, and its pool/serial ratio was host noise (0.67-1.45x).
+    spec = WorkloadSpec("star-chain", 14)
     techniques = ["DP", "SDP", "GOO"]
 
     def run(n):
@@ -308,9 +329,11 @@ def compare_reports(
 
     Exact identity on the deterministic search outputs (``plans_costed``
     and ``cost`` per optimizer scenario, per-technique counters and
-    serial/parallel outcome identity for the grid), bounded regression
-    (``time_factor``) on wall-clock medians. An empty list means the
-    current run is within the committed trajectory.
+    serial/parallel outcome identity for the grid), bounded regression on
+    wall-clock medians (``time_factor``) and on the search arms' traced
+    peaks (:data:`MEMORY_REGRESSION_FACTOR`; a baseline without one is not
+    compared). An empty list means the current run is within the
+    committed trajectory.
     """
     problems: list[str] = []
     base = baseline["benchmarks"]
@@ -329,6 +352,12 @@ def compare_reports(
             problems.append(
                 f"{name}: median {c['median_seconds']}s exceeds "
                 f"{time_factor}x baseline {b['median_seconds']}s"
+            )
+        peak = b.get("peak_traced_mb")
+        if peak is not None and c["peak_traced_mb"] > peak * MEMORY_REGRESSION_FACTOR:
+            problems.append(
+                f"{name}: traced peak {c['peak_traced_mb']} MB exceeds "
+                f"{MEMORY_REGRESSION_FACTOR}x baseline {peak} MB"
             )
 
     grid_b, grid_c = base["grid_workers"], cur["grid_workers"]

@@ -59,7 +59,6 @@ from repro.cost.scans import filter_cost, index_scan_full_cost, seq_scan_cost
 from repro.cost.sorts import sort_cost
 from repro.errors import OptimizationError
 from repro.plans.jcr import JCR
-from repro.plans.ordering import useful_orders
 from repro.plans.records import PlanRecord
 from repro.plans.store import (
     M_FILTER,
@@ -120,7 +119,6 @@ class PlanSpace:
                 if eclass is not None:
                     eclasses.append(eclass)
             self._indexed_eclasses.append(eclasses)
-        self._useful_cache: dict[int, set[int]] = {}
         self._sort_cost_cache: dict[int, float] = {}
         # Connecting predicates per (left, right) mask pair, for
         # single-pair joins only: greedy, IDP and the randomized walks
@@ -159,6 +157,26 @@ class PlanSpace:
                 rel_index = graph.index_of(order_rel)
                 self._extra_order = (query.order_by_key, 1 << rel_index)
                 self._order_index_scan = (rel_index, query.order_by_key)
+
+        # Interesting orders without a per-set memo: reach[key] holds the
+        # relations an order on `key` can still serve, that is the eclass's
+        # member relations, plus bit n (outside every relation set) on the
+        # ORDER BY key, whose final sort an order can always skip. The
+        # synthetic key of an indexed non-join ORDER BY column gets only
+        # that bit. Key k is useful for a set S iff reach[k] & ~S.
+        # That equals plans.ordering.useful_orders whenever k has a member
+        # inside S, and every key tested here does: a physical order
+        # carried by a plan over a subset of S, an eclass connecting the
+        # two inputs, an index eclass of the scanned relation, or the
+        # synthetic key of the scanned relation.
+        eclass_masks = graph.eclass_relation_masks
+        self._reach: list[int] = [0] * (len(eclass_masks) + 1)
+        for eclass, members in eclass_masks.items():
+            self._reach[eclass] = members
+        if self.order_by_eclass is not None:
+            self._reach[self.order_by_eclass] |= 1 << graph.n
+        elif self._extra_order is not None:
+            self._reach[self._extra_order[0]] = 1 << graph.n
 
         # One plan arena per space: IDP re-seeds fresh tables every
         # iteration while carrying composite JCRs across, so their entry
@@ -204,21 +222,11 @@ class PlanSpace:
         """A fresh memo table backed by this space's shared plan arena."""
         return JCRTable(self.est, self.store)
 
-    def useful(self, mask: int) -> set[int]:
-        """Useful order keys for ``mask`` (cached)."""
-        cached = self._useful_cache.get(mask)
-        if cached is None:
-            cached = useful_orders(
-                self.graph, mask, self.order_by_eclass, self._extra_order
-            )
-            self._useful_cache[mask] = cached
-        return cached
-
     def _sort_cost(self, jcr: JCR) -> float:
         """Cost of sorting ``jcr``'s output (cached per relation set)."""
         cached = self._sort_cost_cache.get(jcr.mask)
         if cached is None:
-            cached = sort_cost(jcr.rows, self.est.width(jcr.mask), self.cm)
+            cached = sort_cost(jcr.rows, jcr.width, self.cm)
             self._sort_cost_cache[jcr.mask] = cached
         return cached
 
@@ -236,7 +244,8 @@ class PlanSpace:
         jcr, created = table.get_or_create(mask)
         if created:
             self.counters.note_jcr_created()
-        useful = self.useful(mask)
+        reach = self._reach
+        outside = ~mask
 
         # Access paths as (method, order key, index eclass): the sequential
         # scan, one index scan per useful indexed join column, and the
@@ -244,13 +253,13 @@ class PlanSpace:
         # the query's synthetic order key).
         paths: list[tuple[int, int | None, int]] = [(M_SEQ_SCAN, None, NO_FIELD)]
         for eclass in self._indexed_eclasses[relation_index]:
-            if eclass in useful:
+            if reach[eclass] & outside:
                 paths.append((M_INDEX_SCAN, eclass, eclass))
         order_scan = self._order_index_scan
         if (
             order_scan is not None
             and order_scan[0] == relation_index
-            and order_scan[1] in useful
+            and reach[order_scan[1]] & outside
         ):
             paths.append((M_INDEX_SCAN, order_scan[1], NO_FIELD))
 
@@ -347,8 +356,7 @@ class PlanSpace:
         note_plans_costed = counters.note_plans_costed
         note_retained = counters.note_retained
         note_jcr_created = counters.note_jcr_created
-        useful_cache = self._useful_cache
-        useful_fn = self.useful
+        reach = self._reach
         sort_cache = self._sort_cost_cache
         sort_fn = self._sort_cost
         probe_descent = self._probe_descent
@@ -383,9 +391,7 @@ class PlanSpace:
             if jcr is None:
                 jcr, _ = get_or_create(union)
                 note_jcr_created()
-            useful = useful_cache.get(union)
-            if useful is None:
-                useful = useful_fn(union)
+            outside = ~union
             out_rows = jcr.rows
             out_tc = out_rows * ctc
             costed = 0
@@ -434,7 +440,11 @@ class PlanSpace:
                 costed += len(outer_slots)
                 for order, outer_cost, outer_entry in outer_slots:
                     cost = outer_cost + inner_best_cost + rescan_term + qual + out_tc
-                    key = order if order in useful else None
+                    key = (
+                        order
+                        if order is not None and reach[order] & outside
+                        else None
+                    )
                     slot = slots_get(key)
                     if slot is None or cost < slot[1]:
                         entry = store_add(
@@ -491,7 +501,11 @@ class PlanSpace:
                             costed += len(outer_slots)
                             for order, outer_cost, outer_entry in outer_slots:
                                 cost = outer_cost + probe_term + out_tc
-                                key = order if order in useful else None
+                                key = (
+                                    order
+                                    if order is not None and reach[order] & outside
+                                    else None
+                                )
                                 slot = slots_get(key)
                                 if slot is None or cost < slot[1]:
                                     if probe_entry < 0:
@@ -553,7 +567,7 @@ class PlanSpace:
                         right_input = None
                     cost = left_cost + right_cost + merge + out_tc
                     costed += 1
-                    key = eclass if eclass in useful else None
+                    key = eclass if reach[eclass] & outside else None
                     slot = slots_get(key)
                     if slot is None or cost < slot[1]:
                         if left_input is None:
@@ -667,11 +681,10 @@ class PlanSpace:
         return self.est.rows(mask)
 
     def width(self, mask: int) -> int:
-        """Estimated output row width for ``mask``.
+        """Estimated output row width for ``mask``, computed on each call.
 
-        Shares the estimator's per-mask width cache, so every consumer of
-        the plan space (join costing, sort costing, external tooling) hits
-        one memo rather than recomputing the bitmask sum.
+        The search itself reads :attr:`JCR.width`, set once when the JCR is
+        estimated.
         """
         return self.est.width(mask)
 

@@ -50,20 +50,17 @@ class JCRTable:
     def get_or_create(self, mask: int) -> tuple[JCR, bool]:
         """Fetch the JCR for ``mask``, creating (and registering) it if new.
 
+        A new JCR is estimated once, uncached; its rows, selectivity and
+        width live only on the JCR.
+
         Returns:
             ``(jcr, created)``.
         """
         jcr = self._by_mask.get(mask)
         if jcr is not None:
             return jcr, False
-        est = self._est
-        jcr = JCR(
-            mask,
-            est.rows(mask),
-            est.log_selectivity(mask),
-            self.store,
-            width=est.width(mask),
-        )
+        rows, log_sel, width = self._est.estimate(mask)
+        jcr = JCR(mask, rows, log_sel, self.store, width=width)
         self._by_mask[mask] = jcr
         self._by_level.setdefault(jcr.level, []).append(jcr)
         return jcr, True

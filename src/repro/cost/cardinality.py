@@ -8,8 +8,11 @@ estimates rows per *set* (bitmask), not per join tree:
 ``rows(S) = prod(rows of members) * prod(eclass selectivity factors)``
 
 where each join equivalence class with ``t >= 2`` members inside ``S``
-contributes one factor (see :mod:`repro.cost.selectivity`). Estimates are
-memoized per mask for the lifetime of the estimator (one optimizer run).
+contributes one factor (see :mod:`repro.cost.selectivity`).
+:meth:`CardinalityEstimator.estimate` computes one set's rows, selectivity
+and width in a single uncached pass; the fast kernel's JCR table calls it
+once per new JCR and keeps the result on the JCR. Only :meth:`rows` keeps a
+per-mask memo, for the heuristics (GOO, IDP) that rescore candidate sets.
 
 The estimator also produces the JCR feature-vector ingredients the SDP
 pruner needs: the (log-space) output selectivity ``S`` — the ratio of the
@@ -30,7 +33,7 @@ __all__ = ["CardinalityEstimator"]
 
 
 class CardinalityEstimator:
-    """Memoizing per-relation-set cardinality estimator.
+    """Per-relation-set cardinality estimator.
 
     Args:
         graph: The query's join graph.
@@ -92,73 +95,33 @@ class CardinalityEstimator:
             self._eclass_info.append((mask, members))
 
         self._rows_cache: dict[int, float] = {}
-        self._logsel_cache: dict[int, float] = {}
-        self._logprod_cache: dict[int, float] = {}
-        self._width_cache: dict[int, int] = {}
         # (eclass index, member-relations-inside mask) -> log factor. Many
-        # distinct relation sets share the same eclass intersection, so this
-        # inner memo sits below the per-mask _logsel_cache.
+        # distinct relation sets share the same eclass intersection.
         self._eclass_factor_cache: dict[tuple[int, int], float] = {}
 
     # -- public API -----------------------------------------------------------
 
-    def rows(self, mask: int) -> float:
-        """Estimated output rows of joining the relation set ``mask``."""
-        cached = self._rows_cache.get(mask)
-        if cached is not None:
-            return cached
+    def estimate(self, mask: int) -> tuple[float, float, int]:
+        """``(rows, log selectivity, width)`` of the relation set ``mask``.
+
+        Uncached: one pass over the member bits, in ascending bit order,
+        sums the log base product and the row width, then one pass over
+        the eclasses, in eclass order, sums the log selectivity factors.
+        """
         if mask == 0:
             raise CatalogError("cannot estimate the empty relation set")
-        log_rows = self._log_base_product(mask) + self._log_selectivity(mask)
-        rows = max(self._min_rows, math.exp(log_rows) if log_rows < 700 else math.inf)
-        self._rows_cache[mask] = rows
-        return rows
-
-    def log_selectivity(self, mask: int) -> float:
-        """Natural log of the JCR selectivity feature.
-
-        ``S = rows(mask) / prod(base rows)``; returned in log space
-        (always <= 0 up to the min-rows clamp).
-        """
-        return math.log(self.rows(mask)) - self._log_base_product(mask)
-
-    def width(self, mask: int) -> int:
-        """Estimated row width (bytes) of the join output for ``mask``."""
-        cached = self._width_cache.get(mask)
-        if cached is None:
-            cached = 0
-            remaining = mask
-            while remaining:
-                bit = remaining & -remaining
-                cached += self._base_width[bit.bit_length() - 1]
-                remaining ^= bit
-            self._width_cache[mask] = cached
-        return cached
-
-    def base_rows(self, index: int) -> float:
-        """Row count of base relation ``index``."""
-        return self._base_rows[index]
-
-    # -- internals -------------------------------------------------------------
-
-    def _log_base_product(self, mask: int) -> float:
-        cached = self._logprod_cache.get(mask)
-        if cached is not None:
-            return cached
-        total = 0.0
+        base_log_rows = self._base_log_rows
+        base_width = self._base_width
+        log_product = 0.0
+        width = 0
         remaining = mask
         while remaining:
             bit = remaining & -remaining
-            total += self._base_log_rows[bit.bit_length() - 1]
+            index = bit.bit_length() - 1
+            log_product += base_log_rows[index]
+            width += base_width[index]
             remaining ^= bit
-        self._logprod_cache[mask] = total
-        return total
-
-    def _log_selectivity(self, mask: int) -> float:
-        cached = self._logsel_cache.get(mask)
-        if cached is not None:
-            return cached
-        total = 0.0
+        log_sel = 0.0
         factor_cache = self._eclass_factor_cache
         for index, (eclass_mask, members) in enumerate(self._eclass_info):
             inside = eclass_mask & mask
@@ -173,6 +136,40 @@ class CardinalityEstimator:
                     else 0.0
                 )
                 factor_cache[(index, inside)] = factor
-            total += factor
-        self._logsel_cache[mask] = total
-        return total
+            log_sel += factor
+        log_rows = log_product + log_sel
+        rows = max(self._min_rows, math.exp(log_rows) if log_rows < 700 else math.inf)
+        return rows, math.log(rows) - log_product, width
+
+    def rows(self, mask: int) -> float:
+        """Estimated output rows of joining the relation set ``mask``.
+
+        Memoized per mask: greedy and IDP score the same candidate sets
+        many times before building any of them.
+        """
+        cached = self._rows_cache.get(mask)
+        if cached is None:
+            cached = self._rows_cache[mask] = self.estimate(mask)[0]
+        return cached
+
+    def log_selectivity(self, mask: int) -> float:
+        """Natural log of the JCR selectivity feature.
+
+        ``S = rows(mask) / prod(base rows)``; returned in log space
+        (always <= 0 up to the min-rows clamp).
+        """
+        return self.estimate(mask)[1]
+
+    def width(self, mask: int) -> int:
+        """Estimated row width (bytes) of the join output for ``mask``."""
+        width = 0
+        remaining = mask
+        while remaining:
+            bit = remaining & -remaining
+            width += self._base_width[bit.bit_length() - 1]
+            remaining ^= bit
+        return width
+
+    def base_rows(self, index: int) -> float:
+        """Row count of base relation ``index``."""
+        return self._base_rows[index]

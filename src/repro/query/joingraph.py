@@ -136,8 +136,8 @@ class JoinGraph:
             self._masked_preds_of_rel[pred.right].append((endpoint_mask, pred))
 
         # Per-eclass bitmask of member relations, precomputed for the
-        # interesting-order hot path (useful_orders scans every eclass for
-        # every relation set the search visits).
+        # interesting-order tests (PlanSpace's per-key reach masks, and
+        # useful_orders, which scans every eclass per relation set).
         self._eclass_rel_masks: dict[int, int] = {}
         for eclass, points in members.items():
             mask = 0

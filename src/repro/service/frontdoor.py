@@ -162,9 +162,10 @@ class LoadController:
         low_watermark: Occupancy at/below which load is considered light.
         latency_slo_seconds: Sliding-window p95 above this also counts as
             heavy load (a slow backend backs the queue up eventually, but
-            latency notices first).
-        window: Completed-request latencies retained for the percentile.
-        cooldown_seconds: Minimum time between level changes.
+            latency notices first); > 0.
+        window: Completed-request latencies retained for the percentile;
+            > 0.
+        cooldown_seconds: Minimum time between level changes; > 0.
         clock: Monotonic time source (injectable for deterministic tests).
     """
 
@@ -183,6 +184,18 @@ class LoadController:
                 "watermarks must satisfy 0 <= low < high <= 1, got "
                 f"low={low_watermark}, high={high_watermark}"
             )
+        # ``not > 0`` also rejects NaN: a NaN SLO never counts latency as
+        # load, a NaN cooldown never changes level.
+        if not latency_slo_seconds > 0:
+            raise ServiceError(
+                f"latency_slo_seconds must be > 0, got {latency_slo_seconds!r}"
+            )
+        if not cooldown_seconds > 0:
+            raise ServiceError(
+                f"cooldown_seconds must be > 0, got {cooldown_seconds!r}"
+            )
+        if not window > 0:
+            raise ServiceError(f"window must be > 0, got {window!r}")
         self.max_level = max_level
         self.high_watermark = high_watermark
         self.low_watermark = low_watermark
@@ -271,7 +284,7 @@ class StatsRefreshBreaker:
         min_interval_seconds: float = 0.25,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if min_interval_seconds <= 0:
+        if not min_interval_seconds > 0:  # NaN too: it would never coalesce
             raise ServiceError(
                 f"min_interval_seconds must be > 0, got {min_interval_seconds!r}"
             )

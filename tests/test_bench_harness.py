@@ -131,6 +131,16 @@ class TestCompareReports:
         ok = self._report(**{"dp_star_12.median_seconds": 0.24})
         assert compare_reports(self._report(), ok) == []
 
+    def test_traced_peak_regression_is_flagged_beyond_factor(self):
+        baseline = self._report(**{"sdp_star_25.peak_traced_mb": 4.0})
+        bloated = self._report(**{"sdp_star_25.peak_traced_mb": 6.1})
+        problems = compare_reports(baseline, bloated)
+        assert any("sdp_star_25: traced peak" in p for p in problems)
+        within = self._report(**{"sdp_star_25.peak_traced_mb": 5.9})
+        assert compare_reports(baseline, within) == []
+        # A baseline that predates the field is not compared.
+        assert compare_reports(self._report(), bloated) == []
+
     def test_outcome_divergence_is_flagged(self):
         problems = compare_reports(
             self._report(),

@@ -27,8 +27,9 @@ from repro.cost import (
     seq_scan_cost,
     sort_cost,
 )
+from repro.cost.selectivity import selection_selectivity
 from repro.errors import CatalogError
-from repro.query import JoinGraph
+from repro.query import JoinGraph, Selection, star_joins
 
 CM = DEFAULT_COST_MODEL
 
@@ -275,3 +276,67 @@ class TestCardinalityEstimator:
         got = math.log(est.rows(graph.all_mask))
         skew_possible = got >= expected_log - 1e-6
         assert skew_possible
+
+    def test_estimate_is_one_ordered_pass(self, schema, stats):
+        """estimate() equals the sums taken over member bits in ascending
+        order and eclasses in id order, on every connected set of a star-8
+        with selections, and rows() memoizes its first element."""
+        hub = schema.largest_relation().name
+        spokes = [n for n in schema.relation_names if n != hub][:7]
+        graph = JoinGraph([hub, *spokes], star_joins(schema, hub, spokes))
+
+        def selection(name, position, op):
+            column = schema.relation(name).columns[position]
+            return Selection(name, column.name, op, column.domain_size // 3)
+
+        selections = [
+            selection(hub, 0, "<"),
+            selection(spokes[0], 1, "="),
+            selection(spokes[0], 2, ">"),
+            selection(spokes[4], 3, "!="),
+        ]
+        est = CardinalityEstimator(graph, stats, selections=selections)
+
+        log_rows = []
+        for name in graph.relation_names:
+            table = stats.table(name)
+            factor, filtered = 1.0, False
+            for s in selections:
+                if s.relation == name:
+                    column = table.column(s.column)
+                    factor *= selection_selectivity(column, s.op, s.value)
+                    filtered = True
+            log_rows.append(
+                math.log(max(1.0, table.row_count * factor))
+                if filtered
+                else math.log(table.row_count)
+            )
+        connected = 0
+        for mask in range(1, graph.all_mask + 1):
+            if not graph.is_connected(mask):
+                continue
+            connected += 1
+            log_product, width = 0.0, 0
+            for index, name in enumerate(graph.relation_names):
+                if mask >> index & 1:
+                    log_product += log_rows[index]
+                    width += stats.table(name).row_width
+            log_sel = 0.0
+            for _eclass, points in sorted(graph.eclasses.items()):
+                if len({rel for rel, _ in points if mask >> rel & 1}) < 2:
+                    continue
+                log_sel += math.log(
+                    eclass_selectivity(
+                        [
+                            stats.table(graph.relation_names[rel]).column(column)
+                            for rel, column in points
+                            if mask >> rel & 1
+                        ]
+                    )
+                )
+            rows = max(1.0, math.exp(log_product + log_sel))
+            assert est.estimate(mask) == (rows, math.log(rows) - log_product, width)
+            assert est.rows(mask) == rows
+            assert est.rows(mask) == est.estimate(mask)[0]
+        # The hub with any subset of the spokes, and each spoke alone.
+        assert connected == 2**7 + 7

@@ -200,6 +200,33 @@ class TestLoadController:
         with pytest.raises(ServiceError):
             LoadController(high_watermark=1.5)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            # A NaN SLO would never count latency as load.
+            {"latency_slo_seconds": float("nan")},
+            {"latency_slo_seconds": 0.0},
+            # A NaN cooldown would never change level.
+            {"cooldown_seconds": float("nan")},
+            {"cooldown_seconds": -1.0},
+            # An empty window would discard every latency; a negative one
+            # was a bare ValueError from deque.
+            {"window": 0},
+            {"window": -1},
+        ],
+        ids=[
+            "slo-nan",
+            "slo-zero",
+            "cooldown-nan",
+            "cooldown-negative",
+            "window-zero",
+            "window-negative",
+        ],
+    )
+    def test_setting_validation(self, setting):
+        with pytest.raises(ServiceError, match=next(iter(setting))):
+            LoadController(**setting)
+
 
 # ---------------------------------------------------------------------------
 # Statistics-refresh circuit breaker
@@ -258,8 +285,10 @@ class TestStatsRefreshBreaker:
         assert breaker.flush() is False
 
     def test_interval_validation(self):
-        with pytest.raises(ServiceError):
-            StatsRefreshBreaker(RecordingService(), 0.0)
+        # A NaN interval passed a `<= 0` check and then never coalesced.
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ServiceError):
+                StatsRefreshBreaker(RecordingService(), bad)
 
 
 # ---------------------------------------------------------------------------

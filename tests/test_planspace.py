@@ -5,6 +5,8 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import repro.core.dp as dp_module
 import repro.core.sdp as sdp_module
@@ -16,6 +18,7 @@ from repro.core.registry import make_optimizer
 from repro.core.table import JCRTable
 from repro.cost.model import DEFAULT_COST_MODEL
 from repro.errors import OptimizationError
+from repro.plans.ordering import useful_orders
 from repro.plans.records import INDEX_SCAN, SEQ_SCAN, SORT
 from repro.plans.store import METHOD_NAMES
 from repro.query import JoinGraph, Query, star_joins
@@ -101,6 +104,85 @@ class TestJoin:
         # costing count instead
         assert space.counters.plans_costed > 4
         assert jcr.best.method in methods
+
+
+@st.composite
+def join_wirings(draw):
+    """``(relation count, joins)``: a random star, chain, cycle or
+    star-chain over R1..Rn, optionally with one more relation joined on an
+    existing join column, so that column's eclass spans three relations."""
+    n = draw(st.integers(3, 8))
+    topology = draw(st.sampled_from(["star", "chain", "cycle", "star-chain"]))
+    names = [f"R{i + 1}" for i in range(n)]
+    if topology == "star":
+        spokes = n
+    elif topology == "star-chain":
+        spokes = draw(st.integers(2, n - 1))
+    else:
+        spokes = 1
+    # The hub R1 joins each spoke on its own column; the rest is a chain.
+    joins = [(names[0], f"c{i}", names[i], "c1") for i in range(1, spokes)]
+    for i in range(spokes, n):
+        joins.append((names[i - 1], "c2", names[i], "c1"))
+    if topology == "cycle":
+        joins.append((names[-1], "c2", names[0], "c1"))
+    if draw(st.booleans()):
+        joins.append((names[0], joins[0][1], names[2], "c3"))
+    return n, joins
+
+
+class TestUsefulOrders:
+    """The fast kernel's interesting-order test, ``reach[key] & ~mask``,
+    against the set-based :func:`repro.plans.ordering.useful_orders` that
+    the reference kernel keeps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        wiring=join_wirings(),
+        order=st.sampled_from(["none", "join", "indexed"]),
+        data=st.data(),
+    )
+    def test_reach_test_matches_useful_orders(
+        self, small_schema, small_stats, wiring, order, data
+    ):
+        n, joins = wiring
+        graph = JoinGraph([f"R{i + 1}" for i in range(n)], joins)
+        join_columns = {
+            (graph.relation_names[rel], column)
+            for points in graph.eclasses.values()
+            for rel, column in points
+        }
+        order_by = None
+        if order == "join":
+            order_by = data.draw(st.sampled_from(sorted(join_columns)))
+        elif order == "indexed":
+            candidates = sorted(
+                (name, column.name)
+                for name in graph.relation_names
+                for column in small_schema.relation(name).columns
+                if (name, column.name) not in join_columns
+                and small_stats.table(name).column(column.name).has_index
+            )
+            assume(candidates)
+            order_by = data.draw(st.sampled_from(candidates))
+        query = Query(small_schema, graph, order_by=order_by)
+        counters = SearchCounters(SearchBudget.unlimited(), Timer().start())
+        space = PlanSpace(query, small_stats, DEFAULT_COST_MODEL, counters)
+        extra_order = None
+        if order == "indexed":
+            extra_order = (query.order_by_key, 1 << graph.index_of(order_by[0]))
+
+        keys = list(graph.eclass_relation_masks.items())
+        if extra_order is not None:
+            keys.append(extra_order)
+        for mask in range(1, graph.all_mask + 1):
+            if not graph.is_connected(mask):
+                continue
+            useful = useful_orders(graph, mask, query.order_by_eclass, extra_order)
+            for key, members in keys:
+                if members & mask:
+                    reach_test = bool(space._reach[key] & ~mask)
+                    assert reach_test == (key in useful), (mask, key)
 
 
 class TestFinalize:
