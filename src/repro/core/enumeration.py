@@ -4,8 +4,10 @@ SDP (and IDP's blocks) are described level by level: the input to level
 ``L`` is every pair of *survivor* JCRs of sizes ``i`` and ``L - i`` — the
 "all prior levels" rule that admits bushy trees (Section 2.1.2). Unlike
 DPccp, the candidate pool here is whatever pruning left alive, so the
-enumeration simply pairs the survivor lists with bitmask disjointness and
-connectivity tests.
+enumeration pairs the survivor lists with bitmask disjointness and
+connectivity tests. A small JCR that meets the relations shared by every
+JCR of the large list overlaps all of them; it is skipped before its inner
+loop, which in a star (every composite holds the hub) removes most tests.
 
 Sizes can be counted in base relations (SDP) or in contracted nodes (IDP);
 the caller supplies the level lists either way.
@@ -42,9 +44,16 @@ def level_pairs(
         large_list = levels.get(large, ())
         if not small_list or not large_list:
             continue
+        # A small JCR meeting the relations every large JCR holds overlaps
+        # them all, so it is skipped without scanning the large list.
+        common = -1
+        for b in large_list:
+            common &= b.mask
         same_size = small == large
         for a in small_list:
             a_mask = a.mask
+            if a_mask & common:
+                continue
             a_neighbors = graph.neighbors(a_mask)
             for b in large_list:
                 b_mask = b.mask

@@ -17,7 +17,7 @@ For a pair of input JCRs the space costs, per direction where asymmetric:
   lack the order (output sorted on that class).
 
 This is the mask-native kernel. The hot path works entirely on raw floats
-and integer entry ids:
+and tuple plan nodes:
 
 * per-pair invariants (output rows x tuple cost, build/probe terms, rescan
   products, qual terms, sort costs) are hoisted out of the per-plan loops,
@@ -25,14 +25,13 @@ and integer entry ids:
   formulas in :mod:`repro.cost.joins` — float addition is not associative,
   and the kernel's costs must be bit-identical to the reference kernel's;
 * candidate costs are compared against slot incumbents by plain float
-  comparison on the cost of the ``(order, cost, entry)`` tuples in
+  comparison on the cost of the ``(order, cost, node)`` tuples in
   :attr:`repro.plans.JCR.slots`; nothing is allocated for a losing
   candidate;
-* a winner costs one :meth:`~repro.plans.store.PlanStore.add` call — a row
-  of (operator, order, left entry, right entry) parent pointers in the
-  shared struct-of-arrays arena — and one slot tuple;
-  :class:`~repro.plans.PlanRecord` trees are only reconstructed for the
-  final winning plan at :meth:`finalize` time;
+* a winner costs one tuple node (operator, cost, rows, order, left node,
+  right node, relation, eclass; see :mod:`repro.plans.store`) and one slot
+  tuple; :class:`~repro.plans.PlanRecord` trees are only reconstructed for
+  the final winning plan at :meth:`finalize` time;
 * counter/budget traffic is batched to one ``note_plans_costed(n)`` call
   per pair (the budget checkpoint interval in :mod:`repro.core.base`
   amortizes the rest), so the disabled-observability path costs one
@@ -70,7 +69,7 @@ from repro.plans.store import (
     M_SEQ_SCAN,
     M_SORT,
     NO_FIELD,
-    PlanStore,
+    materialize,
 )
 from repro.query.query import Query
 
@@ -178,11 +177,6 @@ class PlanSpace:
         elif self._extra_order is not None:
             self._reach[self._extra_order[0]] = 1 << graph.n
 
-        # One plan arena per space: IDP re-seeds fresh tables every
-        # iteration while carrying composite JCRs across, so their entry
-        # ids must stay valid beyond any single table's lifetime.
-        self.store = PlanStore()
-
         # Cost-model constants, hoisted once per space.
         self._ctc = cost_model.cpu_tuple_cost
         self._coc = cost_model.cpu_operator_cost
@@ -219,8 +213,8 @@ class PlanSpace:
     # -- helpers ---------------------------------------------------------------
 
     def new_table(self) -> JCRTable:
-        """A fresh memo table backed by this space's shared plan arena."""
-        return JCRTable(self.est, self.store)
+        """A fresh memo table over this space's estimator."""
+        return JCRTable(self.est)
 
     def _sort_cost(self, jcr: JCR) -> float:
         """Cost of sorting ``jcr``'s output (cached per relation set)."""
@@ -235,7 +229,7 @@ class PlanSpace:
     def base_jcr(self, table: JCRTable, relation_index: int) -> JCR:
         """Build the access-path JCR for one base relation.
 
-        Selections wrap every access path in a Filter entry: the scan keeps
+        Selections wrap every access path in a Filter node: the scan keeps
         its unfiltered rows/cost, the filter charges qual evaluation
         (:func:`repro.cost.scans.filter_cost`) and outputs the JCR's
         filtered cardinality, preserving the scan's physical order.
@@ -265,7 +259,6 @@ class PlanSpace:
 
         stats_table = self._tables[relation_index]
         cm = self.cm
-        store_add = table.store.add
         counters = self.counters
         quals = self._selection_quals[relation_index]
         filter_add = self._filter_costs[relation_index]
@@ -280,24 +273,16 @@ class PlanSpace:
             if not jcr.improves(order, cost):
                 continue
             stored_order = NO_FIELD if order is None else order
-            eid = store_add(
-                method,
-                scan_cost,
-                raw_rows if quals else jcr.rows,
-                order=stored_order,
-                rel=relation_index,
-                eclass=eclass,
+            node = (
+                method, scan_cost, raw_rows if quals else jcr.rows,
+                stored_order, None, None, relation_index, eclass,
             )
             if quals:
-                eid = store_add(
-                    M_FILTER,
-                    cost,
-                    jcr.rows,
-                    order=stored_order,
-                    left=eid,
-                    rel=relation_index,
+                node = (
+                    M_FILTER, cost, jcr.rows,
+                    stored_order, node, None, relation_index, NO_FIELD,
                 )
-            if jcr.put(order, order, cost, eid):
+            if jcr.put(order, order, cost, node):
                 counters.note_retained()
         return jcr
 
@@ -335,14 +320,14 @@ class PlanSpace:
         This is the hottest loop in the repository (exhaustive DP pushes
         hundreds of thousands of pairs per query through it, a level at a
         time). Everything is local floats and ints: every batch-invariant —
-        cost constants, caches, counter and store methods — is hoisted into
+        cost constants, caches and counter methods — is hoisted into
         locals once per call, and the cost expressions inline the formulas
         of :mod:`repro.cost.joins` term by term, preserving their
         association order exactly so costs stay bit-identical to the
         reference kernel. Each candidate is tested against its slot's
-        incumbent inline; only a winner calls :meth:`PlanStore.add` and
-        stores a new slot tuple. Pairs that overlap or are not connected
-        are skipped (cartesian products are not explored).
+        incumbent inline; only a winner builds a plan node and a new slot
+        tuple. Pairs that overlap or are not connected are skipped
+        (cartesian products are not explored).
         """
         self._join_pairs(table, pairs, self.graph.connecting)
 
@@ -351,7 +336,6 @@ class PlanSpace:
         each pair's predicates (:meth:`join` passes its pair memo)."""
         by_mask = table._by_mask
         get_or_create = table.get_or_create
-        store_add = table.store.add
         counters = self.counters
         note_plans_costed = counters.note_plans_costed
         note_retained = counters.note_retained
@@ -422,9 +406,9 @@ class PlanSpace:
                 costed += 1
                 slot = slots_get(None)
                 if slot is None or cost < slot[1]:
-                    entry = store_add(
+                    entry = (
                         M_HASH_JOIN, cost, out_rows, NO_FIELD,
-                        outer.best_entry, inner_best_entry,
+                        outer.best_entry, inner_best_entry, NO_FIELD, NO_FIELD,
                     )
                     slots[None] = (None, cost, entry)
                     if cost < best_cost:
@@ -447,10 +431,10 @@ class PlanSpace:
                     )
                     slot = slots_get(key)
                     if slot is None or cost < slot[1]:
-                        entry = store_add(
+                        entry = (
                             M_NESTLOOP, cost, out_rows,
                             NO_FIELD if order is None else order,
-                            outer_entry, inner_best_entry,
+                            outer_entry, inner_best_entry, NO_FIELD, NO_FIELD,
                         )
                         slots[key] = (order, cost, entry)
                         if cost < best_cost:
@@ -495,9 +479,9 @@ class PlanSpace:
                                 continue
                             # The inner child of an index NL is a per-probe
                             # index access, not a full scan of the inner
-                            # relation; its entry is only created if some
-                            # candidate is retained.
-                            probe_entry = -1
+                            # relation; its node is built on the first
+                            # retained candidate and shared by the rest.
+                            probe_entry = None
                             costed += len(outer_slots)
                             for order, outer_cost, outer_entry in outer_slots:
                                 cost = outer_cost + probe_term + out_tc
@@ -508,13 +492,13 @@ class PlanSpace:
                                 )
                                 slot = slots_get(key)
                                 if slot is None or cost < slot[1]:
-                                    if probe_entry < 0:
-                                        probe_entry = store_add(
+                                    if probe_entry is None:
+                                        probe_entry = (
                                             M_INDEX_SCAN, probe, per_probe_rows,
-                                            NO_FIELD, NO_FIELD, NO_FIELD,
+                                            NO_FIELD, None, None,
                                             inner_index, eclass,
                                         )
-                                    entry = store_add(
+                                    entry = (
                                         M_INDEX_NESTLOOP, cost, out_rows,
                                         NO_FIELD if order is None else order,
                                         outer_entry, probe_entry, NO_FIELD, eclass,
@@ -571,20 +555,20 @@ class PlanSpace:
                     slot = slots_get(key)
                     if slot is None or cost < slot[1]:
                         if left_input is None:
-                            left_child = store_add(
+                            left_child = (
                                 M_SORT, left_cost, left_rows, eclass,
-                                left.best_entry, NO_FIELD, NO_FIELD, eclass,
+                                left.best_entry, None, NO_FIELD, eclass,
                             )
                         else:
                             left_child = left_input[2]
                         if right_input is None:
-                            right_child = store_add(
+                            right_child = (
                                 M_SORT, right_cost, right_rows, eclass,
-                                right.best_entry, NO_FIELD, NO_FIELD, eclass,
+                                right.best_entry, None, NO_FIELD, eclass,
                             )
                         else:
                             right_child = right_input[2]
-                        entry = store_add(
+                        entry = (
                             M_MERGE_JOIN, cost, out_rows, eclass,
                             left_child, right_child, NO_FIELD, eclass,
                         )
@@ -607,8 +591,8 @@ class PlanSpace:
 
     # -- finishing --------------------------------------------------------------
 
-    def _final_slot(self, jcr: JCR) -> tuple[float, int, bool]:
-        """Pick the winning finalize slot: ``(cost, entry, wrapped)``.
+    def _final_slot(self, jcr: JCR) -> tuple[float, tuple, bool]:
+        """Pick the winning finalize slot: ``(cost, node, wrapped)``.
 
         Charges one costed plan per retained slot, exactly like the
         reference kernel's finalize loop.
@@ -616,7 +600,7 @@ class PlanSpace:
         final_sort = self._sort_cost(jcr)
         order_by_key = self.order_by_key
         note = self.counters.note_plans_costed
-        best: tuple[float, int, bool] | None = None
+        best: tuple[float, tuple, bool] | None = None
         for order, cost, entry in jcr.slots.values():
             if order_by_key is not None and order == order_by_key:
                 wrapped = False
@@ -636,7 +620,7 @@ class PlanSpace:
         With an ORDER BY on a join column, a retained plan already sorted on
         that column skips the sort — the interesting-order payoff. Only the
         winning plan is materialized into a :class:`PlanRecord` tree; every
-        losing retained slot stays a store entry.
+        losing retained slot stays a tuple node.
         """
         if jcr.mask != self.graph.all_mask:
             raise OptimizationError(
@@ -645,20 +629,16 @@ class PlanSpace:
         if self.query.order_by is None:
             return jcr.best
         cost, entry, wrapped = self._final_slot(jcr)
-        store = jcr.store
         if not wrapped:
-            return store.materialize(entry)
+            return materialize(entry)
         order_by_key = self.order_by_key
         order_by_eclass = self.order_by_eclass
-        eid = store.add(
-            M_SORT,
-            cost,
-            jcr.rows,
-            order=order_by_key if order_by_key is not None else NO_FIELD,
-            left=entry,
-            eclass=order_by_eclass if order_by_eclass is not None else NO_FIELD,
-        )
-        return store.materialize(eid)
+        return materialize((
+            M_SORT, cost, jcr.rows,
+            order_by_key if order_by_key is not None else NO_FIELD,
+            entry, None, NO_FIELD,
+            order_by_eclass if order_by_eclass is not None else NO_FIELD,
+        ))
 
     def final_cost(self, jcr: JCR) -> float:
         """Cost of :meth:`finalize` without materializing anything.

@@ -79,7 +79,8 @@ class SDPConfig:
         hub_degree: Minimum join degree that makes a node a hub.
         order_partitions: Build the extra interesting-order partitions.
         pairwise_dimensions: Option 2 only — which feature-vector index
-            pairs to build skylines on. Defaults to the paper's RC/CS/RS
+            pairs to build skylines on: at least one pair, each of two
+            distinct indices in 0..2. Defaults to the paper's RC/CS/RS
             combinations; the feature-vector ablation passes single pairs
             (e.g. only (0, 1) for a rows/cost skyline).
     """
@@ -103,11 +104,19 @@ class SDPConfig:
         if self.hub_degree < 1:
             raise ValueError(f"hub_degree must be >= 1, got {self.hub_degree}")
         if self.pairwise_dimensions is not None:
+            # With no pair, every hub partition keeps nothing; a pair that
+            # is not two distinct RCS indices is not a 2-D projection.
+            if not self.pairwise_dimensions:
+                raise ValueError("pairwise_dimensions must name at least one pair")
             for dims in self.pairwise_dimensions:
-                if not all(0 <= d <= 2 for d in dims):
+                if (
+                    len(dims) != 2
+                    or not all(isinstance(d, int) and 0 <= d <= 2 for d in dims)
+                    or dims[0] == dims[1]
+                ):
                     raise ValueError(
-                        f"pairwise dimensions must index the RCS vector, "
-                        f"got {dims}"
+                        f"pairwise dimensions must be two distinct indices "
+                        f"of the RCS vector, got {dims}"
                     )
 
 

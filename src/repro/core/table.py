@@ -3,16 +3,14 @@
 Maps relation-set bitmasks to :class:`repro.plans.JCR` entries and maintains
 per-level (set-size) survivor lists, which is what the level-wise algorithms
 (SDP, IDP's blocks) iterate over. SDP's pruning replaces a level's list with
-its survivors; the discarded JCRs leave the search but their modeled arena
-bytes remain allocated (see :mod:`repro.core.base`).
+its survivors; the discarded JCRs leave the search, and their plans are
+freed with them, but their modeled arena bytes remain allocated (see
+:mod:`repro.core.base`).
 
-Tables are thin: the plans themselves live in a single
-:class:`~repro.plans.store.PlanStore` arena shared across every table of an
-optimizer run (obtain tables via ``PlanSpace.new_table()``). That sharing is
-what lets IDP re-seed a *fresh* table each iteration while carrying composite
-JCRs from the previous one — the carried JCRs' entry ids stay valid because
-the arena outlives the tables. A table constructed without an explicit store
-creates a private one (standalone use in tests and tooling).
+Tables are thin: each JCR holds its own plans as tuple nodes
+(:mod:`repro.plans.store`), so IDP can re-seed a *fresh* table each
+iteration (obtain tables via ``PlanSpace.new_table()``) while carrying
+composite JCRs from the previous one.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 from repro.cost.cardinality import CardinalityEstimator
 from repro.errors import OptimizationError
 from repro.plans.jcr import JCR
-from repro.plans.store import PlanStore
 
 __all__ = ["JCRTable"]
 
@@ -28,11 +25,10 @@ __all__ = ["JCRTable"]
 class JCRTable:
     """Bitmask-keyed table of JCRs with per-level lists."""
 
-    __slots__ = ("_by_mask", "_by_level", "_est", "store")
+    __slots__ = ("_by_mask", "_by_level", "_est")
 
-    def __init__(self, est: CardinalityEstimator, store: PlanStore | None = None):
+    def __init__(self, est: CardinalityEstimator):
         self._est = est
-        self.store = store if store is not None else PlanStore()
         self._by_mask: dict[int, JCR] = {}
         self._by_level: dict[int, list[JCR]] = {}
 
@@ -60,7 +56,7 @@ class JCRTable:
         if jcr is not None:
             return jcr, False
         rows, log_sel, width = self._est.estimate(mask)
-        jcr = JCR(mask, rows, log_sel, self.store, width=width)
+        jcr = JCR(mask, rows, log_sel, width=width)
         self._by_mask[mask] = jcr
         self._by_level.setdefault(jcr.level, []).append(jcr)
         return jcr, True

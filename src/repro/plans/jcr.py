@@ -13,12 +13,13 @@ composites stay inside float range; see
 
 Mask-native layout: retained plans live in one dict, ``slots``, mapping an
 order key (None is the unordered slot) to a ``(physical order, cost,
-entry)`` tuple, kept in slot-creation order. The entry is an integer id
-into the shared :class:`~repro.plans.store.PlanStore`; the cost is the raw
-float the hot path compares against. The search kernel reads and replaces
-the tuples directly; everything record-shaped (:attr:`best`,
-:attr:`plans`, :meth:`plan_for_order`) materializes lazily and memoized
-from the store.
+node)`` tuple, kept in slot-creation order. The node is the plan's tuple
+node (:mod:`repro.plans.store`), which holds its child nodes, so a JCR owns
+its plans outright; the cost is the raw float the hot path compares
+against. The search kernel reads and replaces the tuples directly;
+everything record-shaped (:attr:`best`, :attr:`plans`,
+:meth:`plan_for_order`) is materialized on demand by
+:func:`~repro.plans.store.materialize`.
 
 The physical order in a slot can differ from its key: a plan whose order
 is not *useful* for this relation set is demoted into the None slot but
@@ -32,7 +33,7 @@ from math import inf
 
 from repro.errors import PlanError
 from repro.plans.records import PlanRecord
-from repro.plans.store import PlanStore
+from repro.plans.store import materialize
 
 __all__ = ["JCR"]
 
@@ -47,11 +48,10 @@ class JCR:
         log_sel: Output selectivity (natural log), the S feature.
         width: Estimated output row width in bytes (0 when unknown; the
             hash-spill check reads it).
-        store: Shared plan arena the entry ids point into.
         slots: Order key (None = cheapest unordered) -> ``(physical order,
-            cost, entry id)`` of the slot's occupant, in creation order.
+            cost, node)`` of the slot's occupant, in creation order.
         best_cost: Cost of the cheapest retained plan (``inf`` when empty).
-        best_entry: Entry of the cheapest retained plan (None when empty).
+        best_entry: Node of the cheapest retained plan (None when empty).
     """
 
     __slots__ = (
@@ -60,10 +60,10 @@ class JCR:
         "rows",
         "log_sel",
         "width",
-        "store",
         "slots",
         "best_cost",
         "best_entry",
+        "_best",
     )
 
     def __init__(
@@ -71,7 +71,6 @@ class JCR:
         mask: int,
         rows: float,
         log_sel: float,
-        store: PlanStore,
         width: int = 0,
     ):
         if mask == 0:
@@ -81,15 +80,16 @@ class JCR:
         self.rows = rows
         self.log_sel = log_sel
         self.width = width
-        self.store = store
-        self.slots: dict[int | None, tuple[int | None, float, int]] = {}
+        self.slots: dict[int | None, tuple[int | None, float, tuple]] = {}
         self.best_cost: float = inf
-        self.best_entry: int | None = None
+        self.best_entry: tuple | None = None
+        # (best_entry, its record) from the last `best` read.
+        self._best: tuple[tuple, PlanRecord] | None = None
 
     def improves(self, key: int | None, cost: float) -> bool:
         """Would a plan with order slot ``key`` and ``cost`` be retained?
 
-        The hot search path checks this *before* creating a plan entry,
+        The hot search path checks this *before* creating a plan node,
         skipping any allocation for the large majority of costed
         alternatives that lose to an incumbent.
 
@@ -100,14 +100,16 @@ class JCR:
         slot = self.slots.get(key)
         return slot is None or cost < slot[1]
 
-    def put(self, key: int | None, order: int | None, cost: float, entry: int) -> bool:
-        """Install ``entry`` in slot ``key`` if it beats the incumbent.
+    def put(
+        self, key: int | None, order: int | None, cost: float, entry: tuple
+    ) -> bool:
+        """Install node ``entry`` in slot ``key`` if it beats the incumbent.
 
         Args:
             key: Order slot (already demoted to None if not useful).
             order: The plan's *physical* order (may differ from ``key``).
             cost: Total cost.
-            entry: Store entry id.
+            entry: The plan's tuple node.
 
         Returns:
             Whether the plan opened a new slot.
@@ -124,23 +126,28 @@ class JCR:
     def best(self) -> PlanRecord:
         """The cheapest retained plan (materialized on demand).
 
+        The record is kept while :attr:`best_entry` is unchanged, so repeated
+        reads return the same object.
+
         Raises:
             PlanError: if no plan has been added yet.
         """
         entry = self.best_entry
         if entry is None:
             raise PlanError(f"JCR {self.mask:#x} has no plans")
-        return self.store.materialize(entry)
+        memo = self._best
+        if memo is None or memo[0] is not entry:
+            memo = self._best = (entry, materialize(entry))
+        return memo[1]
 
     @property
     def plans(self) -> dict[int | None, PlanRecord]:
         """Retained plans keyed by order slot, in slot-creation order.
 
-        Materializes every retained entry — a read-model view for tests,
+        Materializes every retained node — a read-model view for tests,
         tooling and explain output, not for the hot path (which reads
         :attr:`slots` directly).
         """
-        materialize = self.store.materialize
         return {key: materialize(slot[2]) for key, slot in self.slots.items()}
 
     def plan_for_order(self, eclass: int | None) -> PlanRecord | None:
@@ -148,7 +155,7 @@ class JCR:
         slot = self.slots.get(eclass)
         if slot is None:
             return None
-        return self.store.materialize(slot[2])
+        return materialize(slot[2])
 
     @property
     def plan_count(self) -> int:

@@ -11,7 +11,8 @@ Algorithms:
     :func:`naive_skyline` — block-nested-loop, O(n²), any dimensionality.
     :func:`sfs_skyline` — sort-filter-skyline; sorts by a monotone score so
         each object needs comparing only against already-accepted skyline
-        members. Same output, typically far fewer dominance tests.
+        members (in 2-D, a staircase of them). Same output, except that a
+        float sum tie can keep a dominated vector (see :mod:`.sfs`).
     :func:`pairwise_union_skyline` / :func:`full_skyline` — the two SDP
         pruning options over RCS vectors.
     :func:`k_dominant_skyline` — the "strong skyline" of the paper's

@@ -230,6 +230,11 @@ class TestSDP:
             SDPConfig(hub_degree=0)
         with pytest.raises(ValueError):
             SDPConfig(pairwise_dimensions=((0, 5),))
+        # No pair at all, and pairs that are not two distinct RCS indices.
+        for dimensions in ((), ((0, 1, 2),), ((0, 0),), ((1,),), ((0, 1), (2, 2))):
+            with pytest.raises(ValueError):
+                SDPConfig(pairwise_dimensions=dimensions)
+        SDPConfig(pairwise_dimensions=((0, 1), (2, 0)))
 
     def test_names(self):
         assert SDPOptimizer().name == "SDP"

@@ -20,7 +20,7 @@ from repro.plans import (
     validate_plan,
 )
 from repro.plans.ordering import is_useful_order
-from repro.plans.store import M_INDEX_SCAN, M_SEQ_SCAN, NO_FIELD, PlanStore
+from repro.plans.store import M_INDEX_SCAN, M_SEQ_SCAN, NO_FIELD
 from repro.query.joingraph import JoinGraph
 
 
@@ -74,27 +74,27 @@ class TestPlanRecord:
 
 
 def put_scan(jcr, cost, order=None, key=None):
-    """Append a scan entry to ``jcr``'s store and offer it to slot ``key``."""
+    """Build a scan node and offer it to ``jcr``'s slot ``key``."""
     method = M_SEQ_SCAN if order is None else M_INDEX_SCAN
-    entry = jcr.store.add(
-        method, cost, jcr.rows,
-        order=NO_FIELD if order is None else order, rel=0,
+    node = (
+        method, cost, jcr.rows, NO_FIELD if order is None else order,
+        None, None, 0, NO_FIELD,
     )
-    return jcr.put(key, order, cost, entry)
+    return jcr.put(key, order, cost, node)
 
 
 class TestJCR:
     def test_empty_mask_rejected(self):
         with pytest.raises(PlanError):
-            JCR(0, 1.0, 0.0, PlanStore())
+            JCR(0, 1.0, 0.0)
 
     def test_best_requires_plans(self):
-        jcr = JCR(0b11, 100.0, -1.0, PlanStore())
+        jcr = JCR(0b11, 100.0, -1.0)
         with pytest.raises(PlanError):
             _ = jcr.best
 
     def test_keeps_cheapest_per_order(self):
-        jcr = JCR(1, 100.0, 0.0, PlanStore())
+        jcr = JCR(1, 100.0, 0.0)
         # put() reports only whether the plan opened a new slot.
         assert put_scan(jcr, 10.0) is True
         assert put_scan(jcr, 5.0) is False
@@ -104,7 +104,7 @@ class TestJCR:
         assert jcr.slots[None][1] == 5.0
 
     def test_separate_order_slots(self):
-        jcr = JCR(1, 100.0, 0.0, PlanStore())
+        jcr = JCR(1, 100.0, 0.0)
         assert put_scan(jcr, 5.0) is True
         assert put_scan(jcr, 20.0, order=3, key=3) is True
         assert jcr.plan_count == 2
@@ -114,7 +114,7 @@ class TestJCR:
         assert jcr.best.cost == 5.0
 
     def test_useless_order_demoted(self):
-        jcr = JCR(1, 100.0, 0.0, PlanStore())
+        jcr = JCR(1, 100.0, 0.0)
         # The caller demotes a useless order to the None slot; the slot
         # keeps the plan's physical order.
         put_scan(jcr, 5.0, order=7, key=None)
@@ -123,7 +123,7 @@ class TestJCR:
         assert jcr.slots[None][0] == 7
 
     def test_feature_vector(self):
-        jcr = JCR(1, 123.0, -4.5, PlanStore())
+        jcr = JCR(1, 123.0, -4.5)
         put_scan(jcr, 9.0)
         rows, cost, sel = jcr.feature_vector()
         assert (rows, cost, sel) == (123.0, 9.0, -4.5)

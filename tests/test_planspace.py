@@ -8,11 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import repro.core.dp as dp_module
-import repro.core.sdp as sdp_module
 from repro.catalog import analyze
 from repro.core.base import SearchBudget, SearchCounters
-from repro.core.kernel import KERNEL_ENV, make_planspace
+from repro.core.kernel import KERNEL_ENV
 from repro.core.planspace import PlanSpace
 from repro.core.registry import make_optimizer
 from repro.core.table import JCRTable
@@ -221,28 +219,29 @@ class TestFinalize:
         assert final.cost >= current.best.cost
 
 
-# Plan-arena entries one completed search appends: the total, and per
-# operator. A losing candidate allocates nothing, and Sort and index-probe
-# entries exist only under a retained merge join or index nested loop, so
-# these counts pin the kernel's allocation behaviour, which the reference
-# kernel (it has no arena) cannot check. Between them the two templates
-# use every operator.
-ARENA = {
-    ("market-share", "DP"): (682, {
-        "Filter": 5, "HashJoin": 150, "IndexNestLoop": 117, "IndexScan": 86,
-        "MergeJoin": 50, "NestLoop": 166, "SeqScan": 8, "Sort": 100,
+# Plan nodes one completed search leaves live: the distinct nodes reachable
+# from every slot of every JCR in its final table, in total and per
+# operator. A losing candidate allocates nothing, a superseded winner and a
+# pruned JCR's plans are freed, and Sort and index-probe nodes exist only
+# under a retained merge join or index nested loop, so these counts pin what
+# the kernel keeps, which the reference kernel (it has no nodes) cannot
+# check. Between them the two templates use every operator.
+LIVE_NODES = {
+    ("market-share", "DP"): (269, {
+        "Filter": 5, "HashJoin": 47, "IndexNestLoop": 35, "IndexScan": 42,
+        "MergeJoin": 31, "NestLoop": 39, "SeqScan": 8, "Sort": 62,
     }),
-    ("market-share", "SDP"): (469, {
-        "Filter": 5, "HashJoin": 103, "IndexNestLoop": 79, "IndexScan": 66,
-        "MergeJoin": 24, "NestLoop": 136, "SeqScan": 8, "Sort": 48,
+    ("market-share", "SDP"): (206, {
+        "Filter": 5, "HashJoin": 39, "IndexNestLoop": 28, "IndexScan": 35,
+        "MergeJoin": 18, "NestLoop": 37, "SeqScan": 8, "Sort": 36,
     }),
-    ("min-cost-supplier", "DP"): (92, {
-        "Filter": 4, "HashJoin": 17, "IndexNestLoop": 7, "IndexScan": 12,
-        "MergeJoin": 6, "NestLoop": 28, "SeqScan": 5, "Sort": 13,
+    ("min-cost-supplier", "DP"): (59, {
+        "Filter": 4, "HashJoin": 10, "IndexNestLoop": 2, "IndexScan": 10,
+        "MergeJoin": 6, "NestLoop": 10, "SeqScan": 5, "Sort": 12,
     }),
-    ("min-cost-supplier", "SDP"): (97, {
-        "Filter": 4, "HashJoin": 22, "IndexNestLoop": 7, "IndexScan": 12,
-        "MergeJoin": 6, "NestLoop": 28, "SeqScan": 5, "Sort": 13,
+    ("min-cost-supplier", "SDP"): (59, {
+        "Filter": 4, "HashJoin": 10, "IndexNestLoop": 2, "IndexScan": 10,
+        "MergeJoin": 6, "NestLoop": 10, "SeqScan": 5, "Sort": 12,
     }),
 }
 
@@ -254,21 +253,31 @@ def tpch():
     return analyze(schema), queries
 
 
-@pytest.mark.parametrize(("label", "technique"), sorted(ARENA))
+@pytest.mark.parametrize(("label", "technique"), sorted(LIVE_NODES))
 def test_plan_arena_is_pinned(label, technique, tpch, monkeypatch):
     stats, queries = tpch
-    spaces = []
+    tables = []
+    new_table = PlanSpace.new_table
 
-    def capture(*args, **kwargs):
-        space = make_planspace(*args, **kwargs)
-        spaces.append(space)
-        return space
+    def capture(space):
+        table = new_table(space)
+        tables.append(table)
+        return table
 
     monkeypatch.delenv(KERNEL_ENV, raising=False)
-    monkeypatch.setattr(dp_module, "make_planspace", capture)
-    monkeypatch.setattr(sdp_module, "make_planspace", capture)
+    monkeypatch.setattr(PlanSpace, "new_table", capture)
     make_optimizer(technique).optimize(queries[label], stats)
-    (space,) = spaces
-    size, per_method = ARENA[(label, technique)]
-    assert len(space.store) == size
-    assert Counter(METHOD_NAMES[code] for code in space.store.method) == per_method
+    (table,) = tables
+    live: dict[int, tuple] = {}
+    stack = [
+        slot[2] for jcr in table._by_mask.values() for slot in jcr.slots.values()
+    ]
+    while stack:
+        node = stack.pop()
+        if node is None or id(node) in live:
+            continue
+        live[id(node)] = node
+        stack.extend((node[4], node[5]))
+    size, per_method = LIVE_NODES[(label, technique)]
+    assert len(live) == size
+    assert Counter(METHOD_NAMES[node[0]] for node in live.values()) == per_method

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.skyline import (
@@ -31,6 +31,37 @@ vectors_3d = st.lists(
     min_size=1,
     max_size=40,
 )
+
+
+# Coordinates that make float sums tie: 1e20 absorbs every small y (its
+# ulp is 2**14), 1e20 + 2**14 is the next float up, and small values repeat.
+small_floats = st.one_of(
+    st.integers(min_value=-4, max_value=4).map(float),
+    st.floats(min_value=-8.0, max_value=8.0),
+)
+float_vectors_2d = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([1e20, 1e20 + 2**14, 3e25]), small_floats),
+        st.one_of(st.sampled_from([-5.0, -3.0, 0.0, 2.0]), small_floats),
+    ),
+    max_size=40,
+)
+
+
+def sfs_scan_2d(vectors):
+    """2-D SFS that tests each candidate against every accepted vector."""
+    order = sorted(range(len(vectors)), key=lambda i: sum(vectors[i]))
+    accepted = []
+    kept = []
+    for i in order:
+        cx, cy = vectors[i]
+        for kx, ky in kept:
+            if kx <= cx and ky <= cy and (kx < cx or ky < cy):
+                break
+        else:
+            accepted.append(i)
+            kept.append(vectors[i])
+    return set(accepted)
 
 
 class TestDominates:
@@ -73,6 +104,19 @@ class TestSkylineAlgorithms:
     @given(vectors_2d)
     def test_sfs_equals_naive(self, vecs):
         assert sfs_skyline(vecs) == naive_skyline(vecs)
+
+    @settings(max_examples=500)
+    @given(float_vectors_2d)
+    def test_sfs_staircase_equals_scan_on_float_ties(self, vecs):
+        assert sfs_skyline(vecs) == sfs_scan_2d(vecs)
+
+    def test_float_sum_tie_keeps_dominated_vector(self):
+        # Both sums round to 1e20 and tie, so index 0 is accepted before
+        # the vector that dominates it is seen.
+        vecs = [(1e20, 0.0), (1e20, -5.0)]
+        assert sfs_skyline(vecs) == {0, 1}
+        assert sfs_scan_2d(vecs) == {0, 1}
+        assert naive_skyline(vecs) == {1}
 
     @given(vectors_2d.filter(bool))
     def test_no_survivor_dominated(self, vecs):
