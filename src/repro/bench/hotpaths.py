@@ -45,6 +45,7 @@ CI matrix). The ``perf``-marked test in
 
 from __future__ import annotations
 
+import gc
 import os
 import platform
 import statistics
@@ -86,7 +87,12 @@ def _timed(fn, repeats: int):
 
 
 def _traced_peak_mb(fn) -> float:
-    """Peak traced allocation (MB) of one call, made outside any timing."""
+    """Peak traced allocation (MB) of one call, made outside any timing.
+
+    A full collection first empties CPython's free lists, whose contents
+    depend on what ran earlier; objects reused from them are not traced.
+    """
+    gc.collect()
     tracemalloc.start()
     try:
         fn()

@@ -30,24 +30,12 @@ RL008     bounded blocking — service-layer blocking calls must carry
 RL009     lock ordering — nested lock acquisitions across the serving
           layer must form a DAG (no cycles, no non-reentrant
           re-acquisition)
-RL010     resource lifecycle — shared-memory segments and stores,
-          pools and queues must reach their cleanup calls on every CFG
-          path; memoryviews release before their buffer closes
 RL011     shared state — attributes written by worker threads are read
           and written under the owning instance lock
-RL012     cross-process errors — exceptions escaping pool workers are
-          picklable ``ReproError`` subclasses
 ========  =============================================================
 
-RL009–RL012 run on an intraprocedural CFG + forward-dataflow core
-(``repro.lint.cfg`` / ``repro.lint.dataflow``) — basic blocks over
-``ast`` statements with branch/loop/``try``–``finally``/exception
-edges, solved by a generic worklist engine; ``Module.cfgs()`` caches
-the graphs per file so all four checkers share one build.
-
 Run it as ``python -m repro.lint [paths]`` or ``sdp-bench lint``.
-Select checkers with ``--only RL009,RL010`` / ``--skip RL007`` and
-parse large trees in parallel with ``--jobs N``.
+Select checkers with ``--only RL009,RL011`` / ``--skip RL007``.
 Individual findings are waived with ``# lint: waive[RL00X] reason`` on
 (or directly above) the flagged line; whole files with
 ``# lint: waive-file[RL00X] reason``; legacy findings live in a
@@ -59,13 +47,6 @@ without importing them.
 """
 
 from repro.lint.baseline import load_baseline, suppress_baseline, write_baseline
-from repro.lint.cfg import CFG, BasicBlock, build_cfg, iter_functions
-from repro.lint.dataflow import (
-    UNREACHED,
-    ForwardAnalysis,
-    Solution,
-    solve_forward,
-)
 from repro.lint.engine import (
     LintError,
     Module,
@@ -92,12 +73,4 @@ __all__ = [
     "load_baseline",
     "write_baseline",
     "suppress_baseline",
-    "BasicBlock",
-    "CFG",
-    "build_cfg",
-    "iter_functions",
-    "ForwardAnalysis",
-    "Solution",
-    "UNREACHED",
-    "solve_forward",
 ]

@@ -6,11 +6,9 @@ from repro.lint.checkers import (  # noqa: F401
     exceptions,
     floats,
     layering,
-    lifecycle,
     lockorder,
     obsnames,
     publicapi,
     serviceops,
     sharedstate,
-    xprocerrors,
 )

@@ -8,8 +8,8 @@ Usage::
     python -m repro.lint --baseline lint-baseline.json
     python -m repro.lint --write-baseline lint-baseline.json
     python -m repro.lint --list            # registered checkers
-    python -m repro.lint --only RL009,RL010
-    python -m repro.lint --skip RL007 --jobs 4
+    python -m repro.lint --only RL009,RL011
+    python -m repro.lint --skip RL007
 
 Exit codes: 0 clean, 1 findings, 2 usage/IO error.
 """
@@ -39,7 +39,7 @@ def _default_paths() -> list[str]:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
-        description="Static analysis for the repro invariants (RL001-RL012).",
+        description="Static analysis for the repro invariants (RL001-RL009, RL011).",
     )
     parser.add_argument(
         "paths",
@@ -69,20 +69,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--only",
         metavar="CODES",
         default=None,
-        help="run only these comma-separated checker codes (e.g. RL009,RL010)",
+        help="run only these comma-separated checker codes (e.g. RL009,RL011)",
     )
     parser.add_argument(
         "--skip",
         metavar="CODES",
         default=None,
         help="run every checker except these comma-separated codes",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse files with N threads (default: 1)",
     )
     parser.add_argument(
         "--list",
@@ -138,10 +131,8 @@ def main(argv: list[str] | None = None) -> int:
 
     paths = args.paths or _default_paths()
     try:
-        if args.jobs < 1:
-            raise LintError(f"--jobs must be >= 1, got {args.jobs}")
         checkers = _select_checkers(args.only, args.skip)
-        project = load_project(paths, jobs=args.jobs)
+        project = load_project(paths)
         findings = run_checkers(project, checkers)
     except LintError as exc:
         print(f"repro.lint: {exc}", file=sys.stderr)

@@ -14,13 +14,9 @@ import re
 import symtable
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.lint.findings import Finding
 from repro.lint.registry import Checker, all_checkers
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.lint.cfg import CFG
 
 
 class LintError(Exception):
@@ -62,7 +58,6 @@ class Module:
     line_waivers: dict[int, set[str]] = field(default_factory=dict)
     file_waivers: set[str] = field(default_factory=set)
     _symtable: symtable.SymbolTable | None = None
-    _cfgs: dict[str, "CFG"] | None = None
 
     @property
     def layer(self) -> str | None:
@@ -95,22 +90,6 @@ class Module:
         except KeyError:
             return False
         return symbol.is_imported()
-
-    def cfgs(self) -> dict[str, "CFG"]:
-        """Control-flow graphs for every function, keyed by qualname.
-
-        Built lazily and shared across checkers — the dataflow checkers
-        (RL009–RL012) all query the same graphs, so one build per module
-        keeps full-tree lint time flat.
-        """
-        if self._cfgs is None:
-            from repro.lint.cfg import build_cfg, iter_functions
-
-            self._cfgs = {
-                qualname: build_cfg(node)
-                for qualname, node in iter_functions(self.tree)
-            }
-        return self._cfgs
 
     def waived(self, code: str, line: int) -> bool:
         """Is ``code`` waived at ``line`` (same line, line above, or file)?"""
@@ -208,7 +187,7 @@ def parse_module(path: Path, relpath: str) -> Module:
     )
 
 
-def load_project(paths: list[str | Path], jobs: int = 1) -> Project:
+def load_project(paths: list[str | Path]) -> Project:
     """Collect and parse every ``.py`` file under ``paths``.
 
     Args:
@@ -216,8 +195,6 @@ def load_project(paths: list[str | Path], jobs: int = 1) -> Project:
             ``src`` (or containing one ``repro`` package) is the normal
             whole-tree invocation. Duplicate paths (or files reached
             through more than one argument) are parsed once.
-        jobs: Parse files with this many threads when > 1. Modules are
-            independent, so the result is identical to the serial order.
 
     Raises:
         LintError: on missing paths or unparseable files.
@@ -252,15 +229,7 @@ def load_project(paths: list[str | Path], jobs: int = 1) -> Project:
         except ValueError:
             return str(path)
 
-    if jobs > 1 and len(files) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            modules = list(
-                pool.map(parse_module, files, [relpath_of(p) for p in files])
-            )
-    else:
-        modules = [parse_module(path, relpath_of(path)) for path in files]
+    modules = [parse_module(path, relpath_of(path)) for path in files]
     modules.sort(key=lambda m: m.relpath)
     return Project(root=root, repo_root=repo_root, modules=modules)
 

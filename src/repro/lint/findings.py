@@ -13,7 +13,7 @@ class Finding:
         path: Repo-relative (or invocation-relative) file path.
         line: 1-based line the finding anchors to (0 = whole file).
         col: 0-based column.
-        code: Checker code (``RL001`` ... ``RL007``).
+        code: Checker code (``RL001`` ... ``RL011``).
         message: Human-readable description; kept free of line numbers so
             baseline fingerprints survive unrelated edits.
     """

@@ -8,7 +8,7 @@ every checker module) and returns one instance per code, sorted.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -68,12 +68,3 @@ def CHECKER_CODES() -> list[str]:
     import repro.lint.checkers  # noqa: F401
 
     return sorted(_REGISTRY)
-
-
-def iter_nodes(tree, *types) -> Iterator:
-    """``ast.walk`` filtered to the given node types (shared helper)."""
-    import ast
-
-    for node in ast.walk(tree):
-        if isinstance(node, types):
-            yield node

@@ -160,9 +160,9 @@ class SlowCostModel:
     """
 
     def __init__(self, inner, delay_seconds: float, every: int = 256):
-        if delay_seconds <= 0:
+        if not (math.isfinite(delay_seconds) and delay_seconds > 0):
             raise ValueError(
-                f"delay_seconds must be > 0, got {delay_seconds!r}"
+                f"delay_seconds must be finite and > 0, got {delay_seconds!r}"
             )
         if every < 1:
             raise ValueError(f"every must be >= 1, got {every!r}")
@@ -219,9 +219,10 @@ class FaultPlan:
             raise ValueError(
                 f"crash_fraction must be in [0, 1], got {self.crash_fraction}"
             )
-        if self.latency_seconds < 0:
+        if not (math.isfinite(self.latency_seconds) and self.latency_seconds >= 0):
             raise ValueError(
-                f"latency_seconds must be >= 0, got {self.latency_seconds}"
+                "latency_seconds must be finite and >= 0, "
+                f"got {self.latency_seconds}"
             )
         if self.latency_every < 1:
             raise ValueError(

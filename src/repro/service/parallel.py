@@ -29,7 +29,12 @@ Budget trips are part of the protocol (the paper's ``*`` cells), so they
 are captured per cell — :attr:`BatchItem.error` — instead of aborting the
 batch. An injected :class:`~repro.robust.faults.WorkerCrashFault` (chaos
 testing via the ``faults=`` plan) kills its chunk, which the coordinator
-re-runs at attempt 1 — the grid still comes back complete. Any other
+re-runs at attempt 1 — the grid still comes back complete. A worker
+*process* that dies (killed, out of memory, a segfault) breaks the
+executor for good: a batch that finds the pool already broken replaces it
+and returns the complete grid, and a death during a batch drops the pool
+and raises :class:`~repro.errors.ServiceError` chained from the
+``BrokenProcessPool``, so the next batch starts clean. Any other
 exception propagates and cancels the batch: a malformed query should fail
 loudly, not produce a hole in a table.
 
@@ -47,6 +52,7 @@ from __future__ import annotations
 import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -255,6 +261,19 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
+def _submit_chunks(workers: int, context, chunks) -> list:
+    """Submit one pool task per chunk, replacing a pool a dead worker broke."""
+    try:
+        pool = _get_pool(workers)
+        return [pool.submit(_run_chunk, (context, chunk)) for chunk in chunks]
+    except BrokenProcessPool:
+        # A worker died since the last batch; the executor refuses all
+        # further work, so start a fresh one.
+        shutdown_pool()
+        pool = _get_pool(workers)
+        return [pool.submit(_run_chunk, (context, chunk)) for chunk in chunks]
+
+
 def _run_serial(tasks, context) -> list[BatchItem]:
     """Run ``tasks`` inline, retrying any cell whose worker "crashes"."""
     global _CONTEXT
@@ -310,7 +329,8 @@ def optimize_many(
         submission order independent of completion order.
 
     Raises:
-        ServiceError: on an empty query or technique list.
+        ServiceError: on an empty query or technique list, or when a worker
+            process dies during the batch (the pool is dropped first).
     """
     queries = list(queries)
     techniques = list(techniques)
@@ -352,10 +372,7 @@ def optimize_many(
                     break
                 chunks.append(tasks[start : start + size])
                 start += size
-            pool = _get_pool(effective)
-            futures = [
-                pool.submit(_run_chunk, (context, chunk)) for chunk in chunks
-            ]
+            futures = _submit_chunks(effective, context, chunks)
             items = []
             for future, chunk in zip(futures, chunks):
                 try:
@@ -363,6 +380,11 @@ def optimize_many(
                 except WorkerCrashFault:
                     retry = [(q, t, 1) for (q, t, _) in chunk]
                     items.extend(_run_serial(retry, context))
+                except BrokenProcessPool as exc:
+                    shutdown_pool()
+                    raise ServiceError(
+                        f"a batch worker process died mid-batch: {exc}"
+                    ) from exc
 
     width = len(techniques)
     return [items[row * width : (row + 1) * width] for row in range(len(queries))]

@@ -3,11 +3,13 @@
 The ``perf``-marked tests run the real harness — minutes, not
 milliseconds — so they are **opt-in**: the default ``pytest`` run
 deselects them (``addopts`` carries ``-m "not perf"``); run them with
-``pytest -m perf``. The unmarked test only reads the committed report.
+``pytest -m perf``. The unmarked tests read the committed report, check
+the guard on synthetic reports, and trace one small search.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -16,7 +18,16 @@ import time
 
 import pytest
 
-from repro.bench.hotpaths import compare_reports, run_harness
+from repro.bench.hotpaths import (
+    BUDGET,
+    _traced_peak_mb,
+    compare_reports,
+    run_harness,
+)
+from repro.bench.workloads import WorkloadSpec, make_query
+from repro.catalog.schema import paper_schema
+from repro.catalog.statistics import analyze
+from repro.core.registry import make_optimizer
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HARNESS = os.path.join(REPO_ROOT, "benchmarks", "bench_hot_paths.py")
@@ -230,3 +241,31 @@ def test_committed_report_matches_current_counters():
         for arms in sqlw["queries"].values()
         for arm in arms.values()
     )
+
+
+def test_traced_peak_depends_on_the_search_alone():
+    """Work run before a traced search must not move its peak.
+
+    Objects reused from CPython's free lists are not traced, so without a
+    collection first the peak of one DP star-8 search read about half as
+    much after allocation churn as after a full collection.
+    """
+    schema = paper_schema(seed=0)
+    stats = analyze(schema)
+    query = make_query(WorkloadSpec("star", 8), schema, 0)
+    optimizer = make_optimizer("DP", budget=BUDGET)
+    optimizer.optimize(query, stats)
+
+    def peak() -> float:
+        return _traced_peak_mb(lambda: optimizer.optimize(query, stats))
+
+    peaks = [peak()]
+    make_optimizer("SDP", budget=BUDGET).optimize(
+        make_query(WorkloadSpec("star", 10), schema, 0), stats
+    )
+    churn = [(float(i), float(i) + 0.5) for i in range(100_000)]
+    del churn
+    peaks.append(peak())
+    gc.collect()
+    peaks.append(peak())
+    assert max(peaks) <= 1.02 * min(peaks), peaks

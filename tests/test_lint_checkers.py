@@ -1,4 +1,4 @@
-"""Fixture-tree tests for every repro.lint checker (RL001-RL008).
+"""Fixture-tree tests for every repro.lint checker (RL001-RL009, RL011).
 
 Each test builds a minimal ``src/repro`` tree on disk, runs one checker
 over it, and asserts the checker fires (positive) or stays silent
@@ -1001,210 +1001,6 @@ class TestLockOrder:
         assert findings == []
 
 
-# ---------------------------------------------------------------- RL010
-
-
-class TestResourceLifecycle:
-    def test_early_return_leaks_segment(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/segments.py": """\
-                from multiprocessing import shared_memory
-
-                def grab(name, fast):
-                    seg = shared_memory.SharedMemory(
-                        name=name, create=True, size=8)
-                    if fast:
-                        return None
-                    seg.close()
-                    seg.unlink()
-            """,
-        }, "RL010")
-        assert len(findings) == 1
-        assert "close, unlink" in findings[0].message
-
-    def test_close_without_unlink_on_owner_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/segments.py": """\
-                from multiprocessing import shared_memory
-
-                def grab(name):
-                    seg = shared_memory.SharedMemory(
-                        name=name, create=True, size=8)
-                    seg.close()
-            """,
-        }, "RL010")
-        assert len(findings) == 1
-        assert "unlink" in findings[0].message
-
-    def test_exception_path_leak_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/segments.py": """\
-                from multiprocessing import shared_memory
-
-                def grab(name, size):
-                    seg = shared_memory.SharedMemory(
-                        name=name, create=True, size=8)
-                    if size < 0:
-                        raise ValueError(str(size))
-                    seg.close()
-                    seg.unlink()
-            """,
-        }, "RL010")
-        assert len(findings) == 1
-
-    def test_try_finally_cleanup_clean(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/segments.py": """\
-                from multiprocessing import shared_memory
-
-                def grab(name, fill):
-                    seg = shared_memory.SharedMemory(
-                        name=name, create=True, size=8)
-                    try:
-                        fill(seg)
-                    finally:
-                        seg.close()
-                        seg.unlink()
-            """,
-        }, "RL010")
-        assert findings == []
-
-    def test_escape_to_attribute_transfers_ownership(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/segments.py": """\
-                from multiprocessing import shared_memory
-
-                class Store:
-                    def _grow(self, name):
-                        segment = shared_memory.SharedMemory(
-                            name=name, create=True, size=8)
-                        self._segments.append(segment)
-            """,
-        }, "RL010")
-        assert findings == []
-
-    def test_attach_handle_needs_close_only(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/segments.py": """\
-                from multiprocessing import shared_memory
-
-                def peek(name):
-                    seg = shared_memory.SharedMemory(name=name)
-                    value = bytes(seg.buf[:1])
-                    seg.close()
-                    return value
-            """,
-        }, "RL010")
-        assert findings == []
-
-    def test_search_layers_out_of_scope(self, tmp_path):
-        # Only the serving layer creates processes and shared memory; the
-        # same leak in a search-side module is not RL010's business.
-        leak = """\
-            from multiprocessing import shared_memory
-
-            def grab(name):
-                seg = shared_memory.SharedMemory(
-                    name=name, create=True, size=8)
-                seg.close()
-        """
-        for path in ("src/repro/plans/store.py", "src/repro/core/dp.py"):
-            assert lint_tree(tmp_path, {path: leak}, "RL010") == [], path
-
-    def test_shared_store_needs_close(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/segments.py": """\
-                def fill(rows, SharedRowStore):
-                    store = SharedRowStore()
-                    for row in rows:
-                        store.add(row)
-            """,
-        }, "RL010")
-        assert len(findings) == 1
-        assert "close" in findings[0].message
-
-    def test_view_alive_when_buffer_closes_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/segments.py": """\
-                def snapshot(seg):
-                    view = memoryview(seg.buf)
-                    seg.close()
-                    view.release()
-            """,
-        }, "RL010")
-        assert len(findings) == 1
-        assert "release() first" in findings[0].message
-
-    def test_view_released_before_close_clean(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/segments.py": """\
-                def snapshot(seg):
-                    view = memoryview(seg.buf)
-                    view.release()
-                    seg.close()
-            """,
-        }, "RL010")
-        assert findings == []
-
-    def test_pool_without_shutdown_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/runner.py": """\
-                from concurrent.futures import ProcessPoolExecutor
-
-                def run(tasks):
-                    pool = ProcessPoolExecutor(max_workers=2)
-                    for task in tasks:
-                        pool.submit(task)
-            """,
-        }, "RL010")
-        assert len(findings) == 1
-        assert "shutdown" in findings[0].message
-
-    def test_with_statement_cleanup_clean(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/runner.py": """\
-                from concurrent.futures import ProcessPoolExecutor
-
-                def run(task):
-                    with ProcessPoolExecutor(max_workers=2) as pool:
-                        return pool.submit(task).result(timeout=30.0)
-            """,
-        }, "RL010")
-        assert findings == []
-
-    def test_global_publication_is_an_escape(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/runner.py": """\
-                from concurrent.futures import ProcessPoolExecutor
-
-                _POOL = None
-
-                def get_pool():
-                    global _POOL
-                    if _POOL is None:
-                        _POOL = ProcessPoolExecutor(max_workers=2)
-                    return _POOL
-            """,
-        }, "RL010")
-        assert findings == []
-
-    def test_rebind_while_obligated_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/segments.py": """\
-                from multiprocessing import shared_memory
-
-                def churn(name):
-                    seg = shared_memory.SharedMemory(
-                        name=name, create=True, size=8)
-                    seg = shared_memory.SharedMemory(
-                        name=name + "b", create=True, size=8)
-                    seg.close()
-                    seg.unlink()
-            """,
-        }, "RL010")
-        assert len(findings) == 1
-
-
 # ---------------------------------------------------------------- RL011
 
 
@@ -1288,223 +1084,16 @@ class TestSharedState:
         assert findings == []
 
 
-# ---------------------------------------------------------------- RL012
-
-
-class TestCrossProcessErrors:
-    def test_computed_super_message_without_reduce_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/errors.py": """\
-                class ReproError(Exception):
-                    pass
-
-                class BudgetBlown(ReproError):
-                    def __init__(self, limit, used):
-                        super().__init__(f"{used} > {limit}")
-                        self.limit = limit
-                        self.used = used
-            """,
-        }, "RL012")
-        assert len(findings) == 1
-        assert "__reduce__" in findings[0].message
-
-    def test_reduce_makes_computed_message_safe(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/errors.py": """\
-                class ReproError(Exception):
-                    pass
-
-                class BudgetBlown(ReproError):
-                    def __init__(self, limit, used):
-                        super().__init__(f"{used} > {limit}")
-                        self.limit = limit
-                        self.used = used
-
-                    def __reduce__(self):
-                        return (type(self), (self.limit, self.used))
-            """,
-        }, "RL012")
-        assert findings == []
-
-    def test_exact_positional_forwarding_is_safe(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/errors.py": """\
-                class ReproError(Exception):
-                    pass
-
-                class Cancelled(ReproError):
-                    def __init__(self, reason):
-                        super().__init__(reason)
-                        self.reason = reason
-            """,
-        }, "RL012")
-        assert findings == []
-
-    def test_adhoc_exception_escaping_worker_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/errors.py": """\
-                class ReproError(Exception):
-                    pass
-            """,
-            "src/repro/service/workers.py": """\
-                from multiprocessing import Process
-
-                class Boom(Exception):
-                    pass
-
-                def _worker(inbox):
-                    raise Boom("bad cell")
-
-                def start(inbox):
-                    proc = Process(target=_worker, args=(inbox,))
-                    proc.start()
-                    return proc
-            """,
-        }, "RL012")
-        assert len(findings) == 1
-        assert "Boom" in findings[0].message
-        assert "_worker" in findings[0].message
-
-    def test_caught_in_worker_does_not_escape(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/errors.py": """\
-                class ReproError(Exception):
-                    pass
-            """,
-            "src/repro/service/workers.py": """\
-                from multiprocessing import Process
-
-                class Boom(Exception):
-                    pass
-
-                def _worker(inbox):
-                    try:
-                        raise Boom("bad cell")
-                    except Boom:
-                        inbox.put(("error", "bad cell"), timeout=5.0)
-
-                def start(inbox):
-                    proc = Process(target=_worker, args=(inbox,))
-                    proc.start()
-                    return proc
-            """,
-        }, "RL012")
-        assert findings == []
-
-    def test_taxonomy_exception_may_escape_worker(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/errors.py": """\
-                class ReproError(Exception):
-                    pass
-
-                class WorkerFault(ReproError):
-                    def __init__(self, index):
-                        super().__init__(index)
-                        self.index = index
-            """,
-            "src/repro/service/workers.py": """\
-                from multiprocessing import Process
-
-                from repro.errors import WorkerFault
-
-                def _worker(index):
-                    raise WorkerFault(index)
-
-                def start(index):
-                    proc = Process(target=_worker, args=(index,))
-                    proc.start()
-                    return proc
-            """,
-        }, "RL012")
-        assert findings == []
-
-    def test_escape_through_helper_call_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/errors.py": """\
-                class ReproError(Exception):
-                    pass
-            """,
-            "src/repro/service/workers.py": """\
-                from multiprocessing import Process
-
-                class Boom(Exception):
-                    pass
-
-                def _cost_cell(cell):
-                    if cell is None:
-                        raise Boom("empty")
-                    return cell
-
-                def _worker(inbox):
-                    _cost_cell(inbox.get(timeout=5.0))
-
-                def start(inbox):
-                    proc = Process(target=_worker, args=(inbox,))
-                    proc.start()
-                    return proc
-            """,
-        }, "RL012")
-        assert len(findings) == 1
-        assert "Boom" in findings[0].message
-
-
-# ------------------------------------------------- negative sweep (RL009-12)
+# ------------------------------------------ negative sweep (RL009, RL011)
 
 
 class TestConcurrencyNegativeSweep:
-    """Property-style false-positive guard for the dataflow checkers.
+    """Property-style false-positive guard for the concurrency checkers.
 
     Generates structurally varied *correct* modules — consistently
-    ordered locks, resources cleaned through every supported pattern,
-    locked shared state, taxonomy-safe worker errors — and asserts all
-    four checkers stay silent on every permutation.
+    ordered locks and locked shared state — and asserts both checkers
+    stay silent on every permutation.
     """
-
-    CLEANUP_PATTERNS = [
-        # try/finally
-        """\
-            def use_{i}(name, fill):
-                seg = shared_memory.SharedMemory(
-                    name=name, create=True, size=8)
-                try:
-                    fill(seg)
-                finally:
-                    seg.close()
-                    seg.unlink()
-        """,
-        # straight-line cleanup
-        """\
-            def use_{i}(name):
-                seg = shared_memory.SharedMemory(
-                    name=name, create=True, size=8)
-                seg.close()
-                seg.unlink()
-        """,
-        # ownership handoff via return
-        """\
-            def use_{i}(name):
-                seg = shared_memory.SharedMemory(
-                    name=name, create=True, size=8)
-                return seg
-        """,
-        # ownership handoff via call argument
-        """\
-            def use_{i}(name, registry):
-                seg = shared_memory.SharedMemory(
-                    name=name, create=True, size=8)
-                registry.adopt(seg)
-        """,
-        # view released before close, then full cleanup
-        """\
-            def use_{i}(name):
-                seg = shared_memory.SharedMemory(
-                    name=name, create=True, size=8)
-                view = memoryview(seg.buf)
-                view.release()
-                seg.close()
-                seg.unlink()
-        """,
-    ]
 
     @pytest.mark.parametrize("ordering", [
         ("alpha", "beta", "gamma"),
@@ -1530,14 +1119,6 @@ class TestConcurrencyNegativeSweep:
         source = "import threading\n\n" + decls + "\n\n" + "\n\n".join(chains)
         findings = lint_tree(
             tmp_path, {"src/repro/service/ordered.py": source}, "RL009")
-        assert findings == [], [f.render() for f in findings]
-
-    @pytest.mark.parametrize("index", range(len(CLEANUP_PATTERNS)))
-    def test_correctly_released_resources_stay_clean(self, tmp_path, index):
-        pattern = textwrap.dedent(self.CLEANUP_PATTERNS[index]).format(i=index)
-        source = "from multiprocessing import shared_memory\n\n" + pattern
-        findings = lint_tree(
-            tmp_path, {"src/repro/service/segments.py": source}, "RL010")
         assert findings == [], [f.render() for f in findings]
 
     def test_all_checkers_silent_on_correct_concurrent_module(self, tmp_path):
@@ -1603,6 +1184,6 @@ class TestConcurrencyNegativeSweep:
         }
         src = make_tree(tmp_path, files)
         new = [c for c in all_checkers()
-               if c.code in ("RL009", "RL010", "RL011", "RL012")]
+               if c.code in ("RL009", "RL011")]
         findings = run_checkers(load_project([src]), new)
         assert findings == [], [f.render() for f in findings]

@@ -28,23 +28,23 @@ def test_src_tree_lints_clean():
 
 
 def test_every_checker_registered():
-    # The gate above only means something if all twelve checkers ran.
+    # The gate above only means something if all ten checkers ran.
     from repro.lint import CHECKER_CODES
 
     assert CHECKER_CODES() == [
         "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-        "RL008", "RL009", "RL010", "RL011", "RL012",
+        "RL008", "RL009", "RL011",
     ]
 
 
 @pytest.mark.perf
 def test_lint_wall_time_within_2x_of_legacy():
-    """The dataflow checkers must not double full-repo lint time.
+    """The concurrency checkers must not double full-repo lint time.
 
-    Compares a full run (RL001–RL012) against the pre-PR checker set
-    (RL001–RL008) on this repository's ``src/`` tree — each timed as
-    best-of-two with a fresh project load, so the CFG cache cannot
-    flatter the new checkers.
+    Compares a full run (RL001–RL009, RL011) against the RL001–RL008
+    set on this repository's ``src/`` tree — each timed as best-of-two
+    with a fresh project load, so no per-module cache can flatter the
+    concurrency checkers.
     """
     import time
 

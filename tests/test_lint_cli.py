@@ -124,7 +124,7 @@ def test_list_prints_all_codes(capsys):
     out = capsys.readouterr().out
     for code in (
         "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-        "RL008", "RL009", "RL010", "RL011", "RL012",
+        "RL008", "RL009", "RL011",
     ):
         assert code in out
 
@@ -135,7 +135,7 @@ def test_only_restricts_to_selected_checkers(dirty_tree, capsys):
     out = capsys.readouterr().out
     assert "RL003" in out and "RL001" not in out
 
-    assert lint_main([str(dirty_tree), "--only", "RL009,RL010"]) == 0
+    assert lint_main([str(dirty_tree), "--only", "RL009,RL011"]) == 0
 
 
 def test_skip_drops_selected_checkers(dirty_tree, capsys):
@@ -151,19 +151,6 @@ def test_unknown_checker_code_is_usage_error(dirty_tree, capsys):
     assert "unknown checker code" in capsys.readouterr().err
     assert lint_main([str(dirty_tree), "--skip", "nope"]) == 2
     assert "unknown checker code" in capsys.readouterr().err
-
-
-def test_jobs_parallel_parse_matches_serial(dirty_tree, capsys):
-    assert lint_main([str(dirty_tree)]) == 1
-    serial = capsys.readouterr().out
-    assert lint_main([str(dirty_tree), "--jobs", "4"]) == 1
-    parallel = capsys.readouterr().out
-    assert parallel == serial
-
-
-def test_bad_jobs_value_is_usage_error(dirty_tree, capsys):
-    assert lint_main([str(dirty_tree), "--jobs", "0"]) == 2
-    assert "--jobs" in capsys.readouterr().err
 
 
 def test_sdp_bench_lint_delegates(dirty_tree, clean_tree, capsys):

@@ -219,6 +219,11 @@ class TestLatencyFault:
             SlowCostModel(DEFAULT_COST_MODEL, delay_seconds=0.0)
         with pytest.raises(ValueError):
             SlowCostModel(DEFAULT_COST_MODEL, delay_seconds=0.001, every=0)
+        # NaN and inf pass every ordered comparison check; time.sleep then
+        # raises ValueError / OverflowError mid-search.
+        for delay in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                SlowCostModel(DEFAULT_COST_MODEL, delay_seconds=delay)
 
 
 class TestFaultPlan:
@@ -229,6 +234,9 @@ class TestFaultPlan:
             FaultPlan(latency_seconds=-1.0)
         with pytest.raises(ValueError):
             FaultPlan(latency_every=0)
+        for latency in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                FaultPlan(latency_seconds=latency, latency_every=1)
 
     def test_crashes_are_deterministic_and_transient(self):
         plan = FaultPlan(seed=1, crash_fraction=0.5)

@@ -6,6 +6,8 @@ import os
 import pickle
 import threading
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.service import (
     optimize_many,
     query_fingerprint,
 )
+from repro.service import parallel
 from repro.service.parallel import execution_plan
 from tests.conftest import make_chain_query, make_star_query
 
@@ -614,6 +617,54 @@ class TestOptimizeMany:
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert execution_plan(None, 16) == ("pool", 8, None)
         assert execution_plan(4, 16) == ("pool", 4, None)
+
+    def test_dead_worker_does_not_break_later_batches(
+        self, small_schema, small_stats
+    ):
+        queries = [make_star_query(small_schema, n) for n in (4, 5, 6)]
+        techniques = ["SDP", "GOO"]
+        if execution_plan(2, len(queries) * len(techniques))[0] != "pool":
+            pytest.skip("needs at least 2 CPUs for a pool batch")
+        try:
+            optimize_many(queries, techniques, stats=small_stats, workers=2)
+            # Kill one worker the way an OOM kill or a segfault would.
+            with pytest.raises(BrokenProcessPool):
+                parallel._get_pool(2).submit(os._exit, 1).result()
+            serial = optimize_many(
+                queries, techniques, stats=small_stats, workers=1
+            )
+            pooled = optimize_many(
+                queries, techniques, stats=small_stats, workers=2
+            )
+            assert [[_grid_key(i) for i in row] for row in pooled] == [
+                [_grid_key(i) for i in row] for row in serial
+            ]
+        finally:
+            parallel.shutdown_pool()
+
+    def test_worker_death_mid_batch_is_typed_and_drops_pool(
+        self, small_schema, small_stats, monkeypatch
+    ):
+        class DeadPool:
+            shut_down = False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_exception(BrokenProcessPool("worker died"))
+                return future
+
+            def shutdown(self, wait=True):
+                self.shut_down = True
+
+        dead = DeadPool()
+        monkeypatch.setattr(parallel, "_POOL", dead)
+        monkeypatch.setattr(parallel, "_get_pool", lambda workers: dead)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        queries = [make_star_query(small_schema, n) for n in (4, 5)]
+        with pytest.raises(ServiceError) as info:
+            optimize_many(queries, ["SDP", "GOO"], stats=small_stats, workers=2)
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
+        assert dead.shut_down and parallel._POOL is None
 
 
 class TestParallelComparison:
