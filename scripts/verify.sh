@@ -26,8 +26,12 @@ python -m repro.lint src/
 
 stage_done
 
-echo "== 2/6 tier-1 tests (pytest) =="
-python -m pytest
+# Under development mode a leaked file or socket (ResourceWarning), or an
+# exception raised where nothing can catch it (say, in a finalizer), fails
+# the stage instead of printing a warning.
+echo "== 2/6 tier-1 tests (pytest, leaked resources fail) =="
+python -X dev -m pytest -W error::ResourceWarning \
+  -W error::pytest.PytestUnraisableExceptionWarning
 
 stage_done
 

@@ -53,6 +53,7 @@ __all__ = [
     "BYTES_PER_COSTED_PLAN",
     "BYTES_PER_RETAINED_PLAN",
     "BYTES_PER_PAIR",
+    "check_count",
 ]
 
 #: Modeled planner-arena bytes charged per costed plan alternative.
@@ -70,6 +71,17 @@ BYTES_PER_PAIR = 24
 
 #: How many counter events pass between budget checks.
 _CHECK_INTERVAL = 2048
+
+
+def check_count(name: str, value: object, minimum: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int ``>= minimum``.
+
+    A bound check alone passes NaN (every comparison with NaN is False),
+    and a float count fails only once the search uses it; a bool is an int
+    by accident.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.catalog.statistics import CatalogStatistics
-from repro.core.base import Optimizer, SearchBudget, SearchCounters
+from repro.core.base import Optimizer, SearchBudget, SearchCounters, check_count
 from repro.core.kernel import make_planspace
 from repro.core.randomized import _JoinOrderWalk
 from repro.cost.model import CostModel
@@ -51,12 +51,9 @@ class GeneticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.population < 2:
-            raise ValueError(f"population must be >= 2, got {self.population}")
-        if self.generations < 1:
-            raise ValueError(f"generations must be >= 1, got {self.generations}")
-        if self.tournament < 1:
-            raise ValueError(f"tournament must be >= 1, got {self.tournament}")
+        check_count("population", self.population, 2)
+        check_count("generations", self.generations, 1)
+        check_count("tournament", self.tournament, 1)
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError(
                 f"mutation_rate must be in [0, 1], got {self.mutation_rate}"

@@ -31,6 +31,7 @@ from repro.core.base import (
     Optimizer,
     SearchBudget,
     SearchCounters,
+    check_count,
 )
 from repro.core.enumeration import level_pairs
 from repro.core.kernel import make_planspace
@@ -75,8 +76,7 @@ class IDPConfig:
     balloon: bool = True
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
+        check_count("k", self.k, 2)
         if self.block_policy not in _BLOCK_POLICIES:
             raise ValueError(
                 f"block_policy must be one of {_BLOCK_POLICIES}, "

@@ -30,6 +30,7 @@ from repro.core.base import (
     Optimizer,
     SearchBudget,
     SearchCounters,
+    check_count,
 )
 from repro.core.enumeration import level_pairs
 from repro.core.kernel import make_planspace
@@ -55,8 +56,7 @@ class IDP2Config:
     k: int = 7
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
+        check_count("k", self.k, 2)
 
 
 class IDP2Optimizer(Optimizer):

@@ -335,7 +335,7 @@ class PlanSpace:
         """:meth:`join_batch`, with ``connecting(lmask, rmask)`` supplying
         each pair's predicates (:meth:`join` passes its pair memo)."""
         by_mask = table._by_mask
-        get_or_create = table.get_or_create
+        create = table.create
         counters = self.counters
         note_plans_costed = counters.note_plans_costed
         note_retained = counters.note_retained
@@ -373,7 +373,7 @@ class PlanSpace:
             union = lmask | rmask
             jcr = by_mask.get(union)
             if jcr is None:
-                jcr, _ = get_or_create(union)
+                jcr = create(union)
                 note_jcr_created()
             outside = ~union
             out_rows = jcr.rows

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from repro.catalog.statistics import CatalogStatistics
-from repro.core.base import Optimizer, SearchBudget, SearchCounters
+from repro.core.base import Optimizer, SearchBudget, SearchCounters, check_count
 from repro.core.kernel import make_planspace
 from repro.cost.model import CostModel
 from repro.errors import OptimizationError
@@ -56,12 +56,9 @@ class RandomizedConfig:
     cooling: float = 0.98
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.moves_per_start < 1:
-            raise ValueError(
-                f"moves_per_start must be >= 1, got {self.moves_per_start}"
-            )
+        check_count("restarts", self.restarts, 1)
+        check_count("moves_per_start", self.moves_per_start, 1)
+        check_count("annealing_moves", self.annealing_moves, 0)
         if not 0 < self.cooling < 1:
             raise ValueError(f"cooling must be in (0, 1), got {self.cooling}")
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.catalog.statistics import CatalogStatistics
-from repro.core.base import Optimizer, SearchBudget, SearchCounters
+from repro.core.base import Optimizer, SearchBudget, SearchCounters, check_count
 from repro.core.enumeration import level_pairs
 from repro.core.kernel import make_planspace
 from repro.cost.model import CostModel
@@ -101,8 +101,7 @@ class SDPConfig:
             raise ValueError(
                 f"skyline_option must be 1, 2 or 3, got {self.skyline_option}"
             )
-        if self.hub_degree < 1:
-            raise ValueError(f"hub_degree must be >= 1, got {self.hub_degree}")
+        check_count("hub_degree", self.hub_degree, 1)
         if self.pairwise_dimensions is not None:
             # With no pair, every hub partition keeps nothing; a pair that
             # is not two distinct RCS indices is not a 2-D projection.

@@ -46,20 +46,30 @@ class JCRTable:
     def get_or_create(self, mask: int) -> tuple[JCR, bool]:
         """Fetch the JCR for ``mask``, creating (and registering) it if new.
 
-        A new JCR is estimated once, uncached; its rows, selectivity and
-        width live only on the JCR.
-
         Returns:
             ``(jcr, created)``.
         """
         jcr = self._by_mask.get(mask)
         if jcr is not None:
             return jcr, False
+        return self.create(mask), True
+
+    def create(self, mask: int) -> JCR:
+        """Create and register the JCR for ``mask``, which must be absent.
+
+        A new JCR is estimated once, uncached; its rows, selectivity and
+        width live only on the JCR. The caller has already missed on
+        ``mask``, so registering it is one insert per map.
+        """
         rows, log_sel, width = self._est.estimate(mask)
         jcr = JCR(mask, rows, log_sel, width=width)
         self._by_mask[mask] = jcr
-        self._by_level.setdefault(jcr.level, []).append(jcr)
-        return jcr, True
+        level = self._by_level.get(jcr.level)
+        if level is None:
+            self._by_level[jcr.level] = [jcr]
+        else:
+            level.append(jcr)
+        return jcr
 
     def insert(self, jcr: JCR) -> None:
         """Register an externally built JCR (IDP re-seeds tables this way).

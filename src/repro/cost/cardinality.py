@@ -8,11 +8,16 @@ estimates rows per *set* (bitmask), not per join tree:
 ``rows(S) = prod(rows of members) * prod(eclass selectivity factors)``
 
 where each join equivalence class with ``t >= 2`` members inside ``S``
-contributes one factor (see :mod:`repro.cost.selectivity`).
-:meth:`CardinalityEstimator.estimate` computes one set's rows, selectivity
-and width in a single uncached pass; the fast kernel's JCR table calls it
-once per new JCR and keeps the result on the JCR. Only :meth:`rows` keeps a
-per-mask memo, for the heuristics (GOO, IDP) that rescore candidate sets.
+contributes one factor (see :mod:`repro.cost.selectivity`). An eclass
+wholly inside ``S`` contributes its all-members factor, computed once at
+construction; in a star, every eclass that contributes to a set lies
+wholly inside it. Only an eclass partly inside ``S`` (a join column shared
+by three or more relations) computes the factor of the members inside,
+memoized per ``(eclass, inside)``. :meth:`CardinalityEstimator.estimate`
+computes one set's rows, selectivity and width in a single uncached pass;
+the fast kernel's JCR table calls it once per new JCR and keeps the result
+on the JCR. Only :meth:`rows` keeps a per-mask memo, for the heuristics
+(GOO, IDP) that rescore candidate sets.
 
 The estimator also produces the JCR feature-vector ingredients the SDP
 pruner needs: the (log-space) output selectivity ``S`` — the ratio of the
@@ -83,9 +88,12 @@ class CardinalityEstimator:
                 self._base_rows[index] = effective
                 self._base_log_rows[index] = math.log(effective)
 
-        # Pre-resolve, per eclass: (relation mask, [(relation bit, stats)]).
+        # Pre-resolve, per eclass: (relation mask, [(relation bit, stats)]),
+        # and, in the same order, (relation mask, all-members log factor,
+        # position) for estimate()'s pass over the eclasses.
         self._eclass_info: list[tuple[int, list[tuple[int, ColumnStats]]]] = []
-        for eclass, points in graph.eclasses.items():
+        self._eclass_factors: list[tuple[int, float, int]] = []
+        for position, points in enumerate(graph.eclasses.values()):
             mask = 0
             members: list[tuple[int, ColumnStats]] = []
             for rel_index, column in points:
@@ -93,9 +101,15 @@ class CardinalityEstimator:
                 members.append((1 << rel_index, stats.table(name).column(column)))
                 mask |= 1 << rel_index
             self._eclass_info.append((mask, members))
+            present = [column_stats for _bit, column_stats in members]
+            factor = (
+                math.log(eclass_selectivity(present)) if len(present) >= 2 else 0.0
+            )
+            self._eclass_factors.append((mask, factor, position))
 
         self._rows_cache: dict[int, float] = {}
-        # (eclass index, member-relations-inside mask) -> log factor. Many
+        # (eclass index, member-relations-inside mask) -> log factor, for
+        # eclasses only partly inside a set (a shared join column). Many
         # distinct relation sets share the same eclass intersection.
         self._eclass_factor_cache: dict[tuple[int, int], float] = {}
 
@@ -107,6 +121,9 @@ class CardinalityEstimator:
         Uncached: one pass over the member bits, in ascending bit order,
         sums the log base product and the row width, then one pass over
         the eclasses, in eclass order, sums the log selectivity factors.
+        An eclass wholly inside the set adds its precomputed all-members
+        factor; one with two or more (but not all) member relations inside
+        goes through the ``(eclass, inside)`` factor cache.
         """
         if mask == 0:
             raise CatalogError("cannot estimate the empty relation set")
@@ -122,23 +139,26 @@ class CardinalityEstimator:
             width += base_width[index]
             remaining ^= bit
         log_sel = 0.0
-        factor_cache = self._eclass_factor_cache
-        for index, (eclass_mask, members) in enumerate(self._eclass_info):
+        for eclass_mask, whole_factor, index in self._eclass_factors:
             inside = eclass_mask & mask
-            if inside == 0 or inside & (inside - 1) == 0:
-                continue  # fewer than two member relations inside the set
-            factor = factor_cache.get((index, inside))
-            if factor is None:
-                present = [stats for bit, stats in members if bit & inside]
-                factor = (
-                    math.log(eclass_selectivity(present))
-                    if len(present) >= 2
-                    else 0.0
-                )
-                factor_cache[(index, inside)] = factor
-            log_sel += factor
+            if inside == eclass_mask:
+                log_sel += whole_factor
+            elif inside & (inside - 1):  # two or more member relations inside
+                factor = self._eclass_factor_cache.get((index, inside))
+                if factor is None:
+                    present = [
+                        stats
+                        for bit, stats in self._eclass_info[index][1]
+                        if bit & inside
+                    ]
+                    factor = math.log(eclass_selectivity(present))
+                    self._eclass_factor_cache[(index, inside)] = factor
+                log_sel += factor
         log_rows = log_product + log_sel
-        rows = max(self._min_rows, math.exp(log_rows) if log_rows < 700 else math.inf)
+        rows = math.exp(log_rows) if log_rows < 700 else math.inf
+        # The clamp returns what max(min_rows, rows) returns, ties included.
+        if not rows > self._min_rows:
+            rows = self._min_rows
         return rows, math.log(rows) - log_product, width
 
     def rows(self, mask: int) -> float:

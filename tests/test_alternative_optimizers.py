@@ -180,6 +180,14 @@ class TestRandomizedOptimizers:
             RandomizedConfig(moves_per_start=0)
         with pytest.raises(ValueError):
             RandomizedConfig(cooling=1.5)
+        # NaN passes every bound check; a float count is not a count.
+        for field in ("restarts", "moves_per_start", "annealing_moves"):
+            for value in (float("nan"), 2.5):
+                with pytest.raises(ValueError):
+                    RandomizedConfig(**{field: value})
+        with pytest.raises(ValueError):
+            RandomizedConfig(annealing_moves=-1)
+        RandomizedConfig(annealing_moves=0)
 
 
 class TestGenetic:
@@ -221,6 +229,10 @@ class TestGenetic:
             GeneticConfig(generations=0)
         with pytest.raises(ValueError):
             GeneticConfig(mutation_rate=1.5)
+        for field in ("population", "generations", "tournament"):
+            for value in (float("nan"), 8.5):
+                with pytest.raises(ValueError):
+                    GeneticConfig(**{field: value})
 
 
 class TestIDP2:
@@ -257,6 +269,9 @@ class TestIDP2:
 
         with pytest.raises(ValueError):
             IDP2Config(k=1)
+        for k in (float("nan"), 4.5):
+            with pytest.raises(ValueError):
+                IDP2Config(k=k)
 
     def test_runs_on_paper_scale(self, schema, stats):
         from repro.core.idp2 import IDP2Config, IDP2Optimizer

@@ -277,13 +277,28 @@ class TestCardinalityEstimator:
         skew_possible = got >= expected_log - 1e-6
         assert skew_possible
 
-    def test_estimate_is_one_ordered_pass(self, schema, stats):
+    @pytest.mark.parametrize(
+        "spoke_count, shared",
+        [(7, 1), (6, 3)],
+        ids=["star-8", "star-7-shared-hub-column"],
+    )
+    def test_estimate_is_one_ordered_pass(self, schema, stats, spoke_count, shared):
         """estimate() equals the sums taken over member bits in ascending
-        order and eclasses in id order, on every connected set of a star-8
-        with selections, and rows() memoizes its first element."""
+        order and eclasses in id order, on every connected set of a star
+        with selections, and rows() memoizes its first element.
+
+        The star-7's first three spokes join one hub column: one eclass
+        over four relations, with implied spoke-spoke edges, that most
+        connected sets cover only in part."""
         hub = schema.largest_relation().name
-        spokes = [n for n in schema.relation_names if n != hub][:7]
-        graph = JoinGraph([hub, *spokes], star_joins(schema, hub, spokes))
+        spokes = [n for n in schema.relation_names if n != hub][:spoke_count]
+        joins = star_joins(schema, hub, spokes)
+        hub_column = joins[0][1]
+        joins = [
+            (hub, hub_column if i < shared else column, spoke, spoke_column)
+            for i, (_hub, column, spoke, spoke_column) in enumerate(joins)
+        ]
+        graph = JoinGraph([hub, *spokes], joins)
 
         def selection(name, position, op):
             column = schema.relation(name).columns[position]
@@ -338,5 +353,6 @@ class TestCardinalityEstimator:
             assert est.estimate(mask) == (rows, math.log(rows) - log_product, width)
             assert est.rows(mask) == rows
             assert est.rows(mask) == est.estimate(mask)[0]
-        # The hub with any subset of the spokes, and each spoke alone.
-        assert connected == 2**7 + 7
+        # The hub with any subset of the spokes, each spoke alone, and each
+        # set of two or more shared-column spokes (joined by implied edges).
+        assert connected == 2**spoke_count + spoke_count + 2**shared - 1 - shared

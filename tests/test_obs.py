@@ -84,10 +84,11 @@ class TestTracer:
 
     def test_jsonl_exporter(self, tmp_path):
         path = tmp_path / "spans.jsonl"
-        tracer = Tracer(JsonlSpanExporter(path))
-        with tracer.span("a", n=1):
-            with tracer.span("b"):
-                pass
+        with JsonlSpanExporter(path) as exporter:
+            tracer = Tracer(exporter)
+            with tracer.span("a", n=1):
+                with tracer.span("b"):
+                    pass
         lines = path.read_text(encoding="utf-8").strip().splitlines()
         records = [json.loads(line) for line in lines]
         assert [r["name"] for r in records] == ["b", "a"]

@@ -228,6 +228,10 @@ class TestSDP:
             SDPConfig(skyline_option=4)
         with pytest.raises(ValueError):
             SDPConfig(hub_degree=0)
+        # NaN passes every bound check; a float count is not a count.
+        for hub_degree in (float("nan"), 2.5):
+            with pytest.raises(ValueError):
+                SDPConfig(hub_degree=hub_degree)
         with pytest.raises(ValueError):
             SDPConfig(pairwise_dimensions=((0, 5),))
         # No pair at all, and pairs that are not two distinct RCS indices.
@@ -268,6 +272,9 @@ class TestIDP:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             IDPConfig(k=1)
+        for k in (float("nan"), 4.5):
+            with pytest.raises(ValueError):
+                IDPConfig(k=k)
         with pytest.raises(ValueError):
             IDPConfig(block_policy="chaotic")
         with pytest.raises(ValueError):
