@@ -26,12 +26,14 @@ python -m repro.lint src/
 
 stage_done
 
-# Under development mode a leaked file or socket (ResourceWarning), or an
-# exception raised where nothing can catch it (say, in a finalizer), fails
-# the stage instead of printing a warning.
+# Every pytest stage runs under development mode, where a leaked file or
+# socket (ResourceWarning), or an exception raised where nothing can catch
+# it (say, in a finalizer), fails the stage instead of printing a warning.
+PYTEST_DEV=(python -X dev -m pytest -W error::ResourceWarning
+  -W error::pytest.PytestUnraisableExceptionWarning)
+
 echo "== 2/6 tier-1 tests (pytest, leaked resources fail) =="
-python -X dev -m pytest -W error::ResourceWarning \
-  -W error::pytest.PytestUnraisableExceptionWarning
+"${PYTEST_DEV[@]}"
 
 stage_done
 
@@ -39,8 +41,8 @@ stage_done
 # benchmarks/e2e/expected.json (the reference kernel's cost and
 # plans_costed for the benchmark's queries, up to star-25), and the check
 # that a tampered expected entry is caught.
-echo "== 3/6 benchmark answer check (pytest benchmarks/e2e) =="
-python -m pytest benchmarks/e2e -k "smoke or tampered"
+echo "== 3/6 benchmark answer check (pytest benchmarks/e2e, leaked resources fail) =="
+"${PYTEST_DEV[@]}" benchmarks/e2e -k "smoke or tampered"
 
 stage_done
 
@@ -97,8 +99,8 @@ python -m repro.bench --check BENCH_optimize.json
 
 stage_done
 
-echo "== 6/6 overload smoke (pytest -m stress) =="
-python -m pytest -m stress
+echo "== 6/6 overload smoke (pytest -m stress, leaked resources fail) =="
+"${PYTEST_DEV[@]}" -m stress
 
 stage_done
 

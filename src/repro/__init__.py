@@ -89,7 +89,6 @@ from repro.robust import (
     Attempt,
     Deadline,
     FaultHarness,
-    FaultPlan,
     RobustOptimizer,
     RobustResult,
 )
@@ -107,7 +106,6 @@ from repro.query import (
 )
 from repro.service import (
     BatchItem,
-    BrownoutLevel,
     CacheStats,
     FrontDoor,
     FrontDoorConfig,
@@ -188,7 +186,6 @@ __all__ = [
     "FrontDoor",
     "FrontDoorConfig",
     "FrontDoorResult",
-    "BrownoutLevel",
     "TenantPolicy",
     "TenantRegistry",
     # robustness
@@ -197,7 +194,6 @@ __all__ = [
     "Attempt",
     "Deadline",
     "FaultHarness",
-    "FaultPlan",
     # plans
     "PlanNode",
     "explain",

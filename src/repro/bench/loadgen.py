@@ -136,7 +136,6 @@ def run_load(
         queue_capacity=scenario.queue_capacity,
         workers=scenario.workers,
         cooldown_seconds=0.1,
-        stats_refresh_interval_seconds=0.25,
     )
     door = FrontDoor(service, config, tenants=registry)
 

@@ -659,14 +659,3 @@ class PlanSpace:
 
     def rows(self, mask: int) -> float:
         return self.est.rows(mask)
-
-    def width(self, mask: int) -> int:
-        """Estimated output row width for ``mask``, computed on each call.
-
-        The search itself reads :attr:`JCR.width`, set once when the JCR is
-        estimated.
-        """
-        return self.est.width(mask)
-
-    def log_selectivity(self, mask: int) -> float:
-        return self.est.log_selectivity(mask)

@@ -147,9 +147,8 @@ class ReferenceJCRTable:
         jcr = self._by_mask.get(mask)
         if jcr is not None:
             return jcr, False
-        jcr = ReferenceJCR(
-            mask, self._est.rows(mask), self._est.log_selectivity(mask)
-        )
+        rows, log_sel, _width = self._est.estimate(mask)
+        jcr = ReferenceJCR(mask, rows, log_sel)
         self._by_mask[mask] = jcr
         self._by_level.setdefault(jcr.level, []).append(jcr)
         return jcr, True
@@ -653,9 +652,3 @@ class ReferencePlanSpace:
 
     def rows(self, mask: int) -> float:
         return self.est.rows(mask)
-
-    def width(self, mask: int) -> int:
-        return self.est.width(mask)
-
-    def log_selectivity(self, mask: int) -> float:
-        return self.est.log_selectivity(mask)

@@ -15,8 +15,8 @@ wholly inside it. Only an eclass partly inside ``S`` (a join column shared
 by three or more relations) computes the factor of the members inside,
 memoized per ``(eclass, inside)``. :meth:`CardinalityEstimator.estimate`
 computes one set's rows, selectivity and width in a single uncached pass;
-the fast kernel's JCR table calls it once per new JCR and keeps the result
-on the JCR. Only :meth:`rows` keeps a per-mask memo, for the heuristics
+both kernels' JCR tables call it once per new JCR and keep the result on
+the JCR. Only :meth:`rows` keeps a per-mask memo, for the heuristics
 (GOO, IDP) that rescore candidate sets.
 
 The estimator also produces the JCR feature-vector ingredients the SDP
@@ -171,14 +171,6 @@ class CardinalityEstimator:
         if cached is None:
             cached = self._rows_cache[mask] = self.estimate(mask)[0]
         return cached
-
-    def log_selectivity(self, mask: int) -> float:
-        """Natural log of the JCR selectivity feature.
-
-        ``S = rows(mask) / prod(base rows)``; returned in log space
-        (always <= 0 up to the min-rows clamp).
-        """
-        return self.estimate(mask)[1]
 
     def width(self, mask: int) -> int:
         """Estimated row width (bytes) of the join output for ``mask``."""

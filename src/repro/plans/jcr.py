@@ -9,7 +9,7 @@ interesting orders, and — for SDP — the feature vector
 Selectivity is stored in natural-log space (a strictly monotone transform,
 hence skyline-equivalent) so that the cartesian products of 40+-relation
 composites stay inside float range; see
-:meth:`repro.cost.CardinalityEstimator.log_selectivity`.
+:meth:`repro.cost.CardinalityEstimator.estimate`.
 
 Mask-native layout: retained plans live in one dict, ``slots``, mapping an
 order key (None is the unordered slot) to a ``(physical order, cost,

@@ -11,9 +11,7 @@ Three pieces turn the library's optimizers into a service-grade front:
   optimizer via the :attr:`~repro.core.base.Optimizer.checkpoint` hook;
 * :class:`FaultHarness` — deterministic, seeded, context-managed fault
   injection (synthetic budget trips, transient cost-model faults, latency
-  faults, corrupted catalog statistics) for testing the above, plus
-  :class:`FaultPlan` for shipping worker-crash and latency faults into
-  parallel batch workers.
+  faults, corrupted catalog statistics) for testing the above.
 
 See ``docs/robustness.md`` for the full semantics.
 """
@@ -22,11 +20,9 @@ from repro.robust.deadline import Deadline
 from repro.robust.faults import (
     CostModelFault,
     FaultHarness,
-    FaultPlan,
     FaultyCostModel,
     InjectedBudgetExceeded,
     SlowCostModel,
-    WorkerCrashFault,
 )
 from repro.robust.ladder import (
     DEFAULT_LADDER,
@@ -44,10 +40,8 @@ __all__ = [
     "ladder_from",
     "Deadline",
     "FaultHarness",
-    "FaultPlan",
     "FaultyCostModel",
     "SlowCostModel",
     "CostModelFault",
     "InjectedBudgetExceeded",
-    "WorkerCrashFault",
 ]

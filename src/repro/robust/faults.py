@@ -2,7 +2,7 @@
 
 A robustness claim is only testable if failures can be manufactured on
 demand — and *reproducibly*, so a failing test shrinks to a seed. This
-module injects three fault families, all derived from an explicit seed via
+module injects four fault families, all derived from an explicit seed via
 :func:`repro.util.rng.derive_seed` (never global randomness, never global
 state):
 
@@ -17,10 +17,6 @@ state):
   deterministic ``time.sleep`` every Nth attribute read, slowing a search
   down without changing its outcome — the fault that makes queues back up
   and brownout controllers react;
-* **worker crashes** — a :class:`FaultPlan` shipped into
-  :func:`repro.service.parallel.optimize_many` workers makes a
-  seed-selected subset of cells raise :class:`WorkerCrashFault` on their
-  *first* attempt, exercising the coordinator's chunk-retry path;
 * **catalog corruption** — :meth:`FaultHarness.perturbed_statistics`
   builds a *new* statistics snapshot with zeroed or inflated row counts
   (the original snapshot is never mutated).
@@ -29,8 +25,7 @@ Budget trips, cost-model faults and latency faults are context-managed:
 they install themselves on one optimizer instance and restore its prior
 ``checkpoint`` / ``cost_model`` on exit, so no fault state outlives the
 ``with`` block. Statistics perturbation is a pure function, which cannot
-leak by construction; :class:`FaultPlan` is an immutable, picklable value
-that worker processes evaluate locally.
+leak by construction.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterator
 
 from repro.catalog.statistics import CatalogStatistics, TableStats
@@ -51,10 +46,8 @@ from repro.util.rng import derive_rng
 __all__ = [
     "CostModelFault",
     "InjectedBudgetExceeded",
-    "WorkerCrashFault",
     "FaultyCostModel",
     "SlowCostModel",
-    "FaultPlan",
     "FaultHarness",
 ]
 
@@ -72,30 +65,6 @@ def _note_fault(kind: str) -> None:
 # lint: waive[RL006] synthetic-fault taxonomy lives with the fault harness
 class CostModelFault(FaultInjected):
     """A synthetic cost-model failure injected by :class:`FaultyCostModel`."""
-
-
-# lint: waive[RL006] synthetic-fault taxonomy lives with the fault harness
-class WorkerCrashFault(FaultInjected):
-    """A synthetic worker-process crash injected by a :class:`FaultPlan`.
-
-    Raised inside a batch worker *before* the cell's search starts, so a
-    retried cell produces exactly the result a fault-free run would have.
-    Carries the cell coordinates so the coordinator's retry logic (and
-    test assertions) can identify which cell died.
-    """
-
-    def __init__(self, query_index: int, technique: str):
-        self.query_index = query_index
-        self.technique = technique
-        super().__init__(
-            f"injected worker crash on cell "
-            f"(query={query_index}, technique={technique!r})"
-        )
-
-    def __reduce__(self):
-        # Structured constructor + cross-process travel (the whole point
-        # of this fault): restore from the coordinates, not the message.
-        return (type(self), (self.query_index, self.technique), self.__dict__)
 
 
 # lint: waive[RL006] synthetic-fault taxonomy lives with the fault harness
@@ -187,68 +156,6 @@ class SlowCostModel:
             _note_fault("latency")
             time.sleep(state["_delay"])
         return getattr(state["_inner"], name)
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """A picklable fault schedule for batch workers.
-
-    :func:`repro.service.parallel.optimize_many` ships one of these into
-    every worker alongside the batch context; each cell evaluates the plan
-    locally and deterministically (pure functions of ``seed`` and the cell
-    coordinates — no shared state, no wall clock), so a faulted batch is
-    reproducible and serial/pool modes agree on which cells fault.
-
-    Attributes:
-        seed: Root seed for all per-cell derivations.
-        crash_fraction: Probability in ``[0, 1]`` that a cell raises
-            :class:`WorkerCrashFault` on its **first** attempt (retries
-            always run clean — crashes are transient by construction).
-        latency_seconds: Sleep injected into the cell's cost model via
-            :class:`SlowCostModel`; 0 disables the latency fault.
-        latency_every: One sleep per this many cost-model reads.
-    """
-
-    seed: int = 0
-    crash_fraction: float = 0.0
-    latency_seconds: float = 0.0
-    latency_every: int = 256
-
-    def __post_init__(self):
-        if not 0.0 <= self.crash_fraction <= 1.0:
-            raise ValueError(
-                f"crash_fraction must be in [0, 1], got {self.crash_fraction}"
-            )
-        if not (math.isfinite(self.latency_seconds) and self.latency_seconds >= 0):
-            raise ValueError(
-                "latency_seconds must be finite and >= 0, "
-                f"got {self.latency_seconds}"
-            )
-        if self.latency_every < 1:
-            raise ValueError(
-                f"latency_every must be >= 1, got {self.latency_every}"
-            )
-
-    def should_crash(self, query_index: int, technique: str, attempt: int) -> bool:
-        """Whether this cell's ``attempt`` dies (deterministic per cell)."""
-        if attempt > 0 or self.crash_fraction <= 0.0:
-            return False
-        rng = derive_rng(self.seed, "worker-crash", query_index, technique)
-        return rng.random() < self.crash_fraction
-
-    def maybe_crash(self, query_index: int, technique: str, attempt: int) -> None:
-        """Raise :class:`WorkerCrashFault` if this cell's attempt dies."""
-        if self.should_crash(query_index, technique, attempt):
-            _note_fault("worker-crash")
-            raise WorkerCrashFault(query_index, technique)
-
-    def wrap_cost_model(self, inner):
-        """``inner`` wrapped in :class:`SlowCostModel` (or unchanged)."""
-        if self.latency_seconds <= 0.0:
-            return inner
-        return SlowCostModel(
-            inner, delay_seconds=self.latency_seconds, every=self.latency_every
-        )
 
 
 class FaultHarness:

@@ -20,8 +20,6 @@ deploy around them:
 from repro.service.cache import CacheStats, PlanCache
 from repro.service.fingerprint import fingerprint_components, query_fingerprint
 from repro.service.frontdoor import (
-    DEFAULT_BROWNOUT_LEVELS,
-    BrownoutLevel,
     FrontDoor,
     FrontDoorConfig,
     FrontDoorResult,
@@ -35,9 +33,7 @@ from repro.service.tenancy import TenantBudget, TenantPolicy, TenantRegistry
 
 __all__ = [
     "BatchItem",
-    "BrownoutLevel",
     "CacheStats",
-    "DEFAULT_BROWNOUT_LEVELS",
     "FrontDoor",
     "FrontDoorConfig",
     "FrontDoorResult",

@@ -19,12 +19,12 @@ thesis (*always return a plan, degrade gracefully, never fall over*):
 * one tenant's storm becomes that tenant's
   :class:`~repro.errors.TenantBudgetExhausted` rejections, not everyone's
   latency (see :mod:`repro.service.tenancy`);
-* under sustained pressure the :class:`LoadController` steps down a
+* under sustained pressure the :class:`LoadController` steps down a fixed
   **brownout ladder**: the optimizer entry point moves from the service's
-  configured technique toward cheaper ones (``SDP → IDP(4) → GOO``) and
-  per-call budgets shrink, so admitted requests keep completing — the
-  same fallback-ladder idea as :class:`~repro.robust.RobustOptimizer`,
-  applied fleet-wide instead of per call;
+  configured technique toward cheaper ones (``SDP → IDP(4) → GOO``), so
+  admitted requests keep completing — the same fallback-ladder idea as
+  :class:`~repro.robust.RobustOptimizer`, applied fleet-wide instead of
+  per call;
 * brownout results are **never cached** (the cache must only ever serve
   full-quality plans) and the unloaded path — brownout level 0 — is
   bit-identical to calling :meth:`OptimizationService.optimize` directly;
@@ -39,12 +39,11 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from queue import Empty, Full, Queue
 from typing import Callable
 
 from repro.catalog.statistics import CatalogStatistics
-from repro.core.base import SearchBudget
 from repro.errors import AdmissionRejected, ServiceError, TenantBudgetExhausted
 from repro.obs.names import (
     METRIC_FRONTDOOR_BROWNOUT_LEVEL,
@@ -63,8 +62,6 @@ from repro.service.service import OptimizationService, ServiceResult
 from repro.service.tenancy import TenantRegistry
 
 __all__ = [
-    "BrownoutLevel",
-    "DEFAULT_BROWNOUT_LEVELS",
     "LoadController",
     "StatsRefreshBreaker",
     "FrontDoorConfig",
@@ -79,67 +76,23 @@ _WORKER_POLL_SECONDS = 0.05
 
 # -- brownout ladder -----------------------------------------------------------
 
+#: Entry technique per brownout level. Level 0 (None) is the service's own
+#: configured path (the bit-identical unloaded path); each further level runs
+#: ``RobustOptimizer(ladder=ladder_from(entry))`` with its default budget,
+#: entering the fallback ladder lower, which mirrors the paper's
+#: DP -> SDP -> IDP -> GOO cost/quality ordering at the fleet level.
+_BROWNOUT_ENTRIES = (None, "SDP", "IDP(4)", "GOO")
 
-@dataclass(frozen=True)
-class BrownoutLevel:
-    """One rung of the serving-wide degradation ladder.
-
-    Attributes:
-        level: Position on the ladder; 0 is the undegraded baseline.
-        entry: Fallback-ladder entry technique for requests served at this
-            level (``ladder_from(entry)``), or None for the service's own
-            configured path (level 0 only).
-        budget_scale: Multiplier in ``(0, 1]`` applied to the per-call
-            search budget's plan and time allowances. Brownout only ever
-            *shrinks* budgets.
-    """
-
-    level: int
-    entry: str | None
-    budget_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ServiceError(f"brownout level must be >= 0, got {self.level}")
-        if not 0.0 < self.budget_scale <= 1.0:
-            raise ServiceError(
-                f"budget_scale must be in (0, 1], got {self.budget_scale}"
-            )
-        if self.level == 0 and self.entry is not None:
-            raise ServiceError("brownout level 0 is the baseline path (entry=None)")
-        if self.level > 0 and self.entry is None:
-            raise ServiceError("brownout levels > 0 need an entry technique")
-
-
-#: The default degradation ladder. Level 0 is the service's configured
-#: technique at full budget (the bit-identical unloaded path); each
-#: further level enters the robust fallback ladder lower and with less
-#: budget, mirroring the paper's DP -> SDP -> IDP -> GOO cost/quality
-#: ordering at the fleet level.
-DEFAULT_BROWNOUT_LEVELS = (
-    BrownoutLevel(0, None, 1.0),
-    BrownoutLevel(1, "SDP", 1.0),
-    BrownoutLevel(2, "IDP(4)", 0.5),
-    BrownoutLevel(3, "GOO", 0.25),
-)
-
-
-def _scaled_budget(base: SearchBudget, scale: float) -> SearchBudget:
-    """``base`` with plan/time allowances multiplied by ``scale``.
-
-    The memory ceiling is left alone: it models a fixed planner arena, not
-    a rate, and shrinking it would change *which* plans are feasible
-    rather than how long we look for them.
-    """
-    if scale >= 1.0:
-        return base
-    plans = base.max_plans_costed
-    seconds = base.max_seconds
-    return replace(
-        base,
-        max_plans_costed=None if plans is None else max(1, int(plans * scale)),
-        max_seconds=None if seconds is None else seconds * scale,
-    )
+#: Queue occupancy (0..1) at/above which the load controller sees heavy load.
+_HIGH_WATERMARK = 0.75
+#: Occupancy at/below which it sees light load.
+_LOW_WATERMARK = 0.25
+#: Sliding-window p95 latency above which a pressured queue counts as heavy.
+_LATENCY_SLO_SECONDS = 0.5
+#: Completed-request latencies kept for the p95.
+_LATENCY_WINDOW = 64
+#: Minimum spacing between applied statistics epochs.
+_STATS_REFRESH_INTERVAL_SECONDS = 0.25
 
 
 # -- load controller -----------------------------------------------------------
@@ -148,61 +101,34 @@ def _scaled_budget(base: SearchBudget, scale: float) -> SearchBudget:
 class LoadController:
     """Turns queue depth and recent latency into a brownout level.
 
-    The controller is deliberately boring: a sliding window of completed
-    request latencies plus the instantaneous queue occupancy, compared
-    against watermarks with hysteresis. Escalation is immediate-but-rate-
-    limited (at most one level per ``cooldown_seconds``); de-escalation
-    requires the system to look calm for a full cooldown, so the level
-    does not flap at the boundary.
+    The controller is deliberately boring: a sliding window of the last
+    64 completed request latencies plus the instantaneous queue occupancy,
+    compared against fixed watermarks (0.75 and 0.25) with hysteresis; a
+    p95 above 0.5 s also counts as heavy load once the queue is past the
+    low watermark (a slow backend backs the queue up eventually, but
+    latency notices first). Escalation is immediate-but-rate-limited (at
+    most one level per ``cooldown_seconds``); de-escalation requires the
+    system to look calm for a full cooldown, so the level does not flap
+    at the boundary. The level never exceeds the ladder's last rung.
 
     Args:
-        max_level: Highest level this controller will command.
-        high_watermark: Queue occupancy (0..1) at/above which load is
-            considered heavy.
-        low_watermark: Occupancy at/below which load is considered light.
-        latency_slo_seconds: Sliding-window p95 above this also counts as
-            heavy load (a slow backend backs the queue up eventually, but
-            latency notices first); > 0.
-        window: Completed-request latencies retained for the percentile;
-            > 0.
         cooldown_seconds: Minimum time between level changes; > 0.
         clock: Monotonic time source (injectable for deterministic tests).
     """
 
     def __init__(
         self,
-        max_level: int = len(DEFAULT_BROWNOUT_LEVELS) - 1,
-        high_watermark: float = 0.75,
-        low_watermark: float = 0.25,
-        latency_slo_seconds: float = 0.5,
-        window: int = 64,
         cooldown_seconds: float = 0.25,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if not 0.0 <= low_watermark < high_watermark <= 1.0:
-            raise ServiceError(
-                "watermarks must satisfy 0 <= low < high <= 1, got "
-                f"low={low_watermark}, high={high_watermark}"
-            )
-        # ``not > 0`` also rejects NaN: a NaN SLO never counts latency as
-        # load, a NaN cooldown never changes level.
-        if not latency_slo_seconds > 0:
-            raise ServiceError(
-                f"latency_slo_seconds must be > 0, got {latency_slo_seconds!r}"
-            )
+        # ``not > 0`` also rejects NaN, which would never change level.
         if not cooldown_seconds > 0:
             raise ServiceError(
                 f"cooldown_seconds must be > 0, got {cooldown_seconds!r}"
             )
-        if not window > 0:
-            raise ServiceError(f"window must be > 0, got {window!r}")
-        self.max_level = max_level
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
-        self.latency_slo_seconds = latency_slo_seconds
         self.cooldown_seconds = cooldown_seconds
         self._clock = clock
-        self._latencies: deque[float] = deque(maxlen=window)
+        self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._level = 0
         self._last_change = clock()
         self._lock = threading.Lock()
@@ -237,14 +163,14 @@ class LoadController:
         """
         occupancy = queue_depth / queue_capacity if queue_capacity else 0.0
         p95 = self.p95()
-        heavy = occupancy >= self.high_watermark or (
-            p95 > self.latency_slo_seconds and occupancy > self.low_watermark
+        heavy = occupancy >= _HIGH_WATERMARK or (
+            p95 > _LATENCY_SLO_SECONDS and occupancy > _LOW_WATERMARK
         )
-        calm = occupancy <= self.low_watermark
+        calm = occupancy <= _LOW_WATERMARK
         with self._lock:
             now = self._clock()
             if now - self._last_change >= self.cooldown_seconds:
-                if heavy and self._level < self.max_level:
+                if heavy and self._level < len(_BROWNOUT_ENTRIES) - 1:
                     self._level += 1
                     self._last_change = now
                 elif calm and self._level > 0:
@@ -264,8 +190,8 @@ class StatsRefreshBreaker:
     tight loop would keep the cache permanently cold and every miss
     re-optimizing — a livelock. The breaker closes that loop:
 
-    * **closed** — a refresh at least ``min_interval_seconds`` after the
-      previous applied one goes straight through (``"applied"``);
+    * **closed** — a refresh at least 0.25 s after the previous applied
+      one goes straight through (``"applied"``);
     * **open** — refreshes inside the interval are *coalesced*: the
       snapshot is parked (newest wins, older parked snapshots are simply
       dropped — they were already stale) and the call returns
@@ -281,15 +207,9 @@ class StatsRefreshBreaker:
     def __init__(
         self,
         service: OptimizationService,
-        min_interval_seconds: float = 0.25,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if not min_interval_seconds > 0:  # NaN too: it would never coalesce
-            raise ServiceError(
-                f"min_interval_seconds must be > 0, got {min_interval_seconds!r}"
-            )
         self._service = service
-        self.min_interval_seconds = min_interval_seconds
         self._clock = clock
         self._lock = threading.Lock()
         self._last_applied: float | None = None
@@ -312,7 +232,7 @@ class StatsRefreshBreaker:
             now = self._clock()
             if (
                 self._last_applied is None
-                or now - self._last_applied >= self.min_interval_seconds
+                or now - self._last_applied >= _STATS_REFRESH_INTERVAL_SECONDS
             ):
                 self._service.install_statistics(stats)
                 self._last_applied = now
@@ -333,7 +253,7 @@ class StatsRefreshBreaker:
             now = self._clock()
             if (
                 self._last_applied is not None
-                and now - self._last_applied < self.min_interval_seconds
+                and now - self._last_applied < _STATS_REFRESH_INTERVAL_SECONDS
             ):
                 return False
             self._service.install_statistics(self._pending)
@@ -352,7 +272,7 @@ class StatsRefreshBreaker:
             now = self._clock()
             if (
                 self._last_applied is not None
-                and now - self._last_applied < self.min_interval_seconds
+                and now - self._last_applied < _STATS_REFRESH_INTERVAL_SECONDS
             ):
                 return "open"
             return "half-open"
@@ -369,31 +289,13 @@ class FrontDoorConfig:
         queue_capacity: Bounded admission-queue depth; requests beyond it
             are shed with ``AdmissionRejected("queue-full")``.
         workers: Serving threads draining the queue.
-        default_budget: Per-call search budget for tenants whose policy
-            does not carry one; None means :class:`SearchBudget`'s
-            defaults.
-        brownout_levels: The degradation ladder (must start at level 0
-            and use consecutive levels).
-        high_watermark / low_watermark / latency_slo_seconds / window /
-            cooldown_seconds: Forwarded to :class:`LoadController`.
-        stats_refresh_interval_seconds: Minimum spacing between applied
-            statistics epochs (:class:`StatsRefreshBreaker`).
-        result_timeout_seconds: How long :meth:`FrontDoor.optimize` waits
-            for an admitted request before raising; a backstop, not a
-            scheduling device — workers never abandon admitted work.
+        cooldown_seconds: Minimum time between brownout level changes
+            (:class:`LoadController`).
     """
 
     queue_capacity: int = 32
     workers: int = 4
-    default_budget: SearchBudget | None = None
-    brownout_levels: tuple[BrownoutLevel, ...] = DEFAULT_BROWNOUT_LEVELS
-    high_watermark: float = 0.75
-    low_watermark: float = 0.25
-    latency_slo_seconds: float = 0.5
-    window: int = 64
     cooldown_seconds: float = 0.25
-    stats_refresh_interval_seconds: float = 0.25
-    result_timeout_seconds: float = 60.0
 
     def __post_init__(self):
         if self.queue_capacity < 1:
@@ -402,12 +304,6 @@ class FrontDoorConfig:
             )
         if self.workers < 1:
             raise ServiceError(f"workers must be >= 1, got {self.workers!r}")
-        levels = [entry.level for entry in self.brownout_levels]
-        if levels != list(range(len(levels))) or not levels:
-            raise ServiceError(
-                "brownout_levels must be consecutive levels starting at 0, "
-                f"got {levels!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -470,7 +366,6 @@ class FrontDoorStats:
 class _Request:
     query: Query
     tenant: str
-    budget: SearchBudget
     future: Future
     enqueued_at: float
     sql: str | None = None
@@ -496,7 +391,7 @@ class FrontDoor:
 
     Args:
         service: The backing optimization service (shared, thread-safe).
-        config: Static limits and brownout ladder.
+        config: Queue, worker and cooldown settings.
         tenants: Tenant policy/bucket registry; a fresh default registry
             when omitted.
         clock: Monotonic time source, forwarded to the load controller
@@ -515,20 +410,8 @@ class FrontDoor:
         self.tenants = tenants if tenants is not None else TenantRegistry(clock=clock)
         self._clock = clock
         self._queue: Queue[_Request] = Queue(maxsize=self.config.queue_capacity)
-        self.controller = LoadController(
-            max_level=len(self.config.brownout_levels) - 1,
-            high_watermark=self.config.high_watermark,
-            low_watermark=self.config.low_watermark,
-            latency_slo_seconds=self.config.latency_slo_seconds,
-            window=self.config.window,
-            cooldown_seconds=self.config.cooldown_seconds,
-            clock=clock,
-        )
-        self.breaker = StatsRefreshBreaker(
-            service,
-            min_interval_seconds=self.config.stats_refresh_interval_seconds,
-            clock=clock,
-        )
+        self.controller = LoadController(self.config.cooldown_seconds, clock)
+        self.breaker = StatsRefreshBreaker(service, clock)
         self._workers: list[threading.Thread] = []
         self._closing = threading.Event()
         self._started = False
@@ -570,7 +453,10 @@ class FrontDoor:
         ``AdmissionRejected("shutdown")`` — completed exceptionally, not
         abandoned: no future ever hangs.
         """
-        self._closing.set()
+        # Under the lock submit() enqueues with: once the flag is set,
+        # nothing more enters the queue.
+        with self._lock:
+            self._closing.set()
         if not drain:
             while True:
                 try:
@@ -611,8 +497,12 @@ class FrontDoor:
 
         Admission order: shutdown check, then the tenant's token bucket
         (a shed there must not consume queue capacity), then the bounded
-        queue. The returned future resolves to a :class:`FrontDoorResult`
-        (or to the error the optimization itself raised).
+        queue. The shutdown check is repeated with the enqueue, under the
+        lock :meth:`close` sets its flag with, so a request whose
+        admission overlaps ``close()`` is either refused or queued before
+        the workers can see the door closed. The returned future resolves
+        to a :class:`FrontDoorResult` (or to the error the optimization
+        itself raised).
         """
         if self._closing.is_set():
             self._count("shed-shutdown")
@@ -633,29 +523,33 @@ class FrontDoor:
             self._count("shed-tenant")
             raise TenantBudgetExhausted(tenant, bucket.retry_after())
 
-        policy = self.tenants.policy(tenant)
-        budget = (
-            policy.search_budget
-            or self.config.default_budget
-            or SearchBudget()
-        )
         request = _Request(
             query=query,
             tenant=tenant,
-            budget=budget,
             future=Future(),
             enqueued_at=self._clock(),
             sql=sql,
         )
-        try:
-            self._queue.put(request, block=False)
-        except Full:
-            self._count("shed-queue")
+        with self._lock:
+            if self._closing.is_set():
+                outcome = "shed-shutdown"
+            else:
+                try:
+                    self._queue.put(request, block=False)
+                    outcome = "admitted"
+                except Full:
+                    outcome = "shed-queue"
+            # Counted inline: _count takes this same (non-reentrant) lock.
+            self._counts[outcome] += 1
+        if outcome == "shed-shutdown":
+            self._note_request(outcome)
+            raise AdmissionRejected("shutdown", "front door is closing")
+        if outcome == "shed-queue":
+            self._note_request(outcome)
             raise AdmissionRejected(
                 "queue-full",
                 f"admission queue at capacity ({self.config.queue_capacity})",
-            ) from None
-        self._count("admitted")
+            )
         if _obs_enabled():
             _obs_metrics().gauge(
                 METRIC_FRONTDOOR_QUEUE_DEPTH,
@@ -667,12 +561,14 @@ class FrontDoor:
         self,
         query: Query | str,
         tenant: str = "default",
-        timeout: float | None = None,
+        timeout: float = 60.0,
     ) -> FrontDoorResult:
-        """Synchronous submit-and-wait (the common client path)."""
-        future = self.submit(query, tenant=tenant)
-        wait = self.config.result_timeout_seconds if timeout is None else timeout
-        return future.result(timeout=wait)
+        """Synchronous submit-and-wait (the common client path).
+
+        ``timeout`` is a backstop, not a scheduling device: workers never
+        abandon admitted work.
+        """
+        return self.submit(query, tenant=tenant).result(timeout=timeout)
 
     # -- serving ----------------------------------------------------------------
 
@@ -681,7 +577,9 @@ class FrontDoor:
             try:
                 request = self._queue.get(timeout=_WORKER_POLL_SECONDS)
             except Empty:
-                if self._closing.is_set():
+                # Nothing is enqueued after the closing flag is set, so a
+                # queue found empty after the flag stays empty.
+                if self._closing.is_set() and self._queue.empty():
                     return
                 self.breaker.flush()
                 continue
@@ -691,27 +589,24 @@ class FrontDoor:
     def _serve(self, request: _Request) -> None:
         started = self._clock()
         queue_wait = started - request.enqueued_at
-        level_index = self.controller.evaluate(
+        level = self.controller.evaluate(
             self._queue.qsize(), self.config.queue_capacity
         )
-        level = self.config.brownout_levels[level_index]
-        entry = level.entry or self.service.technique
+        ladder_entry = _BROWNOUT_ENTRIES[level]
+        entry = ladder_entry or self.service.technique
         submission = request.query if request.sql is None else request.sql
         with maybe_span(
             current_tracer(), SPAN_FRONTDOOR_REQUEST,
             query=request.query.label, tenant=request.tenant,
-            brownout_level=level.level, entry=entry,
+            brownout_level=level, entry=entry,
         ) as span:
             try:
-                if level.level == 0:
+                if ladder_entry is None:
                     # Baseline: the exact service path an unloaded caller
                     # would take (cached, single-flighted, full budget).
                     inner = self.service.optimize(submission)
                 else:
-                    optimizer = RobustOptimizer(
-                        ladder=ladder_from(level.entry),
-                        budget=_scaled_budget(request.budget, level.budget_scale),
-                    )
+                    optimizer = RobustOptimizer(ladder=ladder_from(ladder_entry))
                     inner = self.service.optimize(submission, optimizer=optimizer)
             except Exception as exc:
                 span.set(outcome="error")
@@ -723,7 +618,7 @@ class FrontDoor:
             served = FrontDoorResult(
                 result=inner,
                 tenant=request.tenant,
-                brownout_level=level.level,
+                brownout_level=level,
                 entry=entry,
                 queue_wait_seconds=queue_wait,
                 total_seconds=total,

@@ -27,14 +27,11 @@ Scheduling policy (the serial-vs-pool decision lives in
 
 Budget trips are part of the protocol (the paper's ``*`` cells), so they
 are captured per cell — :attr:`BatchItem.error` — instead of aborting the
-batch. An injected :class:`~repro.robust.faults.WorkerCrashFault` (chaos
-testing via the ``faults=`` plan) kills its chunk, which the coordinator
-re-runs at attempt 1 — the grid still comes back complete. A worker
-*process* that dies (killed, out of memory, a segfault) breaks the
-executor for good: a batch that finds the pool already broken replaces it
-and returns the complete grid, and a death during a batch drops the pool
-and raises :class:`~repro.errors.ServiceError` chained from the
-``BrokenProcessPool``, so the next batch starts clean. Any other
+batch. A worker *process* that dies (killed, out of memory, a segfault)
+breaks the executor for good: a batch that finds the pool already broken
+replaces it and returns the complete grid, and a death during a batch
+drops the pool and raises :class:`~repro.errors.ServiceError` chained
+from the ``BrokenProcessPool``, so the next batch starts clean. Any other
 exception propagates and cancels the batch: a malformed query should fail
 loudly, not produce a hole in a table.
 
@@ -65,7 +62,6 @@ from repro.obs.names import SPAN_SERVICE_BATCH, SPAN_SERVICE_CELL
 from repro.obs.runtime import current_tracer
 from repro.obs.trace import maybe_span
 from repro.query.query import Query
-from repro.robust.faults import FaultPlan, WorkerCrashFault
 
 __all__ = [
     "BatchItem",
@@ -154,7 +150,6 @@ def _install_context(
     budget: SearchBudget | None,
     cost_model: CostModel | None,
     robust: bool,
-    faults: FaultPlan | None = None,
 ) -> None:
     """Install the batch context in this process."""
     global _CONTEXT
@@ -164,7 +159,6 @@ def _install_context(
         "budget": budget,
         "cost_model": cost_model,
         "robust": robust,
-        "faults": faults,
     }
 
 
@@ -180,30 +174,20 @@ def _make_cell_optimizer(technique: str, budget, cost_model, robust: bool):
     return make_optimizer(technique, budget=budget, cost_model=cost_model)
 
 
-def _run_cell(task: tuple[int, str, int]) -> BatchItem:
-    """Optimize one grid cell inside a worker (or inline when serial).
-
-    ``task`` is ``(query_index, technique, attempt)`` — the attempt index
-    exists for the fault plan: an injected :class:`WorkerCrashFault` fires
-    only at attempt 0, so the coordinator's retry (attempt 1) runs clean
-    and the batch outcome matches a fault-free run.
+def _run_cell(task: tuple[int, str]) -> BatchItem:
+    """Optimize one ``(query_index, technique)`` cell in a worker or inline.
 
     Observability state is process-local, so cell spans only appear when
     the batch runs serially (or for the coordinating process): worker
     processes start with observability disabled and stay no-op-cheap,
     keeping parallel results identical to serial ones.
     """
-    query_index, technique, attempt = task
+    query_index, technique = task
     assert _CONTEXT is not None, "worker context not initialized"
     query = _CONTEXT["queries"][query_index]
-    faults: FaultPlan | None = _CONTEXT["faults"]
-    if faults is not None:
-        faults.maybe_crash(query_index, technique, attempt)
     optimizer = _make_cell_optimizer(
         technique, _CONTEXT["budget"], _CONTEXT["cost_model"], _CONTEXT["robust"]
     )
-    if faults is not None:
-        optimizer.cost_model = faults.wrap_cost_model(optimizer.cost_model)
     with maybe_span(
         current_tracer(), SPAN_SERVICE_CELL,
         query=query.label, technique=technique,
@@ -275,18 +259,11 @@ def _submit_chunks(workers: int, context, chunks) -> list:
 
 
 def _run_serial(tasks, context) -> list[BatchItem]:
-    """Run ``tasks`` inline, retrying any cell whose worker "crashes"."""
+    """Run ``tasks`` inline in this process."""
     global _CONTEXT
     _install_context(*context)
     try:
-        items = []
-        for task in tasks:
-            try:
-                items.append(_run_cell(task))
-            except WorkerCrashFault:
-                query_index, technique, _ = task
-                items.append(_run_cell((query_index, technique, 1)))
-        return items
+        return [_run_cell(task) for task in tasks]
     finally:
         _CONTEXT = None
 
@@ -299,7 +276,6 @@ def optimize_many(
     cost_model: CostModel | None = None,
     workers: int | None = 1,
     robust: bool = False,
-    faults: FaultPlan | None = None,
 ) -> list[list[BatchItem]]:
     """Optimize every query with every technique, in parallel.
 
@@ -318,11 +294,6 @@ def optimize_many(
         robust: Wrap each technique in its fallback ladder
             (:func:`repro.robust.ladder_from`), as the bench runner's
             robust mode does.
-        faults: Optional :class:`~repro.robust.faults.FaultPlan` shipped
-            into every worker: seed-selected cells crash on first attempt
-            (the coordinator retries them — the grid still comes back
-            complete and identical to a fault-free run) and cost-model
-            reads can be slowed to inflate cell latency.
 
     Returns:
         ``grid[q][t]`` — a :class:`BatchItem` per (query, technique), in
@@ -342,12 +313,12 @@ def optimize_many(
         stats = analyze(queries[0].schema)
 
     tasks = [
-        (query_index, technique, 0)
+        (query_index, technique)
         for query_index in range(len(queries))
         for technique in techniques
     ]
     mode, effective = execution_mode(workers, len(tasks))
-    context = (queries, stats, budget, cost_model, robust, faults)
+    context = (queries, stats, budget, cost_model, robust)
 
     with maybe_span(
         current_tracer(), SPAN_SERVICE_BATCH,
@@ -359,10 +330,7 @@ def optimize_many(
         else:
             # One contiguous chunk per worker: context pickled once per
             # worker, every worker busy for the whole batch, and chunk
-            # concatenation preserves submission order. Chunks are
-            # submitted individually (not pool.map) so a chunk killed by
-            # an injected worker crash can be retried in the coordinator
-            # at attempt 1 without losing its siblings.
+            # concatenation preserves submission order.
             base, extra = divmod(len(tasks), effective)
             chunks = []
             start = 0
@@ -374,12 +342,9 @@ def optimize_many(
                 start += size
             futures = _submit_chunks(effective, context, chunks)
             items = []
-            for future, chunk in zip(futures, chunks):
+            for future in futures:
                 try:
                     items.extend(future.result())
-                except WorkerCrashFault:
-                    retry = [(q, t, 1) for (q, t, _) in chunk]
-                    items.extend(_run_serial(retry, context))
                 except BrokenProcessPool as exc:
                     shutdown_pool()
                     raise ServiceError(

@@ -8,10 +8,7 @@ everyone's latency. This module prices admission per tenant:
   request takes one token; a tenant that bursts past its bucket capacity
   is rejected with :class:`~repro.errors.TenantBudgetExhausted` until the
   refill catches up (the exception carries ``retry_after_seconds``).
-* :class:`TenantPolicy` — the per-tenant configuration: bucket shape plus
-  the per-call :class:`~repro.core.base.SearchBudget` the front door
-  hands the optimizer for that tenant's requests (brownout may shrink it
-  further, never grow it).
+* :class:`TenantPolicy` — the per-tenant bucket shape.
 * :class:`TenantRegistry` — thread-safe tenant table with a default
   policy for unknown tenants.
 
@@ -28,7 +25,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.base import SearchBudget
 from repro.errors import ServiceError
 
 __all__ = ["TenantBudget", "TenantPolicy", "TenantRegistry"]
@@ -120,19 +116,15 @@ class TenantBudget:
 
 @dataclass(frozen=True)
 class TenantPolicy:
-    """Admission and search-budget configuration for one tenant.
+    """Admission configuration for one tenant.
 
     Attributes:
         bucket_capacity: Burst allowance (tokens).
         refill_per_second: Sustained admission rate (tokens/second).
-        search_budget: Per-call :class:`SearchBudget` for this tenant's
-            requests; None means the front door's default. Brownout may
-            shrink the effective budget further, never grow it.
     """
 
     bucket_capacity: float = 8.0
     refill_per_second: float = 16.0
-    search_budget: SearchBudget | None = None
 
 
 @dataclass

@@ -237,7 +237,30 @@ class TestCardinalityEstimator:
     def test_log_selectivity_nonpositive(self, small_schema, small_stats):
         graph, stats = self._graph_and_stats(small_schema, small_stats)
         est = CardinalityEstimator(graph, stats)
-        assert est.log_selectivity(0b111) <= 1e-9
+        assert est.estimate(0b111)[1] <= 1e-9
+
+    @pytest.mark.parametrize("kernel", ["fast", "reference"])
+    def test_search_estimates_each_new_jcr_once(
+        self, schema, stats, kernel, monkeypatch
+    ):
+        """An SDP search calls estimate() once per relation set it builds,
+        under either kernel, and fills no per-mask rows memo."""
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
+        hub = schema.largest_relation().name
+        spokes = [n for n in schema.relation_names if n != hub][:9]
+        graph = JoinGraph([hub, *spokes], star_joins(schema, hub, spokes))
+        calls = []
+        estimate = CardinalityEstimator.estimate
+
+        def counting_estimate(est, mask):
+            calls.append((est, mask))
+            return estimate(est, mask)
+
+        monkeypatch.setattr(CardinalityEstimator, "estimate", counting_estimate)
+        SDPOptimizer().optimize(repro.Query(schema=schema, graph=graph), stats)
+        masks = [mask for _est, mask in calls]
+        assert len(masks) == len(set(masks)) == 180
+        assert all(not est._rows_cache for est, _mask in calls)
 
     def test_memoization_consistency(self, small_schema, small_stats):
         graph, stats = self._graph_and_stats(small_schema, small_stats)

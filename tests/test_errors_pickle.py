@@ -29,7 +29,6 @@ _SAMPLE_ARGS = {
     "InjectedBudgetExceeded": ("costing", 5.0, 6.0),
     "AdmissionRejected": ("queue-full", "admission queue at capacity (8)"),
     "TenantBudgetExhausted": ("tenant-9", 0.125),
-    "WorkerCrashFault": (3, "SDP"),
 }
 
 #: The one in-tree exception outside the taxonomy: the linter's usage
@@ -88,7 +87,6 @@ def test_hierarchy_walk_found_the_serving_errors():
     assert {
         "AdmissionRejected",
         "TenantBudgetExhausted",
-        "WorkerCrashFault",
         "OptimizationBudgetExceeded",
         "OptimizationCancelled",
     } <= names

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from repro.core.base import SearchBudget
@@ -19,14 +17,11 @@ from repro.plans.validate import validate_plan
 from repro.robust import (
     CostModelFault,
     FaultHarness,
-    FaultPlan,
     FaultyCostModel,
     InjectedBudgetExceeded,
     RobustOptimizer,
     SlowCostModel,
-    WorkerCrashFault,
 )
-from repro.service import optimize_many
 from tests.conftest import make_star_query
 
 pytestmark = pytest.mark.faults
@@ -224,103 +219,3 @@ class TestLatencyFault:
         for delay in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite"):
                 SlowCostModel(DEFAULT_COST_MODEL, delay_seconds=delay)
-
-
-class TestFaultPlan:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FaultPlan(crash_fraction=1.5)
-        with pytest.raises(ValueError):
-            FaultPlan(latency_seconds=-1.0)
-        with pytest.raises(ValueError):
-            FaultPlan(latency_every=0)
-        for latency in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="finite"):
-                FaultPlan(latency_seconds=latency, latency_every=1)
-
-    def test_crashes_are_deterministic_and_transient(self):
-        plan = FaultPlan(seed=1, crash_fraction=0.5)
-        cells = [(q, t) for q in range(10) for t in ("DP", "SDP")]
-        crashed = {c for c in cells if plan.should_crash(*c, attempt=0)}
-        assert crashed  # a 50% fraction over 20 cells hits some...
-        assert crashed != set(cells)  # ...but not all
-        # Pure function of (seed, cell): the same plan re-agrees.
-        assert crashed == {c for c in cells if plan.should_crash(*c, attempt=0)}
-        # Retries always run clean — crashes are transient by construction.
-        assert not any(plan.should_crash(q, t, attempt=1) for q, t in cells)
-
-    def test_maybe_crash_raises_with_coordinates(self):
-        plan = FaultPlan(seed=1, crash_fraction=1.0)
-        with pytest.raises(WorkerCrashFault) as excinfo:
-            plan.maybe_crash(4, "GOO", attempt=0)
-        assert excinfo.value.query_index == 4
-        assert excinfo.value.technique == "GOO"
-
-    def test_plan_round_trips_through_pickle(self):
-        plan = FaultPlan(seed=9, crash_fraction=0.25, latency_seconds=0.002)
-        assert pickle.loads(pickle.dumps(plan)) == plan
-
-    def test_wrap_cost_model_gated_on_latency(self):
-        assert (
-            FaultPlan().wrap_cost_model(DEFAULT_COST_MODEL)
-            is DEFAULT_COST_MODEL
-        )
-        wrapped = FaultPlan(latency_seconds=0.001).wrap_cost_model(
-            DEFAULT_COST_MODEL
-        )
-        assert isinstance(wrapped, SlowCostModel)
-
-
-class TestFaultedBatches:
-    def _grid_key(self, grid):
-        return [
-            [
-                (
-                    item.query_index,
-                    item.technique,
-                    None
-                    if item.result is None
-                    else (
-                        item.result.cost,
-                        item.result.plans_costed,
-                        repr(item.result.plan),
-                    ),
-                )
-                for item in row
-            ]
-            for row in grid
-        ]
-
-    def test_faulted_grid_matches_clean_grid(self, small_schema, small_stats):
-        queries = [make_star_query(small_schema, n) for n in (4, 5, 6)]
-        techniques = ["SDP", "GOO"]
-        plan = FaultPlan(
-            seed=2, crash_fraction=0.5, latency_seconds=0.0005, latency_every=64
-        )
-        # The schedule must actually kill something for this to mean much.
-        assert any(
-            plan.should_crash(q, t, attempt=0)
-            for q in range(len(queries))
-            for t in techniques
-        )
-        clean = optimize_many(
-            queries, techniques, stats=small_stats, workers=1
-        )
-        for workers in (1, 2):
-            faulted = optimize_many(
-                queries,
-                techniques,
-                stats=small_stats,
-                workers=workers,
-                faults=plan,
-            )
-            assert self._grid_key(faulted) == self._grid_key(clean)
-
-    def test_latency_only_plan_matches_clean(self, small_schema, small_stats):
-        queries = [make_star_query(small_schema, 5)]
-        plan = FaultPlan(seed=0, latency_seconds=0.0005, latency_every=32)
-        clean = optimize_many(queries, ["SDP"], stats=small_stats, workers=1)
-        faulted = optimize_many(
-            queries, ["SDP"], stats=small_stats, workers=1, faults=plan
-        )
-        assert self._grid_key(faulted) == self._grid_key(clean)
