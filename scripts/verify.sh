@@ -48,8 +48,10 @@ stage_done
 
 # The 13 TPC-H-lite texts go through a started FrontDoor over an analyzed
 # SDP service twice. The second pass must be all plan-cache hits that
-# never call parse_sql, with cost and plans_costed equal to
-# repro.optimize(query) on the parsed Query.
+# never call parse_sql and are served at admission (no queue wait), with
+# cost and plans_costed equal to repro.optimize(query) on the parsed
+# Query; the plan cache counts one lookup per request, 13 misses and 13
+# hits.
 echo "== 4/6 SQL workload smoke (TPC-H-lite through the front door) =="
 python - <<'SMOKE'
 import repro
@@ -78,6 +80,10 @@ with repro.FrontDoor(service) as door:
     parses.clear()
     second = [door.optimize(sql, tenant=label) for label, sql in repro.TPCH_LITE_SQL]
 assert parses == [], f"second pass parsed {len(parses)} texts"
+waits = [served.queue_wait_seconds for served in second]
+assert waits == [0.0] * len(texts), f"second pass queued: {waits}"
+cache = service.cache_stats
+assert (cache.misses, cache.hits) == (13, 13), f"cache counted {cache}"
 for (label, sql), query, served in zip(
     repro.TPCH_LITE_SQL, repro.tpch_lite_queries(schema), second
 ):

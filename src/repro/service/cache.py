@@ -102,11 +102,23 @@ class PlanCache:
     def get(self, key: Hashable) -> object | None:
         """The cached value for ``key``, or None (counted as hit/miss)."""
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self.probe(key)
             if entry is None:
                 self._stats.misses += 1
                 if _obs_enabled():
                     _cache_events().inc(event="miss")
+            return entry
+
+    def probe(self, key: Hashable) -> object | None:
+        """:meth:`get` that counts a hit but not a miss.
+
+        For a caller that follows a miss with a :meth:`get` of its own
+        (the front door probes at admission, and its worker looks up
+        again), so the miss is counted once, by that :meth:`get`.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
                 return None
             self._entries.move_to_end(key)
             self._stats.hits += 1

@@ -14,6 +14,10 @@ thesis (*always return a plan, degrade gracefully, never fall over*):
   :attr:`FrontDoorResult.degraded`) — or fails **fast** with a typed
   :class:`~repro.errors.AdmissionRejected`; it never hangs and never
   escapes with an untyped error;
+* a plan-cache hit is answered at admission, on the submitting thread:
+  it never waits for a worker and never takes queue capacity, so only
+  misses are queued; a hit reports brownout level 0 at any level, since
+  only baseline plans are cached;
 * overload is absorbed in a **bounded** queue and then shed, newest
   first-rejected — memory use does not grow with offered load;
 * one tenant's storm becomes that tenant's
@@ -162,9 +166,10 @@ class LoadController:
         backend *before* the queue hits the high watermark.
         """
         occupancy = queue_depth / queue_capacity if queue_capacity else 0.0
-        p95 = self.p95()
+        # The p95 (a copy and sort of the window) is only taken strictly
+        # between the watermarks, the one band where it can change the level.
         heavy = occupancy >= _HIGH_WATERMARK or (
-            p95 > _LATENCY_SLO_SECONDS and occupancy > _LOW_WATERMARK
+            occupancy > _LOW_WATERMARK and self.p95() > _LATENCY_SLO_SECONDS
         )
         calm = occupancy <= _LOW_WATERMARK
         with self._lock:
@@ -198,7 +203,8 @@ class StatsRefreshBreaker:
       ``"coalesced"`` without touching the epoch;
     * **half-open** — once the interval elapses, the next
       :meth:`flush` — the front door calls it opportunistically from its
-      worker loop — applies the parked snapshot and re-closes.
+      worker loop and after each hit it serves at admission — applies the
+      parked snapshot and re-closes.
 
     The breaker never *loses* data: the newest snapshot always lands,
     just at a bounded epoch rate.
@@ -315,10 +321,11 @@ class FrontDoorResult:
             counters, cache/epoch metadata).
         tenant: Tenant the request was admitted under.
         brownout_level: Ladder level the request was served at (0 =
-            baseline path).
+            baseline path, which every plan-cache hit is).
         entry: Optimizer entry technique actually used (the service's
             configured technique at level 0).
-        queue_wait_seconds: Admission-to-dispatch queue time.
+        queue_wait_seconds: Admission-to-dispatch queue time (0.0 for a
+            hit served at admission).
         total_seconds: Admission-to-completion wall clock.
     """
 
@@ -367,7 +374,7 @@ class _Request:
     query: Query
     tenant: str
     future: Future
-    enqueued_at: float
+    admitted_at: float
     sql: str | None = None
 
 
@@ -383,8 +390,10 @@ class FrontDoor:
             assert result.result.plan is not None
             assert not result.degraded          # unloaded: baseline path
 
-    ``submit()`` is the asynchronous form: it either enqueues the request
-    and returns a :class:`~concurrent.futures.Future`, or raises a typed
+    ``submit()`` is the asynchronous form: it returns a
+    :class:`~concurrent.futures.Future` — already done for a plan-cache
+    hit, which it serves itself, and pending for a miss, which it
+    enqueues for a worker — or raises a typed
     :class:`~repro.errors.AdmissionRejected` immediately. All shedding
     happens at admission time — once admitted, a request is always
     served.
@@ -496,12 +505,18 @@ class FrontDoor:
         text, which the memo answers without parsing again.
 
         Admission order: shutdown check, then the tenant's token bucket
-        (a shed there must not consume queue capacity), then the bounded
-        queue. The shutdown check is repeated with the enqueue, under the
-        lock :meth:`close` sets its flag with, so a request whose
-        admission overlaps ``close()`` is either refused or queued before
-        the workers can see the door closed. The returned future resolves
-        to a :class:`FrontDoorResult` (or to the error the optimization
+        (a shed there must not consume queue capacity), then the plan
+        cache, then the bounded queue. A plan-cache hit is served right
+        here, on the calling thread, through
+        :meth:`~OptimizationService.lookup`: its future is already done
+        when ``submit`` returns, and it never takes queue capacity. Only a
+        miss is queued for a worker. A request shed at the queue
+        (``queue-full``, or ``shutdown``) gives its token back. The
+        shutdown check is repeated with the enqueue, under the lock
+        :meth:`close` sets its flag with, so a request whose admission
+        overlaps ``close()`` is either refused or queued before the
+        workers can see the door closed. The returned future resolves to
+        a :class:`FrontDoorResult` (or to the error the optimization
         itself raised).
         """
         if self._closing.is_set():
@@ -527,9 +542,13 @@ class FrontDoor:
             query=query,
             tenant=tenant,
             future=Future(),
-            enqueued_at=self._clock(),
+            admitted_at=self._clock(),
             sql=sql,
         )
+        hit = self.service.lookup(query if sql is None else sql)
+        if hit is not None:
+            self._serve_hit(request, hit)
+            return request.future
         with self._lock:
             if self._closing.is_set():
                 outcome = "shed-shutdown"
@@ -541,11 +560,11 @@ class FrontDoor:
                     outcome = "shed-queue"
             # Counted inline: _count takes this same (non-reentrant) lock.
             self._counts[outcome] += 1
-        if outcome == "shed-shutdown":
+        if outcome != "admitted":
+            bucket.refund()
             self._note_request(outcome)
-            raise AdmissionRejected("shutdown", "front door is closing")
-        if outcome == "shed-queue":
-            self._note_request(outcome)
+            if outcome == "shed-shutdown":
+                raise AdmissionRejected("shutdown", "front door is closing")
             raise AdmissionRejected(
                 "queue-full",
                 f"admission queue at capacity ({self.config.queue_capacity})",
@@ -588,7 +607,6 @@ class FrontDoor:
 
     def _serve(self, request: _Request) -> None:
         started = self._clock()
-        queue_wait = started - request.enqueued_at
         level = self.controller.evaluate(
             self._queue.qsize(), self.config.queue_capacity
         )
@@ -614,39 +632,74 @@ class FrontDoor:
                 self._note_request("error")
                 request.future.set_exception(exc)
                 return
-            total = self._clock() - started + queue_wait
-            served = FrontDoorResult(
-                result=inner,
-                tenant=request.tenant,
-                brownout_level=level,
-                entry=entry,
-                queue_wait_seconds=queue_wait,
-                total_seconds=total,
+            self._complete(
+                request, span, inner, level, entry, started - request.admitted_at
             )
-            span.set(
-                outcome="ok", degraded=served.degraded, cache_hit=inner.cache_hit
-            )
-            self.controller.observe(total)
-            self._count("completed")
-            self._note_request("ok")
-            with self._lock:
-                self._rung_entries[entry] = self._rung_entries.get(entry, 0) + 1
-            if _obs_enabled():
-                registry = _obs_metrics()
-                registry.histogram(
-                    METRIC_FRONTDOOR_LATENCY_SECONDS,
-                    "End-to-end front-door latency (admission to plan).",
-                ).observe(total)
-                registry.gauge(
-                    METRIC_FRONTDOOR_BROWNOUT_LEVEL,
-                    "Brownout level currently applied by the load controller.",
-                ).set(self.controller.level)
-                registry.counter(
-                    METRIC_FRONTDOOR_RUNG_ENTRIES_TOTAL,
-                    "Front-door ladder entries chosen, by technique.",
-                    ("entry",),
-                ).inc(entry=entry)
-            request.future.set_result(served)
+
+    def _serve_hit(self, request: _Request, inner: ServiceResult) -> None:
+        """Serve a plan-cache hit at admission, on the submitting thread."""
+        self._count("admitted")
+        # As for a served request: brownout must still step down, and
+        # parked statistics land, while the traffic is all hits.
+        self.controller.evaluate(self._queue.qsize(), self.config.queue_capacity)
+        with maybe_span(
+            current_tracer(), SPAN_FRONTDOOR_REQUEST,
+            query=request.query.label, tenant=request.tenant,
+        ) as span:
+            self._complete(request, span, inner, 0, self.service.technique, 0.0)
+        self.breaker.flush()
+
+    def _complete(
+        self,
+        request: _Request,
+        span,
+        inner: ServiceResult,
+        level: int,
+        entry: str,
+        queue_wait: float,
+    ) -> None:
+        """Deliver ``inner`` and record it: counts, span, metrics, latency.
+
+        A cache hit is the baseline search's plan whatever level the
+        controller commands, so it reports level 0 and the service's
+        technique.
+        """
+        if inner.cache_hit:
+            level, entry = 0, self.service.technique
+        total = self._clock() - request.admitted_at
+        served = FrontDoorResult(
+            result=inner,
+            tenant=request.tenant,
+            brownout_level=level,
+            entry=entry,
+            queue_wait_seconds=queue_wait,
+            total_seconds=total,
+        )
+        span.set(
+            outcome="ok", brownout_level=level, entry=entry,
+            degraded=served.degraded, cache_hit=inner.cache_hit,
+        )
+        self.controller.observe(total)
+        with self._lock:
+            self._counts["completed"] += 1
+            self._rung_entries[entry] = self._rung_entries.get(entry, 0) + 1
+        self._note_request("ok")
+        if _obs_enabled():
+            registry = _obs_metrics()
+            registry.histogram(
+                METRIC_FRONTDOOR_LATENCY_SECONDS,
+                "End-to-end front-door latency (admission to plan).",
+            ).observe(total)
+            registry.gauge(
+                METRIC_FRONTDOOR_BROWNOUT_LEVEL,
+                "Brownout level currently applied by the load controller.",
+            ).set(self.controller.level)
+            registry.counter(
+                METRIC_FRONTDOOR_RUNG_ENTRIES_TOTAL,
+                "Front-door ladder entries chosen, by technique.",
+                ("entry",),
+            ).inc(entry=entry)
+        request.future.set_result(served)
 
     # -- statistics lifecycle ----------------------------------------------------
 

@@ -207,6 +207,49 @@ class OptimizationService:
                         self._parsed.popitem(last=False)
         return parsed
 
+    def _resolve(
+        self, query: Query | str, schema: Schema | None
+    ) -> tuple[Query, str | None, str | None]:
+        """``(Query, sql, fingerprint)`` of a submission.
+
+        Text goes through :meth:`_parse`, which also gives its
+        fingerprint; a ``Query`` keeps ``sql`` and ``fingerprint`` None.
+        """
+        if isinstance(query, str):
+            parsed, fingerprint = self._parse(query, schema)
+            return parsed, query, fingerprint
+        if not isinstance(query, Query):
+            raise ServiceError(
+                f"query must be a Query or SQL text, got {type(query).__name__}"
+            )
+        if schema is not None:
+            raise ServiceError(
+                "schema= only applies to SQL text submissions"
+            )
+        return query, None, None
+
+    def lookup(self, query: Query | str) -> ServiceResult | None:
+        """The cached plan for ``query`` at the current epoch, or None.
+
+        Lookup only: it never searches, never installs statistics and
+        never waits for another caller's search. Text goes through the
+        :meth:`parse` memo. A hit is returned as :meth:`optimize` would
+        return it and counted in :attr:`cache_stats`; a miss is not
+        counted, because the caller follows it with :meth:`optimize`,
+        whose own lookup counts it (the front door's admission probe).
+
+        Raises:
+            ServiceError: ``query`` is neither a ``Query`` nor text, or
+                is text with no retained schema.
+            QueryError: malformed SQL text.
+        """
+        timer = Timer().start()
+        query, sql, fingerprint = self._resolve(query, None)
+        if fingerprint is None:
+            fingerprint = query_fingerprint(query)
+        cached = self._cache.probe((fingerprint, self._epoch))
+        return None if cached is None else self._hit(cached, timer, query, sql)
+
     def optimize(
         self,
         query: Query | str,
@@ -248,19 +291,7 @@ class OptimizationService:
             OptimizationBudgetExceeded: propagated from the backing
                 optimizer; budget trips are never cached.
         """
-        sql: str | None = None
-        fingerprint: str | None = None
-        if isinstance(query, str):
-            sql = query
-            query, fingerprint = self._parse(sql, schema)
-        elif not isinstance(query, Query):
-            raise ServiceError(
-                f"query must be a Query or SQL text, got {type(query).__name__}"
-            )
-        elif schema is not None:
-            raise ServiceError(
-                "schema= only applies to SQL text submissions"
-            )
+        query, sql, fingerprint = self._resolve(query, schema)
         with self._lock:
             if stats is not None:
                 if stats is not self._stats:
@@ -282,13 +313,7 @@ class OptimizationService:
             cached = self._cache.get(key)
             if cached is not None:
                 span.set(cache_hit=True)
-                return replace(
-                    cached,  # type: ignore[arg-type]
-                    cache_hit=True,
-                    elapsed_seconds=timer.stop(),
-                    query=query,
-                    sql=sql,
-                )
+                return self._hit(cached, timer, query, sql)
             span.set(cache_hit=False)
 
             if optimizer is not None:
@@ -304,13 +329,7 @@ class OptimizationService:
                 event.wait(timeout=INFLIGHT_WAIT_SECONDS)
                 cached = self._cache.get(key)
                 if cached is not None:
-                    return replace(
-                        cached,  # type: ignore[arg-type]
-                        cache_hit=True,
-                        elapsed_seconds=timer.stop(),
-                        query=query,
-                        sql=sql,
-                    )
+                    return self._hit(cached, timer, query, sql)
                 # Leader failed, timed out, or the epoch moved: compute
                 # independently rather than re-electing (no herd left —
                 # every waiter was woken by the same event).
@@ -329,6 +348,18 @@ class OptimizationService:
             finally:
                 self._release(key, event)
             return served
+
+    def _hit(
+        self, cached: object, timer: Timer, query: Query, sql: str | None
+    ) -> ServiceResult:
+        """A cached result as served to this call: its query, text and time."""
+        return replace(
+            cached,  # type: ignore[arg-type]
+            cache_hit=True,
+            elapsed_seconds=timer.stop(),
+            query=query,
+            sql=sql,
+        )
 
     def _served(
         self,

@@ -40,9 +40,10 @@ class TenantBudget:
         clock: Monotonic time source (injectable for deterministic
             tests).
 
-    The bucket starts full. :meth:`try_acquire` is the only mutating
-    entry point; refill is computed lazily from elapsed clock time, so an
-    idle bucket costs nothing.
+    The bucket starts full. :meth:`try_acquire` takes tokens and
+    :meth:`refund` gives back the token of a request shed after it took
+    one; refill is computed lazily from elapsed clock time, so an idle
+    bucket costs nothing.
     """
 
     __slots__ = ("capacity", "refill_per_second", "_clock", "_tokens",
@@ -91,6 +92,17 @@ class TenantBudget:
                 return True
             self.rejected += 1
             return False
+
+    def refund(self) -> None:
+        """Undo a one-token :meth:`try_acquire` whose request was shed.
+
+        The token goes back (up to capacity) and the admission is no
+        longer counted, as if the request had never taken it.
+        """
+        with self._lock:
+            self._refill(self._clock())
+            self._tokens = min(self.capacity, self._tokens + 1.0)
+            self.admitted -= 1
 
     def retry_after(self, tokens: float = 1.0) -> float:
         """Seconds until the bucket will hold ``tokens`` (0 if it does)."""

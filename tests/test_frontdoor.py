@@ -2,9 +2,10 @@
 
 Unit tests drive every component deterministically — the load
 controller on a fake clock, the statistics-refresh circuit breaker,
-admission shedding, tenant isolation, the plan each brownout level
-serves — and a ``stress``-marked smoke test asserts the end-to-end
-serving contract at 4x sustained overload with chaos faults installed.
+admission shedding, tenant isolation, plan-cache hits served at
+admission, the plan each brownout level serves — and a
+``stress``-marked smoke test asserts the end-to-end serving contract at
+4x sustained overload with chaos faults installed.
 """
 
 from __future__ import annotations
@@ -132,6 +133,20 @@ class TestLoadController:
         # Between the watermarks with a healthy p95: neither heavy nor calm.
         assert controller.evaluate(4, 8) == 1
 
+    def test_p95_is_read_only_between_the_watermarks(self, monkeypatch):
+        clock = FakeClock()
+        controller = self.make(clock)
+        reads = []
+        monkeypatch.setattr(controller, "p95", lambda: reads.append(1) or 0.0)
+        clock.advance(1.0)
+        # Empty, at the low watermark, at the high one, and full: the p95
+        # cannot change the level, so it is never taken.
+        for depth in (0, 2, 6, 8):
+            controller.evaluate(depth, 8)
+        assert reads == []
+        controller.evaluate(4, 8)
+        assert reads == [1]
+
     def test_empty_window_p95_is_zero(self):
         assert self.make(FakeClock()).p95() == 0.0
 
@@ -227,6 +242,18 @@ class TestFrontDoorConfig:
         with pytest.raises(ServiceError, match="refill"):
             TenantBudget(refill_per_second=bad)
 
+    def test_tenant_refund_undoes_an_acquire(self):
+        clock = FakeClock()
+        bucket = TenantBudget(capacity=2.0, refill_per_second=1.0, clock=clock)
+        assert bucket.try_acquire()
+        bucket.refund()
+        assert (bucket.available, bucket.admitted) == (2.0, 0)
+        # A refund never lifts the bucket past its capacity.
+        assert bucket.try_acquire()
+        clock.advance(5.0)
+        bucket.refund()
+        assert (bucket.available, bucket.admitted) == (2.0, 0)
+
     def test_stats_properties(self):
         stats = FrontDoorStats(
             admitted=5, completed=4, shed_queue=2, shed_tenant=1, shed_shutdown=3
@@ -308,6 +335,10 @@ class TestFrontDoorSql:
             # worker both answer from the service's text memo.
             served = [door.optimize(sql) for _ in range(5)]
             assert parse_calls == [sql]
+            # One lookup counted per request: the four hits at admission,
+            # the first request's miss by its worker.
+            cache = svc.cache_stats
+            assert (cache.hits, cache.misses) == (4, 1)
             from_sql = served[0]
             assert [s.result.cache_hit for s in served] == [False] + [True] * 4
             assert all(s.result.query is from_sql.result.query for s in served)
@@ -418,6 +449,113 @@ class TestFrontDoorSql:
         assert stats.admitted == 3
         assert stats.completed == 3
         assert stats.shed_queue == 1
+
+    def _hold_worker(self, door, service, query):
+        """Hold the only worker on a gated miss and queue one more behind it.
+
+        Returns the gate and the two admitted futures.
+        """
+        release = self._gate(service)
+        held = door.submit(query)
+        for _ in range(200):  # wait for the worker to dequeue it
+            if door.queue_depth == 0:
+                break
+            time.sleep(0.01)
+        return release, [held, door.submit(query)]
+
+    def test_cache_hit_is_served_at_admission(self, small_schema, query):
+        svc = self._analyzed_service(small_schema)
+        sql = self._sql(small_schema)
+        config = FrontDoorConfig(queue_capacity=1, workers=1, cooldown_seconds=60.0)
+        with FrontDoor(svc, config) as door:
+            cached = door.optimize(sql)
+            release, admitted = self._hold_worker(door, svc, query)
+            with pytest.raises(AdmissionRejected) as excinfo:
+                door.submit(query)
+            assert excinfo.value.reason == "queue-full"
+            # A hit takes no queue capacity and no worker.
+            future = door.submit(sql)
+            assert future.done()
+            hit = future.result(timeout=0)
+            assert hit.result.cache_hit
+            assert hit.result.plan == cached.result.plan
+            assert hit.queue_wait_seconds == 0.0
+            assert hit.total_seconds >= 0.0
+            stats = door.stats()
+            assert (stats.admitted, stats.completed, stats.shed_queue) == (4, 2, 1)
+            release.set()
+            for held in admitted:
+                assert held.result(timeout=10.0).result.plan is not None
+
+    def test_queue_shed_gives_the_token_back(self, service, query):
+        # The frozen clock refills nothing: the bucket shows every token.
+        clock = FakeClock()
+        config = FrontDoorConfig(queue_capacity=1, workers=1, cooldown_seconds=60.0)
+        with FrontDoor(service, config, clock=clock) as door:
+            release, admitted = self._hold_worker(door, service, query)
+            for _ in range(6):
+                with pytest.raises(AdmissionRejected) as excinfo:
+                    door.submit(query)
+                assert excinfo.value.reason == "queue-full"
+            bucket = door.tenants.bucket("default")
+            assert (bucket.available, bucket.admitted) == (6.0, 2)
+            release.set()
+            for held in admitted:
+                assert held.result(timeout=10.0).result.plan is not None
+        assert door.stats().shed_queue == 6
+
+    def test_cache_hit_under_brownout_reports_the_baseline(self, small_schema):
+        svc = self._analyzed_service(small_schema)
+        sql = self._sql(small_schema)
+        clock = FakeClock()
+        config = FrontDoorConfig(queue_capacity=8, workers=1, cooldown_seconds=1.0)
+        with FrontDoor(svc, config, clock=clock) as door:
+            baseline = door.optimize(sql)
+            clock.advance(1.0)
+            assert door.controller.evaluate(8, 8) == 1
+            clock.advance(1.0)
+            assert door.controller.evaluate(8, 8) == 2
+            hit = door.optimize(sql)
+            # A request that missed at admission can still hit in the
+            # worker, where a leader filled the key while it waited.
+            svc.lookup = lambda submission: None
+            late = door.optimize(sql)
+            assert door.controller.level == 2
+        for served in (hit, late):
+            assert served.result.cache_hit
+            assert (served.brownout_level, served.entry) == (0, svc.technique)
+            assert not served.degraded
+            assert served.result.plan == baseline.result.plan
+        assert door.stats().rung_entries == {svc.technique: 3}
+
+    def test_cache_hit_records_one_request_span(self, small_schema):
+        from repro import obs
+        from repro.obs.names import (
+            METRIC_FRONTDOOR_LATENCY_SECONDS,
+            METRIC_FRONTDOOR_REQUESTS_TOTAL,
+            METRIC_FRONTDOOR_RUNG_ENTRIES_TOTAL,
+            SPAN_FRONTDOOR_REQUEST,
+        )
+
+        svc = self._analyzed_service(small_schema)
+        sql = self._sql(small_schema)
+        config = FrontDoorConfig(workers=1, cooldown_seconds=60.0)
+        with FrontDoor(svc, config) as door:
+            door.optimize(sql)
+            with obs.capture() as exporter:
+                door.optimize(sql)
+                registry = obs.metrics()
+        (span,) = exporter.spans
+        assert span.name == SPAN_FRONTDOOR_REQUEST
+        assert span.attributes["cache_hit"] is True
+        assert span.attributes["outcome"] == "ok"
+        assert span.attributes["brownout_level"] == 0
+        assert span.attributes["entry"] == svc.technique
+        assert registry.get(METRIC_FRONTDOOR_LATENCY_SECONDS).count() == 1
+        requests = registry.get(METRIC_FRONTDOOR_REQUESTS_TOTAL)
+        assert requests.value(outcome="ok") == 1
+        rungs = registry.get(METRIC_FRONTDOOR_RUNG_ENTRIES_TOTAL)
+        assert rungs.value(entry=svc.technique) == 1
 
     def test_close_without_drain_rejects_queued(self, service, query):
         release = self._gate(service)

@@ -195,6 +195,16 @@ class TestPlanCache:
         assert cache.stats.misses == 1
         assert cache.stats.hit_rate == 0.5
 
+    def test_probe_counts_a_hit_but_not_a_miss(self):
+        cache = PlanCache(2)
+        assert cache.probe("a") is None
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.probe("a") == 1
+        assert (cache.stats.hits, cache.stats.misses) == (1, 0)
+        cache.put("c", 3)  # the probe made "a" MRU, so "b" is next out
+        assert "b" not in cache and "a" in cache
+
     def test_lru_eviction_order(self):
         cache = PlanCache(2)
         cache.put("a", 1)
@@ -339,6 +349,33 @@ class TestServiceSql:
         assert warm.sql != cold.sql
         assert warm.query.selections[0].value != cold.query.selections[0].value
 
+    def test_lookup_answers_hits_only(self, small_schema):
+        from repro.query import parse_sql
+
+        service = OptimizationService(technique="SDP")
+        # No statistics yet: a lookup installs none and finds nothing.
+        assert service.lookup(make_star_query(small_schema, 4)) is None
+        assert service.stats_epoch == 0
+        service.analyze(small_schema)
+        sql = self._sql(small_schema)
+        # A miss neither searches nor counts: the optimize() after it does.
+        assert service.lookup(sql) is None
+        assert service.cache_stats.lookups == 0 and len(service.cache) == 0
+        cold = service.optimize(sql)
+        # Both entries serve a hit the same way.
+        for warm in (service.lookup(sql), service.optimize(sql)):
+            assert warm.cache_hit
+            assert warm.sql == sql and warm.query is cold.query
+            assert warm.plan == cold.plan
+            assert (warm.cost, warm.plans_costed) == (cold.cost, cold.plans_costed)
+            assert (warm.fingerprint, warm.stats_epoch) == (
+                cold.fingerprint, cold.stats_epoch,
+            )
+        query = parse_sql(small_schema, sql)
+        by_query = service.lookup(query)
+        assert by_query.query is query and by_query.sql is None
+        assert (service.cache_stats.hits, service.cache_stats.misses) == (3, 1)
+
     def test_sql_without_schema_rejected(self, small_schema, small_stats):
         service = OptimizationService(technique="SDP")
         service.install_statistics(small_stats)  # stats, but no schema
@@ -364,6 +401,8 @@ class TestServiceSql:
         service.install_statistics(small_stats)
         with pytest.raises(ServiceError, match="Query or SQL text"):
             service.optimize(bad)
+        with pytest.raises(ServiceError, match="Query or SQL text"):
+            service.lookup(bad)
         with pytest.raises(ServiceError, match="text"):
             service.parse(bad)
         assert service.cache_stats.misses == 0
