@@ -185,9 +185,13 @@ def _run_check(baseline_path: str, repeats: int, workers: int | None) -> int:
             f"{technique}<={sqlw['summary'][technique]['max_ratio_to_dp']}x"
             for technique in sqlw["techniques"]
         )
+        text_b = baseline["benchmarks"].get("sql_workload", {}).get(
+            "sql_text_seconds", "-"
+        )
         print(
             f"{'sql_workload':14s} templates={sqlw['templates']} "
-            f"sql==query={sqlw['sql_equals_query_path']} {ratios}"
+            f"sql==query={sqlw['sql_equals_query_path']} {ratios} "
+            f"sql_text={sqlw['sql_text_seconds']}s (baseline {text_b}s)"
         )
     if problems:
         print(f"\nREGRESSIONS ({elapsed:.1f}s):", file=sys.stderr)

@@ -50,6 +50,7 @@ __all__ = [
     "OptimizerResult",
     "PlanResult",
     "Optimizer",
+    "evolve",
     "BYTES_PER_COSTED_PLAN",
     "BYTES_PER_RETAINED_PLAN",
     "BYTES_PER_PAIR",
@@ -324,6 +325,21 @@ class OptimizerResult:
                 "provenance, pass tree(query)"
             )
         return build_plan_tree(self.plan, query.graph)
+
+
+def evolve(result: OptimizerResult, **changes) -> OptimizerResult:
+    """A copy of ``result`` (of its own class) with ``changes`` applied.
+
+    What :func:`dataclasses.replace` returns, for the serving paths that
+    attach provenance to every result: the fields are copied as they
+    stand rather than passed through ``__init__`` again. ``changes``
+    must name fields of the result's class.
+    """
+    copy = object.__new__(type(result))
+    fields = copy.__dict__
+    fields.update(result.__dict__)
+    fields.update(changes)
+    return copy
 
 
 class Optimizer(ABC):

@@ -42,7 +42,7 @@ KERNEL_ENV = "REPRO_KERNEL"
 #: kernel list in ``docs/api.md``.
 KERNELS: dict[str, str] = {
     "fast": (
-        "mask-native struct-of-arrays kernel "
+        "mask-native kernel with tuple plan nodes in JCR slots "
         "(repro.core.planspace.PlanSpace), the default"
     ),
     "reference": (

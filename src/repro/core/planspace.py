@@ -104,20 +104,6 @@ class PlanSpace:
         self.order_by_key = query.order_by_key
 
         graph = self.graph
-        self._tables: list[TableStats] = [
-            stats.table(name) for name in graph.relation_names
-        ]
-        # Per relation: the eclasses of its indexed join columns.
-        self._indexed_eclasses: list[list[int]] = []
-        for index, table in enumerate(self._tables):
-            eclasses = []
-            for column in graph.join_columns_of(index):
-                if not table.column(column).has_index:
-                    continue
-                eclass = graph.eclass_of_column(index, column)
-                if eclass is not None:
-                    eclasses.append(eclass)
-            self._indexed_eclasses.append(eclasses)
         self._sort_cost_cache: dict[int, float] = {}
         # Connecting predicates per (left, right) mask pair, for
         # single-pair joins only: greedy, IDP and the randomized walks
@@ -131,19 +117,46 @@ class PlanSpace:
         self._selection_quals: list[int] = [0] * graph.n
         for selection in query.selections:
             self._selection_quals[graph.index_of(selection.relation)] += 1
-        self._raw_rows: list[float] = [
-            float(t.row_count) for t in self._tables
-        ]
-        self._filter_costs: list[float] = [
-            filter_cost(self._raw_rows[index], quals, cost_model)
-            if quals
-            else 0.0
-            for index, quals in enumerate(self._selection_quals)
-        ]
-        self._filter_per_row: list[float] = [
-            quals * cost_model.cpu_operator_cost
-            for quals in self._selection_quals
-        ]
+        # Each relation's join columns with their eclasses, from one pass
+        # over the eclasses.
+        joined: list[list[tuple[str, int]]] = [[] for _ in range(graph.n)]
+        for eclass, points in graph.eclasses.items():
+            for index, column in points:
+                joined[index].append((column, eclass))
+
+        # Per relation, from one pass: its statistics, the selection terms
+        # above, the index-probe descent cost (see _probe_per_match below),
+        # and, in column-name order, the eclasses and the names of its
+        # indexed join columns.
+        coc = cost_model.cpu_operator_cost
+        self._tables: list[TableStats] = []
+        self._raw_rows: list[float] = []
+        self._filter_costs: list[float] = []
+        self._filter_per_row: list[float] = []
+        self._probe_descent: list[float] = []
+        self._indexed_eclasses: list[list[int]] = []
+        self._indexed_names: list[frozenset[str]] = []
+        for name, quals, columns in zip(
+            graph.relation_names, self._selection_quals, joined
+        ):
+            table = stats.table(name)
+            raw_rows = float(table.row_count)
+            self._tables.append(table)
+            self._raw_rows.append(raw_rows)
+            self._filter_costs.append(
+                filter_cost(raw_rows, quals, cost_model) if quals else 0.0
+            )
+            self._filter_per_row.append(quals * coc)
+            self._probe_descent.append(
+                math.ceil(math.log2(table.row_count + 2)) * coc
+            )
+            eclasses, names = [], []
+            for column, eclass in sorted(columns):
+                if table.column(column).has_index:
+                    eclasses.append(eclass)
+                    names.append(column)
+            self._indexed_eclasses.append(eclasses)
+            self._indexed_names.append(frozenset(names))
 
         # A non-join ORDER BY column with an index: an index scan on that
         # relation produces the order under the query's synthetic order key
@@ -196,19 +209,6 @@ class PlanSpace:
             + cost_model.cpu_tuple_cost
             + cost_model.random_page_cost * (1.0 - cost_model.index_cache_factor)
         )
-        self._probe_descent: list[float] = [
-            math.ceil(math.log2(t.row_count + 2)) * cost_model.cpu_operator_cost
-            for t in self._tables
-        ]
-        # Per relation: the join-column names that carry an index.
-        self._indexed_names: list[frozenset[str]] = [
-            frozenset(
-                column
-                for column in graph.join_columns_of(index)
-                if t.column(column).has_index
-            )
-            for index, t in enumerate(self._tables)
-        ]
 
     # -- helpers ---------------------------------------------------------------
 
@@ -258,20 +258,23 @@ class PlanSpace:
             paths.append((M_INDEX_SCAN, order_scan[1], NO_FIELD))
 
         stats_table = self._tables[relation_index]
-        cm = self.cm
         counters = self.counters
+        counters.note_plans_costed(len(paths))
+        # Every index path scans the whole index: one cost serves them all.
+        seq_cost = seq_scan_cost(stats_table, self.cm)
+        index_cost = (
+            index_scan_full_cost(stats_table, self.cm) if len(paths) > 1 else 0.0
+        )
         quals = self._selection_quals[relation_index]
         filter_add = self._filter_costs[relation_index]
         raw_rows = self._raw_rows[relation_index]
+        # Each path has its own order key and so, on a first call, its own
+        # new slot: its node is built without a test first (put keeps a
+        # cheaper incumbent), and the slots it opens are charged at once.
+        retained = 0
         for method, order, eclass in paths:
-            if method == M_SEQ_SCAN:
-                scan_cost = seq_scan_cost(stats_table, cm)
-            else:
-                scan_cost = index_scan_full_cost(stats_table, cm)
+            scan_cost = seq_cost if method == M_SEQ_SCAN else index_cost
             cost = scan_cost + filter_add if quals else scan_cost
-            counters.note_plans_costed()
-            if not jcr.improves(order, cost):
-                continue
             stored_order = NO_FIELD if order is None else order
             node = (
                 method, scan_cost, raw_rows if quals else jcr.rows,
@@ -282,8 +285,9 @@ class PlanSpace:
                     M_FILTER, cost, jcr.rows,
                     stored_order, node, None, relation_index, NO_FIELD,
                 )
-            if jcr.put(order, order, cost, node):
-                counters.note_retained()
+            retained += jcr.put(order, order, cost, node)
+        if retained:
+            counters.note_retained(retained)
         return jcr
 
     # -- joins ---------------------------------------------------------------------

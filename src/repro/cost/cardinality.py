@@ -65,8 +65,10 @@ class CardinalityEstimator:
         self._base_rows: list[float] = [0.0] * n
         self._base_log_rows: list[float] = [0.0] * n
         self._base_width: list[int] = [0] * n
+        tables = []
         for index, name in enumerate(graph.relation_names):
             table = stats.table(name)
+            tables.append(table)
             if table.row_count < 1:
                 raise CatalogError(
                     f"relation {name!r} has no rows; cannot estimate joins"
@@ -97,8 +99,7 @@ class CardinalityEstimator:
             mask = 0
             members: list[tuple[int, ColumnStats]] = []
             for rel_index, column in points:
-                name = graph.relation_names[rel_index]
-                members.append((1 << rel_index, stats.table(name).column(column)))
+                members.append((1 << rel_index, tables[rel_index].column(column)))
                 mask |= 1 << rel_index
             self._eclass_info.append((mask, members))
             present = [column_stats for _bit, column_stats in members]

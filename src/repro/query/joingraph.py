@@ -54,26 +54,6 @@ class JoinPredicate:
         return (1 << self.left) | (1 << self.right)
 
 
-class _UnionFind:
-    """Minimal union-find over hashable items (for eclass construction)."""
-
-    def __init__(self) -> None:
-        self._parent: dict[object, object] = {}
-
-    def find(self, item: object) -> object:
-        parent = self._parent.setdefault(item, item)
-        if parent is item or parent == item:
-            return item
-        root = self.find(parent)
-        self._parent[item] = root
-        return root
-
-    def union(self, a: object, b: object) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[ra] = rb
-
-
 class JoinGraph:
     """An immutable join graph over ``n`` relations.
 
@@ -106,34 +86,32 @@ class JoinGraph:
         self.n = len(names)
         self.all_mask = (1 << self.n) - 1
 
-        base_predicates = self._resolve(joins)
-        eclass_of, members = self._build_eclasses(base_predicates)
-        predicates = self._assign_eclasses(base_predicates, eclass_of)
+        resolved = self._resolve(joins)
+        predicates, members, eclass_of = self._eclasses(resolved)
         if close_implied_edges:
-            predicates = self._close(predicates, members)
+            self._close(predicates, members)
         self._predicates = tuple(predicates)
         self._eclass_members = members
         # (relation index, column) -> eclass id, for O(1) eclass_of_column.
-        self._eclass_of_point = dict(eclass_of)
+        self._eclass_of_point = eclass_of
 
+        # Per relation: adjacent relations, and (endpoint mask, pred)
+        # pairs, so connecting() tests membership against a precomputed
+        # mask instead of rebuilding (1 << left) | (1 << right) per
+        # predicate per call.
         self._neighbor_masks = [0] * self.n
-        self._pair_predicates: dict[int, list[JoinPredicate]] = {}
-        self._preds_of_rel: list[list[JoinPredicate]] = [[] for _ in range(self.n)]
-        # (endpoint mask, pred) pairs per relation: connecting() tests
-        # membership against a precomputed mask instead of rebuilding
-        # (1 << left) | (1 << right) per predicate per call.
         self._masked_preds_of_rel: list[list[tuple[int, JoinPredicate]]] = [
             [] for _ in range(self.n)
         ]
+        neighbor_masks = self._neighbor_masks
+        masked_preds = self._masked_preds_of_rel
         for pred in self._predicates:
-            self._neighbor_masks[pred.left] |= 1 << pred.right
-            self._neighbor_masks[pred.right] |= 1 << pred.left
-            self._pair_predicates.setdefault(pred.mask, []).append(pred)
-            self._preds_of_rel[pred.left].append(pred)
-            self._preds_of_rel[pred.right].append(pred)
-            endpoint_mask = (1 << pred.left) | (1 << pred.right)
-            self._masked_preds_of_rel[pred.left].append((endpoint_mask, pred))
-            self._masked_preds_of_rel[pred.right].append((endpoint_mask, pred))
+            left, right = pred.left, pred.right
+            neighbor_masks[left] |= 1 << right
+            neighbor_masks[right] |= 1 << left
+            endpoint_mask = (1 << left) | (1 << right)
+            masked_preds[left].append((endpoint_mask, pred))
+            masked_preds[right].append((endpoint_mask, pred))
 
         # Per-eclass bitmask of member relations, precomputed for the
         # interesting-order tests (PlanSpace's per-key reach masks, and
@@ -152,8 +130,10 @@ class JoinGraph:
 
     def _resolve(
         self, joins: list[tuple[str, str, str, str]]
-    ) -> list[JoinPredicate]:
-        predicates = []
+    ) -> list[tuple[int, str, int, str]]:
+        """Joins as ``(left, left column, right, right column)`` indices,
+        left below right, duplicates dropped."""
+        resolved = []
         seen: set[tuple[int, str, int, str]] = set()
         for left_name, left_col, right_name, right_col in joins:
             try:
@@ -169,86 +149,80 @@ class JoinGraph:
                 left, right = right, left
                 left_col, right_col = right_col, left_col
             key = (left, left_col, right, right_col)
-            if key in seen:
-                continue
-            seen.add(key)
-            predicates.append(
-                JoinPredicate(
-                    left=left,
-                    left_column=left_col,
-                    right=right,
-                    right_column=right_col,
-                )
-            )
-        return predicates
+            if key not in seen:
+                seen.add(key)
+                resolved.append(key)
+        return resolved
 
     @staticmethod
-    def _build_eclasses(
-        predicates: list[JoinPredicate],
-    ) -> tuple[dict[tuple[int, str], int], dict[int, tuple[tuple[int, str], ...]]]:
-        uf = _UnionFind()
-        for pred in predicates:
-            uf.union((pred.left, pred.left_column), (pred.right, pred.right_column))
-        roots: dict[object, int] = {}
+    def _eclasses(
+        resolved: list[tuple[int, str, int, str]],
+    ) -> tuple[
+        list[JoinPredicate],
+        dict[int, tuple[tuple[int, str], ...]],
+        dict[tuple[int, str], int],
+    ]:
+        """The joins as predicates, the eclass members, and each
+        endpoint's eclass.
+
+        Endpoints joined by a predicate share an eclass. Eclasses are
+        numbered in order of their first predicate; members are sorted.
+        """
+        group_of: dict[tuple[int, str], list[tuple[int, str]]] = {}
+        for left, left_col, right, right_col in resolved:
+            a, b = (left, left_col), (right, right_col)
+            group_a, group_b = group_of.get(a), group_of.get(b)
+            if group_a is None and group_b is None:
+                group_of[a] = group_of[b] = [a, b]
+            elif group_a is None:
+                group_b.append(a)
+                group_of[a] = group_b
+            elif group_b is None:
+                group_a.append(b)
+                group_of[b] = group_a
+            elif group_a is not group_b:
+                if len(group_a) < len(group_b):
+                    group_a, group_b = group_b, group_a
+                group_a.extend(group_b)
+                for point in group_b:
+                    group_of[point] = group_a
+        number: dict[int, int] = {}
+        members: dict[int, tuple[tuple[int, str], ...]] = {}
         eclass_of: dict[tuple[int, str], int] = {}
-        groups: dict[int, list[tuple[int, str]]] = {}
-        for pred in predicates:
-            for endpoint in (
-                (pred.left, pred.left_column),
-                (pred.right, pred.right_column),
-            ):
-                root = uf.find(endpoint)
-                if root not in roots:
-                    roots[root] = len(roots)
-                eclass = roots[root]
-                if endpoint not in eclass_of:
-                    eclass_of[endpoint] = eclass
-                    groups.setdefault(eclass, []).append(endpoint)
-        members = {
-            eclass: tuple(sorted(points)) for eclass, points in groups.items()
-        }
-        return eclass_of, members
-
-    @staticmethod
-    def _assign_eclasses(
-        predicates: list[JoinPredicate],
-        eclass_of: dict[tuple[int, str], int],
-    ) -> list[JoinPredicate]:
-        assigned = []
-        for pred in predicates:
-            eclass = eclass_of[(pred.left, pred.left_column)]
-            assigned.append(
-                JoinPredicate(
-                    left=pred.left,
-                    left_column=pred.left_column,
-                    right=pred.right,
-                    right_column=pred.right_column,
-                    eclass=eclass,
-                )
+        predicates = []
+        for left, left_col, right, right_col in resolved:
+            group = group_of[(left, left_col)]
+            eclass = number.get(id(group))
+            if eclass is None:
+                eclass = number[id(group)] = len(number)
+                members[eclass] = tuple(sorted(group))
+                for point in group:
+                    eclass_of[point] = eclass
+            predicates.append(
+                JoinPredicate(left, left_col, right, right_col, eclass)
             )
-        return assigned
+        return predicates, members, eclass_of
 
     @staticmethod
     def _close(
         predicates: list[JoinPredicate],
         members: dict[int, tuple[tuple[int, str], ...]],
-    ) -> list[JoinPredicate]:
-        present = {
-            (p.eclass, min(p.left, p.right), max(p.left, p.right))
-            for p in predicates
-        }
-        closed = list(predicates)
+    ) -> None:
+        """Append the implied edges of every eclass to ``predicates``."""
+        present = {(p.eclass, p.left, p.right) for p in predicates}
         for eclass, points in members.items():
             for i in range(len(points)):
                 for j in range(i + 1, len(points)):
                     (rel_a, col_a), (rel_b, col_b) = points[i], points[j]
                     if rel_a == rel_b:
                         continue
-                    key = (eclass, min(rel_a, rel_b), max(rel_a, rel_b))
+                    # Points are sorted, so rel_a < rel_b, as in every
+                    # written predicate.
+                    key = (eclass, rel_a, rel_b)
                     if key in present:
                         continue
                     present.add(key)
-                    closed.append(
+                    predicates.append(
                         JoinPredicate(
                             left=rel_a,
                             left_column=col_a,
@@ -258,7 +232,6 @@ class JoinGraph:
                             implied=True,
                         )
                     )
-        return closed
 
     # -- basic accessors -----------------------------------------------------
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 
+from repro.catalog.relation import Relation
 from repro.catalog.schema import Schema
 from repro.errors import QueryError
 from repro.query.joingraph import JoinGraph
@@ -39,137 +40,83 @@ from repro.query.query import Query, Selection
 
 __all__ = ["parse_sql"]
 
-_TOKEN = re.compile(
-    r"""
-    (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<number>\d+(?:\.\d+)?)
-  | (?P<op><=|>=|!=|<>|<|>|=)
-  | (?P<symbol>[*.,;()])
-  | (?P<ws>\s+)
-  | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
+_TOKEN_BODY = r"""
+    [A-Za-z_][A-Za-z_0-9]*        # name
+  | \d+(?:\.\d+)?                 # number
+  | <=|>=|!=|<>|<|>|=             # comparison operator
+  | [*.,;()]                      # symbol
+"""
+
+#: One token with the whitespace before it. At the end of the text the
+#: group matches empty: the token list always ends in the sentinel "".
+_TOKEN = re.compile(rf"\s*({_TOKEN_BODY}|\Z)", re.VERBOSE)
+
+#: The longest prefix the tokenizer accepts: it ends before the first
+#: character no token can start with.
+_SCANNABLE = re.compile(rf"(?:\s*(?:{_TOKEN_BODY}))*\s*", re.VERBOSE)
 
 _KEYWORDS = {"select", "from", "where", "and", "order", "by"}
 
+_OPS = {"<=", ">=", "!=", "<>", "<", ">", "="}
 
-class _Tokens:
-    """A peekable token stream with error locations."""
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        for match in _TOKEN.finditer(text):
-            kind = match.lastgroup
-            if kind == "ws":
-                continue
-            if kind == "bad":
-                raise QueryError(
-                    f"unexpected character {match.group()!r} at offset "
-                    f"{match.start()} in SQL"
-                )
-            self.tokens.append((kind, match.group(), match.start()))
-        self.position = 0
-
-    def peek(self) -> tuple[str, str, int] | None:
-        if self.position < len(self.tokens):
-            return self.tokens[self.position]
-        return None
-
-    def next(self) -> tuple[str, str, int]:
-        token = self.peek()
-        if token is None:
-            raise QueryError("unexpected end of SQL text")
-        self.position += 1
-        return token
-
-    def expect_keyword(self, word: str) -> None:
-        kind, value, offset = self.next()
-        if kind != "name" or value.lower() != word:
-            raise QueryError(
-                f"expected {word.upper()!r} at offset {offset}, got {value!r}"
-            )
-
-    def expect_symbol(self, symbol: str) -> None:
-        kind, value, offset = self.next()
-        if kind not in ("symbol", "op") or value != symbol:
-            raise QueryError(
-                f"expected {symbol!r} at offset {offset}, got {value!r}"
-            )
-
-    def at_keyword(self, word: str) -> bool:
-        token = self.peek()
-        return (
-            token is not None
-            and token[0] == "name"
-            and token[1].lower() == word
+def _tokenize(text: str) -> list[str]:
+    """The token texts of ``text``, ending in the sentinel ""."""
+    bad = _SCANNABLE.match(text).end()
+    if bad < len(text):
+        raise QueryError(
+            f"unexpected character {text[bad]!r} at offset {bad} in SQL"
         )
-
-    def take_name(self, what: str) -> str:
-        kind, value, offset = self.next()
-        if kind != "name" or value.lower() in _KEYWORDS:
-            raise QueryError(
-                f"expected {what} at offset {offset}, got {value!r}"
-            )
-        return value
-
-    def take_op(self) -> str:
-        kind, value, offset = self.next()
-        if kind != "op":
-            raise QueryError(
-                f"expected a comparison operator at offset {offset}, "
-                f"got {value!r}"
-            )
-        # Canonicalize the SQL spelling of "not equal".
-        return "!=" if value == "<>" else value
-
-    def take_number(self, offset_hint: int) -> float:
-        token = self.peek()
-        if token is None or token[0] != "number":
-            got = "end of SQL text" if token is None else repr(token[1])
-            at = offset_hint if token is None else token[2]
-            raise QueryError(
-                f"expected a numeric constant at offset {at}, got {got}"
-            )
-        self.next()
-        return float(token[1])
+    return _TOKEN.findall(text)
 
 
-def _parse_column(tokens: _Tokens) -> tuple[str, str]:
-    relation = tokens.take_name("a relation name")
-    tokens.expect_symbol(".")
-    column = tokens.take_name("a column name")
+def _offset(text: str, position: int) -> int:
+    """Offset in ``text`` of its ``position``-th token (for error messages)."""
+    return list(_TOKEN.finditer(text))[position].start(1)
+
+
+def _expected(text: str, tokens: list[str], position: int, what: str) -> QueryError:
+    """The error for a token that is not ``what``."""
+    token = tokens[position]
+    if not token:
+        return QueryError("unexpected end of SQL text")
+    return QueryError(
+        f"expected {what} at offset {_offset(text, position)}, got {token!r}"
+    )
+
+
+def _is_name(token: str) -> bool:
+    return token.isidentifier() and token.lower() not in _KEYWORDS
+
+
+def _column(text: str, tokens: list[str], position: int) -> tuple[str, str]:
+    """The ``relation.column`` reference that starts at ``position``."""
+    relation = tokens[position]
+    if not _is_name(relation):
+        raise _expected(text, tokens, position, "a relation name")
+    if tokens[position + 1] != ".":
+        raise _expected(text, tokens, position + 1, "'.'")
+    column = tokens[position + 2]
+    if not _is_name(column):
+        raise _expected(text, tokens, position + 2, "a column name")
     return relation, column
 
 
-def _parse_select_list(tokens: _Tokens) -> list[tuple[str, str]] | None:
-    """The projected columns, or None for ``SELECT *``."""
-    token = tokens.peek()
-    if token is not None and token[1] == "*":
-        tokens.next()
-        return None
-    projected = [_parse_column(tokens)]
-    while tokens.peek() is not None and tokens.peek()[1] == ",":
-        tokens.next()
-        projected.append(_parse_column(tokens))
-    return projected
-
-
-def _check_column(
-    schema: Schema, relations: list[str], rel_name: str, col_name: str, where: str
+def _check_columns(
+    relations: dict[str, Relation],
+    references: list[tuple[str, str]],
+    where: str,
 ) -> None:
-    if rel_name not in set(relations):
-        raise QueryError(
-            f"{where} references {rel_name!r} not listed in FROM"
-        )
-    if not any(
-        column.name == col_name
-        for column in schema.relation(rel_name).columns
-    ):
-        raise QueryError(
-            f"{where} references unknown column {rel_name}.{col_name}"
-        )
+    for rel_name, col_name in references:
+        relation = relations.get(rel_name)
+        if relation is None:
+            raise QueryError(
+                f"{where} references {rel_name!r} not listed in FROM"
+            )
+        if not relation.has_column(col_name):
+            raise QueryError(
+                f"{where} references unknown column {rel_name}.{col_name}"
+            )
 
 
 def parse_sql(schema: Schema, text: str, label: str | None = None) -> Query:
@@ -185,74 +132,96 @@ def parse_sql(schema: Schema, text: str, label: str | None = None) -> Query:
             projected ones), column-to-column inequality predicates, or a
             disconnected join graph.
     """
-    tokens = _Tokens(text)
-    tokens.expect_keyword("select")
-    projected = _parse_select_list(tokens)
-    tokens.expect_keyword("from")
+    tokens = _tokenize(text)
+    if tokens[0].lower() != "select":
+        raise _expected(text, tokens, 0, "'SELECT'")
+    projected: list[tuple[str, str]] | None = None
+    if tokens[1] == "*":
+        i = 2
+    else:
+        projected = [_column(text, tokens, 1)]
+        i = 4
+        while tokens[i] == ",":
+            projected.append(_column(text, tokens, i + 1))
+            i += 4
+    if tokens[i].lower() != "from":
+        raise _expected(text, tokens, i, "'FROM'")
 
-    relations = [tokens.take_name("a relation name")]
-    while tokens.peek() is not None and tokens.peek()[1] == ",":
-        tokens.next()
-        relations.append(tokens.take_name("a relation name"))
+    relations: list[str] = []
+    while True:
+        i += 1
+        if not _is_name(tokens[i]):
+            raise _expected(text, tokens, i, "a relation name")
+        relations.append(tokens[i])
+        i += 1
+        if tokens[i] != ",":
+            break
     if len(set(relations)) != len(relations):
         raise QueryError("duplicate relation in FROM (self-joins unsupported)")
 
     joins: list[tuple[str, str, str, str]] = []
+    join_columns: list[tuple[str, str]] = []
     selections: list[Selection] = []
-    if tokens.at_keyword("where"):
-        tokens.next()
+    if tokens[i].lower() == "where":
         while True:
-            left_rel, left_col = _parse_column(tokens)
-            op = tokens.take_op()
-            right = tokens.peek()
-            if right is not None and right[0] == "name":
+            left = _column(text, tokens, i + 1)
+            i += 4
+            op = tokens[i]
+            if op not in _OPS:
+                raise _expected(text, tokens, i, "a comparison operator")
+            if op == "<>":
+                # Canonicalize the SQL spelling of "not equal".
+                op = "!="
+            i += 1
+            right = tokens[i]
+            if right.isidentifier():
                 if op != "=":
                     raise QueryError(
                         f"only equi-joins are supported between columns; "
-                        f"got {op!r} at offset {right[2]}"
+                        f"got {op!r} at offset {_offset(text, i)}"
                     )
-                right_rel, right_col = _parse_column(tokens)
-                joins.append((left_rel, left_col, right_rel, right_col))
+                right_column = _column(text, tokens, i)
+                joins.append(left + right_column)
+                join_columns += (left, right_column)
+                i += 3
+            elif right[:1].isdigit():
+                selections.append(Selection(left[0], left[1], op, float(right)))
+                i += 1
             else:
-                value = tokens.take_number(
-                    right[2] if right is not None else len(text)
+                got = repr(right) if right else "end of SQL text"
+                raise QueryError(
+                    f"expected a numeric constant at offset "
+                    f"{_offset(text, i)}, got {got}"
                 )
-                selections.append(Selection(left_rel, left_col, op, value))
-            if tokens.at_keyword("and"):
-                tokens.next()
-                continue
-            break
+            if tokens[i].lower() != "and":
+                break
 
     order_by: tuple[str, str] | None = None
-    if tokens.at_keyword("order"):
-        tokens.next()
-        tokens.expect_keyword("by")
-        order_by = _parse_column(tokens)
+    if tokens[i].lower() == "order":
+        if tokens[i + 1].lower() != "by":
+            raise _expected(text, tokens, i + 1, "'BY'")
+        order_by = _column(text, tokens, i + 2)
+        i += 5
 
-    trailing = tokens.peek()
-    if trailing is not None:
-        if trailing[1] == ";":
-            tokens.next()
-            trailing = tokens.peek()
-        if trailing is not None:
-            raise QueryError(
-                f"unexpected trailing token {trailing[1]!r} at offset "
-                f"{trailing[2]}"
-            )
+    if tokens[i] == ";":
+        i += 1
+    if tokens[i]:
+        raise QueryError(
+            f"unexpected trailing token {tokens[i]!r} at offset "
+            f"{_offset(text, i)}"
+        )
 
+    by_name: dict[str, Relation] = {}
     for rel_name in relations:
         if rel_name not in schema:
             raise QueryError(f"FROM references unknown relation {rel_name!r}")
+        by_name[rel_name] = schema.relation(rel_name)
     if projected is not None:
-        for rel_name, col_name in projected:
-            _check_column(schema, relations, rel_name, col_name, "SELECT")
-    for left_rel, left_col, right_rel, right_col in joins:
-        for rel_name, col_name in ((left_rel, left_col), (right_rel, right_col)):
-            _check_column(schema, relations, rel_name, col_name, "WHERE")
-    for selection in selections:
-        _check_column(
-            schema, relations, selection.relation, selection.column, "WHERE"
-        )
+        _check_columns(by_name, projected, "SELECT")
+    _check_columns(by_name, join_columns, "WHERE")
+    _check_columns(
+        by_name, [(s.relation, s.column) for s in selections], "WHERE"
+    )
 
     graph = JoinGraph(relations, joins)
     if label is None:

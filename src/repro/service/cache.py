@@ -126,6 +126,16 @@ class PlanCache:
                 _cache_events().inc(event="hit")
             return entry
 
+    def peek(self, key: Hashable) -> object | None:
+        """The cached value for ``key``, or None, counted nowhere.
+
+        For a caller whose lookup is already counted: a single-flight
+        follower reads its leader's plan with it, so a request counts one
+        lookup however it is served.
+        """
+        with self._lock:
+            return self._entries.get(key)
+
     def put(self, key: Hashable, value: object) -> None:
         """Insert (or refresh) an entry, evicting LRU entries over capacity."""
         with self._lock:

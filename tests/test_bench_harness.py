@@ -215,6 +215,20 @@ class TestCompareReports:
         problems = compare_reports(self._report(), current)
         assert any("cheaper than exhaustive DP" in p for p in problems)
 
+    def test_sql_text_total_is_flagged_beyond_factor(self):
+        baseline = self._report()
+        baseline["benchmarks"]["sql_workload"] = self._sql_workload_arm()
+        current = self._report()
+        current["benchmarks"]["sql_workload"] = self._sql_workload_arm()
+        current["benchmarks"]["sql_workload"]["sql_text_seconds"] = 0.03
+        # A baseline that predates the total is not compared.
+        assert compare_reports(baseline, current) == []
+        baseline["benchmarks"]["sql_workload"]["sql_text_seconds"] = 0.01
+        problems = compare_reports(baseline, current)
+        assert any("sql_workload: SQL-text total" in p for p in problems)
+        current["benchmarks"]["sql_workload"]["sql_text_seconds"] = 0.024
+        assert compare_reports(baseline, current) == []
+
     def test_sql_workload_drift_against_baseline_is_flagged(self):
         baseline = self._report()
         baseline["benchmarks"]["sql_workload"] = self._sql_workload_arm()

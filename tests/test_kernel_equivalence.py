@@ -1,6 +1,6 @@
 """Fast-vs-reference kernel equivalence (the tentpole's safety net).
 
-The mask-native struct-of-arrays kernel (:mod:`repro.core.planspace`) must
+The mask-native kernel with tuple plan nodes (:mod:`repro.core.planspace`) must
 be a pure performance change: for any query, any technique, it has to
 produce the *same search* as the preserved eager object-graph kernel
 (:mod:`repro.core.reference`) — bit-identical winning cost, identical plan

@@ -894,6 +894,47 @@ class TestSingleFlight:
         assert all(not r.cache_hit for r in override_results)
         assert len(service.cache) == 0
 
+    def test_follower_counts_one_lookup(self, small_schema, small_stats):
+        service = OptimizationService(technique="SDP")
+        service.install_statistics(small_stats)
+        leading, release = threading.Event(), threading.Event()
+        real = service.optimizer.optimize
+
+        def gated(query, stats=None):
+            leading.set()
+            assert release.wait(timeout=10.0), "test gate never released"
+            return real(query, stats)
+
+        service.optimizer.optimize = gated
+        following = threading.Event()
+        real_claim = service._claim
+
+        def claim(key):
+            leader, event = real_claim(key)
+            if not leader:
+                following.set()
+            return leader, event
+
+        service._claim = claim
+        query = make_star_query(small_schema, 5)
+        results = {}
+        leader = threading.Thread(target=lambda: results.update(lead=service.optimize(query)))
+        leader.start()
+        assert leading.wait(timeout=10.0)
+        follower = threading.Thread(target=lambda: results.update(follow=service.optimize(query)))
+        follower.start()
+        assert following.wait(timeout=10.0)
+        release.set()
+        leader.join(timeout=30.0)
+        follower.join(timeout=30.0)
+        assert not leader.is_alive() and not follower.is_alive()
+
+        assert results["follow"].cache_hit and not results["lead"].cache_hit
+        # Two requests, two lookups: the follower counts the miss it met,
+        # not the read of its leader's plan.
+        stats = service.cache_stats
+        assert (stats.hits, stats.misses, stats.lookups) == (0, 2, 2)
+
 
 class TestConcurrentEpochSwap:
     def test_optimize_never_mixes_epochs(self, small_schema):
