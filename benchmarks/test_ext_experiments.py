@@ -1,6 +1,6 @@
 """Benchmarks: the extension experiments (beyond the paper)."""
 
-from repro.bench.experiments import ext_baselines, ext_skew, ext_strong_skyline
+from repro.bench.experiments import ext_baselines, ext_skew
 
 
 def test_ext_baselines(benchmark, settings):
@@ -9,14 +9,6 @@ def test_ext_baselines(benchmark, settings):
     )
     print("\n" + report)
     assert "GEQO" in report and "2PO" in report
-
-
-def test_ext_strong_skyline(benchmark, settings):
-    report = benchmark.pedantic(
-        ext_strong_skyline.run, args=(settings,), rounds=1, iterations=1
-    )
-    print("\n" + report)
-    assert "Strong (2-dominant)" in report
 
 
 def test_ext_skew(benchmark, settings):

@@ -54,12 +54,9 @@ from repro.catalog import (
 )
 from repro.core import (
     DynamicProgrammingOptimizer,
-    GeneticConfig,
     GeneticOptimizer,
     GreedyOptimizer,
-    IDP2Config,
     IDP2Optimizer,
-    IDPConfig,
     IDPOptimizer,
     IterativeImprovementOptimizer,
     Optimizer,
@@ -67,7 +64,6 @@ from repro.core import (
     PlanResult,
     SDPConfig,
     SDPOptimizer,
-    RandomizedConfig,
     SearchBudget,
     TwoPhaseOptimizer,
     available_techniques,
@@ -160,17 +156,13 @@ __all__ = [
     "SearchBudget",
     "DynamicProgrammingOptimizer",
     "IDPOptimizer",
-    "IDPConfig",
     "IDP2Optimizer",
-    "IDP2Config",
     "SDPOptimizer",
     "SDPConfig",
     "GreedyOptimizer",
     "IterativeImprovementOptimizer",
     "TwoPhaseOptimizer",
-    "RandomizedConfig",
     "GeneticOptimizer",
-    "GeneticConfig",
     "make_optimizer",
     "available_techniques",
     "compare_techniques",

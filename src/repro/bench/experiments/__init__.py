@@ -17,7 +17,6 @@ from repro.bench.experiments import (
     ext_feature_vector,
     ext_partitioning,
     ext_skew,
-    ext_strong_skyline,
     ext_topologies,
     figure_1_2,
     figure_2_2,
@@ -57,7 +56,6 @@ EXPERIMENTS = {
     "table-3.6": table_3_6,
     # extensions beyond the paper (cited alternatives + stated future work)
     "ext-baselines": ext_baselines,
-    "ext-strong-skyline": ext_strong_skyline,
     "ext-skew": ext_skew,
     "ext-feature-vector": ext_feature_vector,
     "ext-partitioning": ext_partitioning,

@@ -25,10 +25,10 @@ from repro.util.tables import TextTable
 TITLE = "Extension: Feature-Vector Ablation (Star-Chain-15)"
 
 VARIANTS = {
-    "RC + CS + RS (paper)": None,
-    "RC only": ((0, 1),),
-    "CS only": ((1, 2),),
-    "RS only": ((0, 2),),
+    "RC + CS + RS (paper)": SDPConfig(),
+    "RC only": SDPConfig(projections=((0, 1),)),
+    "CS only": SDPConfig(projections=((1, 2),)),
+    "RS only": SDPConfig(projections=((0, 2),)),
 }
 
 
@@ -47,12 +47,8 @@ def run(settings: ExperimentSettings | None = None) -> str:
     plans: dict[str, list[int]] = {name: [] for name in VARIANTS}
     for query in generate_queries(spec, schema, settings.instances):
         reference = dp.optimize(query, stats)
-        for name, dimensions in VARIANTS.items():
-            optimizer = SDPOptimizer(
-                config=SDPConfig(pairwise_dimensions=dimensions),
-                budget=budget,
-                name=name,
-            )
+        for name, config in VARIANTS.items():
+            optimizer = SDPOptimizer(config=config, budget=budget)
             result = optimizer.optimize(query, stats)
             ratios[name].append(result.cost / reference.cost)
             plans[name].append(result.plans_costed)

@@ -14,7 +14,7 @@ import math
 from repro.bench.experiments.common import ExperimentSettings, paper_catalog
 from repro.bench.workloads import WorkloadSpec, generate_queries
 from repro.core.dp import DynamicProgrammingOptimizer
-from repro.core.sdp import SDPConfig, SDPOptimizer
+from repro.core.registry import make_optimizer
 from repro.util.tables import TextTable
 
 TITLE = "Table 2.3: Performance of Skyline Options (Star-Chain-15)"
@@ -30,12 +30,8 @@ def run(settings: ExperimentSettings | None = None) -> str:
     )
     budget = settings.budget()
     optimizers = {
-        "Prune Option 1": SDPOptimizer(
-            config=SDPConfig(skyline_option=1), budget=budget
-        ),
-        "Prune Option 2": SDPOptimizer(
-            config=SDPConfig(skyline_option=2), budget=budget
-        ),
+        "Prune Option 1": make_optimizer("SDP(opt1)", budget=budget),
+        "Prune Option 2": make_optimizer("SDP", budget=budget),
     }
     dp = DynamicProgrammingOptimizer(budget=budget)
 

@@ -5,7 +5,8 @@
 * :class:`DynamicProgrammingOptimizer` — exhaustive bushy DP (the optimal
   reference), enumerated with DPccp;
 * :class:`IDPOptimizer` — Iterative Dynamic Programming, the strongest
-  prior heuristic and the paper's main baseline;
+  prior heuristic and the paper's main baseline, and
+  :class:`IDP2Optimizer`, its greedy-then-DP sibling;
 * :class:`GreedyOptimizer` — GOO, an extra low-effort baseline;
 * :class:`IterativeImprovementOptimizer` / :class:`TwoPhaseOptimizer` —
   randomized search baselines (the intro's "randomized algorithms");
@@ -15,6 +16,12 @@
 All optimizers share one plan space (:class:`PlanSpace`), one budget and
 overhead-accounting mechanism (:class:`SearchBudget`,
 :class:`SearchCounters`), and return :class:`OptimizerResult`.
+
+Besides the budget and cost model, only two searches take settings: SDP
+an :class:`SDPConfig` (partitioning and skyline projections; the named
+variants are :data:`repro.core.sdp.VARIANTS`), and IDP/IDP2 their block
+size ``k``. The randomized and genetic baselines run at fixed module
+constants, seed included.
 """
 
 from repro.core.base import (
@@ -27,16 +34,12 @@ from repro.core.base import (
 from repro.core.dp import DynamicProgrammingOptimizer
 from repro.core.dpccp import connected_subgraphs, csg_cmp_pairs
 from repro.core.enumeration import level_pairs
-from repro.core.genetic import GeneticConfig, GeneticOptimizer
+from repro.core.genetic import GeneticOptimizer
 from repro.core.greedy import GreedyOptimizer
-from repro.core.idp import IDPConfig, IDPOptimizer
-from repro.core.idp2 import IDP2Config, IDP2Optimizer
+from repro.core.idp import IDPOptimizer
+from repro.core.idp2 import IDP2Optimizer
 from repro.core.planspace import PlanSpace
-from repro.core.randomized import (
-    IterativeImprovementOptimizer,
-    RandomizedConfig,
-    TwoPhaseOptimizer,
-)
+from repro.core.randomized import IterativeImprovementOptimizer, TwoPhaseOptimizer
 from repro.core.registry import available_techniques, make_optimizer
 from repro.core.sdp import SDPConfig, SDPOptimizer
 from repro.core.table import JCRTable
@@ -49,17 +52,13 @@ __all__ = [
     "SearchCounters",
     "DynamicProgrammingOptimizer",
     "IDPOptimizer",
-    "IDPConfig",
     "IDP2Optimizer",
-    "IDP2Config",
     "SDPOptimizer",
     "SDPConfig",
     "GreedyOptimizer",
     "IterativeImprovementOptimizer",
     "TwoPhaseOptimizer",
-    "RandomizedConfig",
     "GeneticOptimizer",
-    "GeneticConfig",
     "PlanSpace",
     "JCRTable",
     "csg_cmp_pairs",

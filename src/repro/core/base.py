@@ -28,7 +28,12 @@ from typing import Protocol, runtime_checkable
 
 from repro.catalog.statistics import CatalogStatistics, analyze
 from repro.cost.model import DEFAULT_COST_MODEL, CostModel
-from repro.errors import OptimizationBudgetExceeded, OptimizationError, ReproError
+from repro.errors import (
+    ConfigError,
+    OptimizationBudgetExceeded,
+    OptimizationError,
+    ReproError,
+)
 from repro.obs.names import (
     METRIC_OPTIMIZATIONS_TOTAL,
     METRIC_OPTIMIZE_SECONDS,
@@ -75,14 +80,15 @@ _CHECK_INTERVAL = 2048
 
 
 def check_count(name: str, value: object, minimum: int) -> None:
-    """Raise ``ValueError`` unless ``value`` is an int ``>= minimum``.
+    """Raise :class:`~repro.errors.ConfigError` unless ``value`` is an int
+    ``>= minimum``.
 
     A bound check alone passes NaN (every comparison with NaN is False),
     and a float count fails only once the search uses it; a bool is an int
     by accident.
     """
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+        raise ConfigError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +109,7 @@ class SearchBudget:
         for name in ("max_memory_bytes", "max_plans_costed", "max_seconds"):
             value = getattr(self, name)
             if value is not None and not value > 0:
-                raise ValueError(
+                raise ConfigError(
                     f"SearchBudget.{name} must be positive (or None for "
                     f"unlimited), got {value!r}"
                 )

@@ -13,66 +13,40 @@ optimizers:
   (greedy adjacency-preserving merge); mutation swaps two positions;
 * every costed join is charged to the shared counters, keeping overhead
   comparisons fair.
+
+Population, generations, tournament size, mutation rate and the root seed
+are module constants, so a run is deterministic given the query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.catalog.statistics import CatalogStatistics
-from repro.core.base import Optimizer, SearchBudget, SearchCounters, check_count
+from repro.core.base import Optimizer, SearchCounters
 from repro.core.kernel import make_planspace
 from repro.core.randomized import _JoinOrderWalk
-from repro.cost.model import CostModel
 from repro.plans.records import PlanRecord
 from repro.query.query import Query
 from repro.util.rng import derive_rng
 from repro.util.timer import Timer
 
-__all__ = ["GeneticConfig", "GeneticOptimizer"]
+__all__ = ["GeneticOptimizer"]
 
-
-@dataclass(frozen=True)
-class GeneticConfig:
-    """GEQO-style knobs.
-
-    Attributes:
-        population: Chromosomes per generation.
-        generations: Number of generations evolved.
-        tournament: Tournament size for parent selection.
-        mutation_rate: Probability of a swap mutation per offspring.
-        seed: Root seed (deterministic given seed and query).
-    """
-
-    population: int = 24
-    generations: int = 20
-    tournament: int = 3
-    mutation_rate: float = 0.2
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_count("population", self.population, 2)
-        check_count("generations", self.generations, 1)
-        check_count("tournament", self.tournament, 1)
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError(
-                f"mutation_rate must be in [0, 1], got {self.mutation_rate}"
-            )
+#: Chromosomes per generation.
+_POPULATION = 24
+#: Generations evolved.
+_GENERATIONS = 20
+#: Tournament size for parent selection.
+_TOURNAMENT = 3
+#: Probability of a swap mutation per offspring.
+_MUTATION_RATE = 0.2
+#: Root seed of the search.
+_SEED = 0
 
 
 class GeneticOptimizer(Optimizer):
     """A GEQO-like genetic algorithm over left-deep join orders."""
 
     name = "GEQO"
-
-    def __init__(
-        self,
-        config: GeneticConfig | None = None,
-        budget: SearchBudget | None = None,
-        cost_model: CostModel | None = None,
-    ):
-        super().__init__(budget=budget, cost_model=cost_model)
-        self.config = config if config is not None else GeneticConfig()
 
     # -- search ---------------------------------------------------------------
 
@@ -85,23 +59,23 @@ class GeneticOptimizer(Optimizer):
     ) -> PlanRecord:
         space = make_planspace(query, stats, self.cost_model, counters)
         table = space.new_table()
-        rng = derive_rng(self.config.seed, "geqo", query.label)
+        rng = derive_rng(_SEED, "geqo", query.label)
         walk = _JoinOrderWalk(space, table, rng)
         graph = query.graph
         if graph.n == 1:
             return space.finalize(table.require(graph.all_mask))
 
-        population = [walk.random_order() for _ in range(self.config.population)]
+        population = [walk.random_order() for _ in range(_POPULATION)]
         fitness = [walk.cost(order) for order in population]
 
-        for _generation in range(self.config.generations):
+        for _generation in range(_GENERATIONS):
             counters.check_budget()
             offspring: list[list[int]] = []
-            while len(offspring) < self.config.population:
+            while len(offspring) < _POPULATION:
                 mother = self._tournament(population, fitness, rng)
                 father = self._tournament(population, fitness, rng)
                 child = self._recombine(mother, father, walk, rng)
-                if rng.random() < self.config.mutation_rate:
+                if rng.random() < _MUTATION_RATE:
                     mutated = walk.random_move(child)
                     if mutated is not None:
                         child = mutated
@@ -110,7 +84,7 @@ class GeneticOptimizer(Optimizer):
                 (walk.cost(child), child) for child in offspring
             ]
             merged.sort(key=lambda pair: pair[0])
-            survivors = merged[: self.config.population]
+            survivors = merged[:_POPULATION]
             fitness = [cost for cost, _order in survivors]
             population = [order for _cost, order in survivors]
 
@@ -120,7 +94,7 @@ class GeneticOptimizer(Optimizer):
 
     def _tournament(self, population, fitness, rng) -> list[int]:
         best_index = min(
-            (rng.randrange(len(population)) for _ in range(self.config.tournament)),
+            (rng.randrange(len(population)) for _ in range(_TOURNAMENT)),
             key=lambda i: fitness[i],
         )
         return population[best_index]

@@ -5,8 +5,8 @@ limit ``k``, *globally* selects one size-``k`` subplan to keep, collapses it
 into a compound relation, discards everything else, and restarts — trading
 optimality for bounded memory.
 
-The variant implemented by default is the one the paper evaluates as the
-best performer of [4]: **IDP1-balanced-bestRow** with the hybrid evaluation
+The variant implemented is the one the paper evaluates as the best
+performer of [4]: **IDP1-balanced-bestRow** with the hybrid evaluation
 function —
 
 * block sizes are *balanced* so every iteration shrinks the problem evenly;
@@ -23,7 +23,6 @@ composite plans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.catalog.statistics import CatalogStatistics
 from repro.core.base import (
@@ -46,52 +45,11 @@ from repro.plans.records import PlanRecord
 from repro.query.query import Query
 from repro.util.timer import Timer
 
-__all__ = ["IDPConfig", "IDPOptimizer"]
+__all__ = ["IDPOptimizer"]
 
-_BLOCK_POLICIES = ("balanced", "standard")
-_EVALUATIONS = ("minrows", "mincost", "minsel")
-
-
-@dataclass(frozen=True)
-class IDPConfig:
-    """IDP tuning knobs.
-
-    Attributes:
-        k: Maximum DP block size (the paper evaluates 4 and 7).
-        block_policy: ``"balanced"`` (equalized block sizes, the paper's
-            variant) or ``"standard"`` (always ``k``).
-        evaluation: Plan evaluation function ordering the block-top JCRs:
-            ``"minrows"`` (the paper's Minimum Intermediate Result),
-            ``"mincost"``, or ``"minsel"``.
-        selection_fraction: Fraction of block-top JCRs ballooned to complete
-            plans before picking the winner (the paper's 5 %).
-        balloon: Enable ballooning; when off, the first JCR by
-            ``evaluation`` is collapsed directly (IDP1-standard behaviour).
-    """
-
-    k: int = 7
-    block_policy: str = "balanced"
-    evaluation: str = "minrows"
-    selection_fraction: float = 0.05
-    balloon: bool = True
-
-    def __post_init__(self) -> None:
-        check_count("k", self.k, 2)
-        if self.block_policy not in _BLOCK_POLICIES:
-            raise ValueError(
-                f"block_policy must be one of {_BLOCK_POLICIES}, "
-                f"got {self.block_policy!r}"
-            )
-        if self.evaluation not in _EVALUATIONS:
-            raise ValueError(
-                f"evaluation must be one of {_EVALUATIONS}, "
-                f"got {self.evaluation!r}"
-            )
-        if not 0.0 < self.selection_fraction <= 1.0:
-            raise ValueError(
-                f"selection_fraction must be in (0, 1], "
-                f"got {self.selection_fraction}"
-            )
+#: Share of the block-top JCRs, best MinRows first, ballooned into complete
+#: plans before the winner is picked (the paper's 5 %).
+_BALLOON_FRACTION = 0.05
 
 
 class IDPOptimizer(Optimizer):
@@ -99,14 +57,16 @@ class IDPOptimizer(Optimizer):
 
     def __init__(
         self,
-        config: IDPConfig | None = None,
+        k: int = 7,
         budget: SearchBudget | None = None,
         cost_model: CostModel | None = None,
-        name: str | None = None,
     ):
+        """Create an IDP optimizer with DP block size ``k`` (the paper
+        evaluates 4 and 7); ``k`` must be an int >= 2."""
+        check_count("k", k, 2)
         super().__init__(budget=budget, cost_model=cost_model)
-        self.config = config if config is not None else IDPConfig()
-        self.name = name if name is not None else f"IDP({self.config.k})"
+        self.k = k
+        self.name = f"IDP({k})"
 
     # -- search --------------------------------------------------------------------
 
@@ -199,24 +159,15 @@ class IDPOptimizer(Optimizer):
     # -- block sizing -----------------------------------------------------------------
 
     def _block_size(self, node_count: int) -> int:
-        """Next DP block size under the configured policy."""
-        k = self.config.k
+        """Next DP block size: balanced, at most ``k``."""
+        k = self.k
         if node_count <= k:
             return node_count
-        if self.config.block_policy == "standard":
-            return k
-        # Balanced: spread the remaining work over equally sized blocks.
+        # Spread the remaining work over equally sized blocks.
         iterations = math.ceil((node_count - 1) / (k - 1))
         return max(2, min(k, math.ceil((node_count - 1) / iterations) + 1))
 
     # -- selection ----------------------------------------------------------------------
-
-    def _evaluation_key(self, jcr: JCR) -> float:
-        if self.config.evaluation == "minrows":
-            return jcr.rows
-        if self.config.evaluation == "mincost":
-            return jcr.best_cost
-        return jcr.log_sel
 
     def _select(
         self,
@@ -230,12 +181,9 @@ class IDPOptimizer(Optimizer):
             raise OptimizationError(
                 "IDP block produced no top-level JCRs (disconnected block?)"
             )
-        ranked = sorted(candidates, key=self._evaluation_key)
-        if not self.config.balloon:
-            return ranked[0]
-        shortlist = ranked[
-            : max(1, math.ceil(self.config.selection_fraction * len(ranked)))
-        ]
+        # MinRows, the paper's evaluation function.
+        ranked = sorted(candidates, key=lambda jcr: jcr.rows)
+        shortlist = ranked[: max(1, math.ceil(_BALLOON_FRACTION * len(ranked)))]
         best_candidate: JCR | None = None
         best_cost = math.inf
         for candidate in shortlist:

@@ -22,7 +22,6 @@ but commits earlier).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.catalog.statistics import CatalogStatistics
 from repro.core.base import (
@@ -42,21 +41,7 @@ from repro.plans.records import PlanRecord
 from repro.query.query import Query
 from repro.util.timer import Timer
 
-__all__ = ["IDP2Config", "IDP2Optimizer"]
-
-
-@dataclass(frozen=True)
-class IDP2Config:
-    """IDP2 knobs.
-
-    Attributes:
-        k: Size (in nodes) of each greedily selected DP group.
-    """
-
-    k: int = 7
-
-    def __post_init__(self) -> None:
-        check_count("k", self.k, 2)
+__all__ = ["IDP2Optimizer"]
 
 
 class IDP2Optimizer(Optimizer):
@@ -64,14 +49,16 @@ class IDP2Optimizer(Optimizer):
 
     def __init__(
         self,
-        config: IDP2Config | None = None,
+        k: int = 7,
         budget: SearchBudget | None = None,
         cost_model: CostModel | None = None,
-        name: str | None = None,
     ):
+        """Create an IDP2 optimizer whose greedily selected DP groups hold
+        ``k`` nodes; ``k`` must be an int >= 2."""
+        check_count("k", k, 2)
         super().__init__(budget=budget, cost_model=cost_model)
-        self.config = config if config is not None else IDP2Config()
-        self.name = name if name is not None else f"IDP2({self.config.k})"
+        self.k = k
+        self.name = f"IDP2({k})"
 
     # -- search --------------------------------------------------------------------
 
@@ -117,7 +104,7 @@ class IDP2Optimizer(Optimizer):
         exhaustively afterwards. Returns the chosen nodes (not composites).
         """
         graph = space.graph
-        limit = min(self.config.k, len(nodes))
+        limit = min(self.k, len(nodes))
         clusters: list[list[JCR]] = [[node] for node in nodes]
         while True:
             largest = max(clusters, key=len)

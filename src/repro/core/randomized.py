@@ -14,53 +14,39 @@ the shared :class:`~repro.core.planspace.PlanSpace` — every costed join is
 charged to the counters, so the overhead comparison against DP/IDP/SDP is
 apples-to-apples. Costing memoizes sub-JCRs in a table, as randomized
 optimizers with memo tables do in practice.
+
+Restarts, moves and the annealing schedule are module constants, and each
+walk's seed is 0, so a run is deterministic given the query.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.catalog.statistics import CatalogStatistics
-from repro.core.base import Optimizer, SearchBudget, SearchCounters, check_count
+from repro.core.base import Optimizer, SearchCounters
 from repro.core.kernel import make_planspace
-from repro.cost.model import CostModel
 from repro.errors import OptimizationError
 from repro.plans.records import PlanRecord
 from repro.query.query import Query
 from repro.util.rng import derive_rng
 from repro.util.timer import Timer
 
-__all__ = ["RandomizedConfig", "IterativeImprovementOptimizer", "TwoPhaseOptimizer"]
+__all__ = ["IterativeImprovementOptimizer", "TwoPhaseOptimizer"]
 
-
-@dataclass(frozen=True)
-class RandomizedConfig:
-    """Knobs for the randomized optimizers.
-
-    Attributes:
-        restarts: Number of II restarts from fresh random states.
-        moves_per_start: Local moves attempted from each start.
-        seed: Root seed of the random walk (search is deterministic given
-            the seed and query).
-        annealing_moves: 2PO only — moves in the annealing phase.
-        initial_temperature: 2PO only — relative to the II minimum's cost.
-        cooling: 2PO only — per-move geometric cooling factor.
-    """
-
-    restarts: int = 6
-    moves_per_start: int = 120
-    seed: int = 0
-    annealing_moves: int = 300
-    initial_temperature: float = 0.1
-    cooling: float = 0.98
-
-    def __post_init__(self) -> None:
-        check_count("restarts", self.restarts, 1)
-        check_count("moves_per_start", self.moves_per_start, 1)
-        check_count("annealing_moves", self.annealing_moves, 0)
-        if not 0 < self.cooling < 1:
-            raise ValueError(f"cooling must be in (0, 1), got {self.cooling}")
+#: Iterative Improvement restarts from fresh random states (2PO's first
+#: phase runs half as many).
+_RESTARTS = 6
+#: Local moves attempted from each start.
+_MOVES_PER_START = 120
+#: Root seed of the random walks.
+_SEED = 0
+#: 2PO only: moves in the annealing phase.
+_ANNEALING_MOVES = 300
+#: 2PO only: starting temperature, relative to the II minimum's cost.
+_INITIAL_TEMPERATURE = 0.1
+#: 2PO only: per-move geometric cooling factor.
+_COOLING = 0.98
 
 
 class _JoinOrderWalk:
@@ -142,15 +128,6 @@ class IterativeImprovementOptimizer(Optimizer):
 
     name = "II"
 
-    def __init__(
-        self,
-        config: RandomizedConfig | None = None,
-        budget: SearchBudget | None = None,
-        cost_model: CostModel | None = None,
-    ):
-        super().__init__(budget=budget, cost_model=cost_model)
-        self.config = config if config is not None else RandomizedConfig()
-
     def _search(
         self,
         query: Query,
@@ -160,15 +137,15 @@ class IterativeImprovementOptimizer(Optimizer):
     ) -> PlanRecord:
         space = make_planspace(query, stats, self.cost_model, counters)
         table = space.new_table()
-        rng = derive_rng(self.config.seed, "ii", query.label)
+        rng = derive_rng(_SEED, "ii", query.label)
         walk = _JoinOrderWalk(space, table, rng)
         if query.graph.n == 1:
             return space.finalize(table.require(query.graph.all_mask))
 
-        for _restart in range(self.config.restarts):
+        for _restart in range(_RESTARTS):
             order = walk.random_order()
             best_here = walk.cost(order)
-            for _move in range(self.config.moves_per_start):
+            for _move in range(_MOVES_PER_START):
                 counters.check_budget()
                 candidate = walk.random_move(order)
                 if candidate is None:
@@ -184,15 +161,6 @@ class TwoPhaseOptimizer(Optimizer):
 
     name = "2PO"
 
-    def __init__(
-        self,
-        config: RandomizedConfig | None = None,
-        budget: SearchBudget | None = None,
-        cost_model: CostModel | None = None,
-    ):
-        super().__init__(budget=budget, cost_model=cost_model)
-        self.config = config if config is not None else RandomizedConfig()
-
     def _search(
         self,
         query: Query,
@@ -202,7 +170,7 @@ class TwoPhaseOptimizer(Optimizer):
     ) -> PlanRecord:
         space = make_planspace(query, stats, self.cost_model, counters)
         table = space.new_table()
-        rng = derive_rng(self.config.seed, "2po", query.label)
+        rng = derive_rng(_SEED, "2po", query.label)
         walk = _JoinOrderWalk(space, table, rng)
         if query.graph.n == 1:
             return space.finalize(table.require(query.graph.all_mask))
@@ -210,10 +178,10 @@ class TwoPhaseOptimizer(Optimizer):
         # Phase 1: II with fewer restarts.
         best_order = walk.random_order()
         best_cost = walk.cost(best_order)
-        for _restart in range(max(1, self.config.restarts // 2)):
+        for _restart in range(max(1, _RESTARTS // 2)):
             order = walk.random_order()
             cost = walk.cost(order)
-            for _move in range(self.config.moves_per_start):
+            for _move in range(_MOVES_PER_START):
                 counters.check_budget()
                 candidate = walk.random_move(order)
                 if candidate is None:
@@ -225,9 +193,9 @@ class TwoPhaseOptimizer(Optimizer):
                 best_order, best_cost = order, cost
 
         # Phase 2: annealing around the II minimum.
-        temperature = best_cost * self.config.initial_temperature
+        temperature = best_cost * _INITIAL_TEMPERATURE
         order, cost = list(best_order), best_cost
-        for _move in range(self.config.annealing_moves):
+        for _move in range(_ANNEALING_MOVES):
             counters.check_budget()
             candidate = walk.random_move(order)
             if candidate is None:
@@ -240,5 +208,5 @@ class TwoPhaseOptimizer(Optimizer):
             )
             if accept:
                 order, cost = candidate, candidate_cost
-            temperature *= self.config.cooling
+            temperature *= _COOLING
         return walk.final_plan()

@@ -13,13 +13,13 @@ from repro.core.base import Optimizer, SearchBudget
 from repro.core.dp import DynamicProgrammingOptimizer
 from repro.core.greedy import GreedyOptimizer
 from repro.core.genetic import GeneticOptimizer
-from repro.core.idp import IDPConfig, IDPOptimizer
-from repro.core.idp2 import IDP2Config, IDP2Optimizer
+from repro.core.idp import IDPOptimizer
+from repro.core.idp2 import IDP2Optimizer
 from repro.core.randomized import (
     IterativeImprovementOptimizer,
     TwoPhaseOptimizer,
 )
-from repro.core.sdp import SDPConfig, SDPOptimizer
+from repro.core.sdp import VARIANTS as SDP_VARIANTS, SDPOptimizer
 from repro.cost.model import CostModel
 from repro.errors import OptimizationError
 
@@ -37,12 +37,7 @@ def available_techniques() -> list[str]:
         "IDP(4)",
         "IDP(7)",
         "IDP2(7)",
-        "SDP",
-        "SDP(parent)",
-        "SDP(either)",
-        "SDP(opt1)",
-        "SDP(strong)",
-        "SDP/Global",
+        *SDP_VARIANTS,
         "GOO",
         "II",
         "2PO",
@@ -100,48 +95,13 @@ def make_optimizer(
         return DynamicProgrammingOptimizer(budget=budget, cost_model=cost_model)
     match = _BLOCK_SIZED.fullmatch(name)
     if match is not None:
-        optimizer, config = (
-            (IDP2Optimizer, IDP2Config)
-            if match.group(1) == "IDP2"
-            else (IDPOptimizer, IDPConfig)
-        )
+        optimizer = IDP2Optimizer if match.group(1) == "IDP2" else IDPOptimizer
         return optimizer(
-            config=config(k=int(match.group(2))),
-            budget=budget,
-            cost_model=cost_model,
+            k=int(match.group(2)), budget=budget, cost_model=cost_model
         )
-    if name == "SDP":
-        return SDPOptimizer(budget=budget, cost_model=cost_model)
-    if name == "SDP(parent)":
-        return SDPOptimizer(
-            config=SDPConfig(partitioning="parent"),
-            budget=budget,
-            cost_model=cost_model,
-        )
-    if name == "SDP(either)":
-        return SDPOptimizer(
-            config=SDPConfig(partitioning="either"),
-            budget=budget,
-            cost_model=cost_model,
-        )
-    if name == "SDP(opt1)":
-        return SDPOptimizer(
-            config=SDPConfig(skyline_option=1),
-            budget=budget,
-            cost_model=cost_model,
-        )
-    if name == "SDP(strong)":
-        return SDPOptimizer(
-            config=SDPConfig(skyline_option=3),
-            budget=budget,
-            cost_model=cost_model,
-        )
-    if name == "SDP/Global":
-        return SDPOptimizer(
-            config=SDPConfig(partitioning="global"),
-            budget=budget,
-            cost_model=cost_model,
-        )
+    config = SDP_VARIANTS.get(name)
+    if config is not None:
+        return SDPOptimizer(config=config, budget=budget, cost_model=cost_model)
     if name == "GOO":
         return GreedyOptimizer(budget=budget, cost_model=cost_model)
     if name == "II":

@@ -16,7 +16,8 @@ SDP augments bottom-up DP with a *localized* skyline pruning filter
 3. **Partitioning.** PruneGroup JCRs are partitioned per hub-parent:
 
    * ``root`` (the paper's evaluated variant): hub-parents are the base
-     graph's hubs (degree >= 3), fixed across levels;
+     graph's hubs (degree >= :data:`~repro.query.joingraph.HUB_DEGREE`),
+     fixed across levels;
    * ``parent``: hub-parents are previous-level survivors adjacent to >= 3
      outside relations (composite hubs, recomputed each level);
    * ``global``: no partitioning — one skyline over the whole level
@@ -24,16 +25,20 @@ SDP augments bottom-up DP with a *localized* skyline pruning filter
 
    A JCR lying in several partitions must survive in **all** of them.
 
-4. **Skyline pruning.** Within each partition, JCRs are pruned with a
-   skyline over the feature vector ``[Rows, Cost, Selectivity]`` — by
-   default the disjunctive pairwise union (RC ∪ CS ∪ RS, Option 2), with
-   the full 3-D skyline available as Option 1 (Section 2.1.5).
+4. **Skyline pruning.** Within each partition, JCRs are pruned with the
+   union of the skylines over projections of the feature vector
+   ``[Rows, Cost, Selectivity]`` — by default the disjunctive pairwise
+   union (RC ∪ CS ∪ RS, Option 2), with the full 3-D skyline as Option 1
+   (Section 2.1.5).
 
 5. **Interesting orders** (Section 2.1.4). For each relation carrying an
    interesting join column (a shared join column, or the ORDER BY column),
    an extra partition holds all PruneGroup JCRs *not* containing that
    relation; its skyline survivors are added to the level output, so JCRs
    that could later combine with order-producing relations are preserved.
+
+:data:`VARIANTS` names every configuration the registry builds (``SDP``,
+``SDP(parent)``, ``SDP(either)``, ``SDP(opt1)``, ``SDP/Global``).
 """
 
 from __future__ import annotations
@@ -41,29 +46,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.catalog.statistics import CatalogStatistics
-from repro.core.base import Optimizer, SearchBudget, SearchCounters, check_count
+from repro.core.base import Optimizer, SearchBudget, SearchCounters
 from repro.core.enumeration import level_pairs
 from repro.core.kernel import make_planspace
 from repro.cost.model import CostModel
-from repro.errors import OptimizationError
+from repro.errors import ConfigError, OptimizationError
 from repro.obs.names import SPAN_SDP_FINALIZE, SPAN_SDP_LEVEL, SPAN_SDP_PRUNE
 from repro.obs.runtime import current_tracer
 from repro.obs.trace import maybe_span
 from repro.plans.jcr import JCR
 from repro.plans.records import PlanRecord
+from repro.query.joingraph import HUB_DEGREE
 from repro.query.query import Query
-from repro.skyline.kdominant import k_dominant_skyline
-from repro.skyline.multiway import full_skyline, pairwise_union_skyline
+from repro.skyline.multiway import PAIRWISE_DIMENSIONS, pairwise_union_skyline
 from repro.util.timer import Timer
 
-__all__ = ["SDPConfig", "SDPOptimizer"]
+__all__ = ["SDPConfig", "SDPOptimizer", "VARIANTS"]
 
 _PARTITIONING_MODES = ("root", "parent", "either", "global")
 
 
 @dataclass(frozen=True)
 class SDPConfig:
-    """Tuning knobs of the SDP algorithm.
+    """The SDP variant to run.
 
     Attributes:
         partitioning: ``"root"`` (paper default), ``"parent"``,
@@ -71,52 +76,54 @@ class SDPConfig:
             root- or parent-hub partitioning — measurably more robust for
             ~3x the costing, still far below DP), or ``"global"`` (the
             localized-vs-global ablation).
-        skyline_option: 2 for the disjunctive pairwise skyline (default),
-            1 for the single full-vector skyline, 3 for the experimental
-            "strong" (2-dominant) skyline of the paper's future-work
-            section (falls back to Option 2 when a partition's k-dominant
-            skyline is empty, which cyclic k-dominance permits).
-        hub_degree: Minimum join degree that makes a node a hub.
-        order_partitions: Build the extra interesting-order partitions.
-        pairwise_dimensions: Option 2 only — which feature-vector index
-            pairs to build skylines on: at least one pair, each of two
-            distinct indices in 0..2. Defaults to the paper's RC/CS/RS
-            combinations; the feature-vector ablation passes single pairs
-            (e.g. only (0, 1) for a rows/cost skyline).
+        projections: The RCS index tuples whose skylines are unioned, at
+            least one, each of 2 or 3 distinct indices in 0..2 (any
+            sequence; stored as a tuple of tuples). Defaults to the
+            paper's RC/CS/RS pairs (Option 2); ``((0, 1, 2),)`` is the
+            full-vector skyline (Option 1), and the feature-vector
+            ablation passes single pairs (e.g. ``((0, 1),)`` for a
+            rows/cost skyline).
     """
 
     partitioning: str = "root"
-    skyline_option: int = 2
-    hub_degree: int = 3
-    order_partitions: bool = True
-    pairwise_dimensions: tuple[tuple[int, int], ...] | None = None
+    projections: tuple[tuple[int, ...], ...] = PAIRWISE_DIMENSIONS
 
     def __post_init__(self) -> None:
         if self.partitioning not in _PARTITIONING_MODES:
-            raise ValueError(
+            raise ConfigError(
                 f"partitioning must be one of {_PARTITIONING_MODES}, "
                 f"got {self.partitioning!r}"
             )
-        if self.skyline_option not in (1, 2, 3):
-            raise ValueError(
-                f"skyline_option must be 1, 2 or 3, got {self.skyline_option}"
-            )
-        check_count("hub_degree", self.hub_degree, 1)
-        if self.pairwise_dimensions is not None:
-            # With no pair, every hub partition keeps nothing; a pair that
-            # is not two distinct RCS indices is not a 2-D projection.
-            if not self.pairwise_dimensions:
-                raise ValueError("pairwise_dimensions must name at least one pair")
-            for dims in self.pairwise_dimensions:
-                if (
-                    len(dims) != 2
-                    or not all(isinstance(d, int) and 0 <= d <= 2 for d in dims)
-                    or dims[0] == dims[1]
-                ):
-                    raise ValueError(
-                        f"pairwise dimensions must be two distinct indices "
-                        f"of the RCS vector, got {dims}"
-                    )
+        projections = tuple(tuple(dims) for dims in self.projections)
+        # With no projection, every hub partition keeps nothing.
+        if not projections:
+            raise ConfigError("projections must name at least one projection")
+        for dims in projections:
+            if (
+                len(dims) not in (2, 3)
+                or not all(isinstance(d, int) and 0 <= d <= 2 for d in dims)
+                or len(set(dims)) != len(dims)
+            ):
+                raise ConfigError(
+                    f"a projection must be 2 or 3 distinct indices of the "
+                    f"RCS vector, got {dims}"
+                )
+        object.__setattr__(self, "projections", projections)
+
+
+#: Technique name -> configuration of every SDP variant the registry
+#: builds. :func:`~repro.core.registry.make_optimizer` looks names up here
+#: and :class:`SDPOptimizer` reads its name back; any other configuration
+#: is named ``"SDP"``.
+VARIANTS: dict[str, SDPConfig] = {
+    "SDP": SDPConfig(),
+    "SDP(parent)": SDPConfig(partitioning="parent"),
+    "SDP(either)": SDPConfig(partitioning="either"),
+    "SDP(opt1)": SDPConfig(projections=((0, 1, 2),)),
+    "SDP/Global": SDPConfig(partitioning="global"),
+}
+
+_NAMES = {config: name for name, config in VARIANTS.items()}
 
 
 class SDPOptimizer(Optimizer):
@@ -127,36 +134,22 @@ class SDPOptimizer(Optimizer):
         config: SDPConfig | None = None,
         budget: SearchBudget | None = None,
         cost_model: CostModel | None = None,
-        name: str | None = None,
     ):
         """Create an SDP optimizer.
 
         Args:
-            config: Algorithm knobs (partitioning, skyline option, ...).
+            config: The variant (partitioning, skyline projections);
+                the paper's SDP by default.
             budget: Search budget (1 GB modeled memory by default).
             cost_model: Cost constants.
-            name: Display-name override.
 
         Each pruning pass records an ``sdp.prune`` span (level, PruneGroup
         and FreeGroup sizes, per-partition member counts, survivors) when
         observability is on — see :func:`repro.obs.runtime.capture`.
         """
         super().__init__(budget=budget, cost_model=cost_model)
-        self.config = config if config is not None else SDPConfig()
-        if name is not None:
-            self.name = name
-        elif self.config.partitioning == "global":
-            self.name = "SDP/Global"
-        elif self.config.skyline_option == 1:
-            self.name = "SDP(opt1)"
-        elif self.config.skyline_option == 3:
-            self.name = "SDP(strong)"
-        elif self.config.partitioning == "parent":
-            self.name = "SDP(parent)"
-        elif self.config.partitioning == "either":
-            self.name = "SDP(either)"
-        else:
-            self.name = "SDP"
+        self.config = config if config is not None else VARIANTS["SDP"]
+        self.name = _NAMES.get(self.config, "SDP")
 
     # -- search ------------------------------------------------------------------
 
@@ -184,7 +177,7 @@ class SDPOptimizer(Optimizer):
         if n == 1:
             return space.finalize(table.require(graph.all_mask))
 
-        root_hub_masks = [1 << h for h in graph.hubs(self.config.hub_degree)]
+        root_hub_masks = [1 << h for h in graph.hubs()]
         order_relation_masks = self._order_relation_masks(query)
 
         levels: dict[int, list[JCR]] = {1: list(table.level(1))}
@@ -248,7 +241,7 @@ class SDPOptimizer(Optimizer):
         return [
             jcr.mask
             for jcr in previous
-            if graph.outside_degree(jcr.mask) >= self.config.hub_degree
+            if graph.outside_degree(jcr.mask) >= HUB_DEGREE
         ]
 
     def _prune(
@@ -333,14 +326,15 @@ class SDPOptimizer(Optimizer):
 
             # A PruneGroup JCR must survive the skyline in every partition it
             # belongs to (Section 2.1.3).
+            projections = self.config.projections
             failed: set[int] = set()
             kept_per_partition: dict[int, int] = {}
             for parent, members in partitions.items():
                 if len(members) <= 1:
                     kept_per_partition[parent] = len(members)
                     continue
-                surviving = self._skyline(
-                    [jcr.feature_vector() for jcr in members]
+                surviving = pairwise_union_skyline(
+                    [jcr.feature_vector() for jcr in members], projections
                 )
                 kept_per_partition[parent] = len(surviving)
                 for position, jcr in enumerate(members):
@@ -350,7 +344,7 @@ class SDPOptimizer(Optimizer):
             # Interesting-order partitions rescue JCRs that can later combine
             # with order-producing relations (Section 2.1.4).
             rescued: set[int] = set()
-            if self.config.order_partitions and mode != "global":
+            if mode != "global":
                 for relation_mask in order_relation_masks:
                     members = [
                         jcr for jcr in prune_group
@@ -358,8 +352,8 @@ class SDPOptimizer(Optimizer):
                     ]
                     if not members:
                         continue
-                    surviving = self._skyline(
-                        [jcr.feature_vector() for jcr in members]
+                    surviving = pairwise_union_skyline(
+                        [jcr.feature_vector() for jcr in members], projections
                     )
                     rescued.update(
                         members[position].mask for position in surviving
@@ -388,20 +382,6 @@ class SDPOptimizer(Optimizer):
                     }
                 )
             return survivors
-
-    def _skyline(self, vectors: list[tuple[float, float, float]]) -> set[int]:
-        if self.config.skyline_option == 2:
-            if self.config.pairwise_dimensions is not None:
-                return pairwise_union_skyline(
-                    vectors, dimensions=self.config.pairwise_dimensions
-                )
-            return pairwise_union_skyline(vectors)
-        if self.config.skyline_option == 3:
-            survivors = k_dominant_skyline(vectors, k=2)
-            if survivors:
-                return survivors
-            return pairwise_union_skyline(vectors)
-        return full_skyline(vectors)
 
     # -- interesting orders --------------------------------------------------------
 

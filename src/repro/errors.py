@@ -16,6 +16,14 @@ class CatalogError(ReproError):
     """The schema or statistics definition is invalid or inconsistent."""
 
 
+class ConfigError(ReproError, ValueError):
+    """A constructor or configuration was given an invalid setting.
+
+    Also a :class:`ValueError`, so ``except ValueError`` callers keep
+    catching it.
+    """
+
+
 class JoinGraphError(ReproError):
     """A join graph is malformed (unknown relation, self-edge, disconnected)."""
 

@@ -29,6 +29,8 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Iterator
 
+from repro.errors import ConfigError
+
 __all__ = [
     "Span",
     "Tracer",
@@ -148,7 +150,7 @@ class InMemorySpanExporter:
 
     def __init__(self, capacity: int = 4096):
         if capacity < 1:
-            raise ValueError(f"exporter capacity must be >= 1, got {capacity}")
+            raise ConfigError(f"exporter capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._spans: deque[Span] = deque(maxlen=capacity)
 

@@ -23,7 +23,10 @@ from dataclasses import dataclass
 from repro.errors import JoinGraphError
 from repro.util.bitset import bit_count, bit_indices
 
-__all__ = ["JoinPredicate", "JoinGraph"]
+__all__ = ["JoinPredicate", "JoinGraph", "HUB_DEGREE"]
+
+#: Join degree that makes a relation a root hub (Section 2.1.1).
+HUB_DEGREE = 3
 
 
 @dataclass(frozen=True)
@@ -330,10 +333,11 @@ class JoinGraph:
 
     # -- hubs and eclasses ---------------------------------------------------
 
-    def hubs(self, minimum_degree: int = 3) -> list[int]:
-        """Indices of the *root hubs* — nodes of degree >= 3 (Section 2.1.1)."""
+    def hubs(self) -> list[int]:
+        """Indices of the *root hubs* — nodes of degree >= :data:`HUB_DEGREE`
+        (Section 2.1.1)."""
         return [
-            i for i in range(self.n) if bit_count(self._neighbor_masks[i]) >= minimum_degree
+            i for i in range(self.n) if bit_count(self._neighbor_masks[i]) >= HUB_DEGREE
         ]
 
     @property

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 
-from repro.errors import OptimizationCancelled
+from repro.errors import ConfigError, OptimizationCancelled
 
 __all__ = ["Deadline"]
 
@@ -42,7 +42,7 @@ class Deadline:
     def __init__(self, seconds: float | None):
         # ``not > 0`` also rejects NaN, which would never expire.
         if seconds is not None and not seconds > 0:
-            raise ValueError(f"deadline must be positive or None, got {seconds!r}")
+            raise ConfigError(f"deadline must be positive or None, got {seconds!r}")
         self.seconds = seconds
         self._started = time.perf_counter()
 

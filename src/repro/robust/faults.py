@@ -38,7 +38,7 @@ from typing import Iterator
 
 from repro.catalog.statistics import CatalogStatistics, TableStats
 from repro.core.base import Optimizer, SearchCounters
-from repro.errors import FaultInjected, OptimizationBudgetExceeded
+from repro.errors import ConfigError, FaultInjected, OptimizationBudgetExceeded
 from repro.obs.names import METRIC_FAULTS_INJECTED_TOTAL
 from repro.obs.runtime import enabled as _obs_enabled, metrics as _obs_metrics
 from repro.util.rng import derive_rng
@@ -90,9 +90,9 @@ class FaultyCostModel:
 
     def __init__(self, inner, fail_after: int, fail_count: int = 1):
         if fail_after < 1:
-            raise ValueError(f"fail_after must be >= 1, got {fail_after}")
+            raise ConfigError(f"fail_after must be >= 1, got {fail_after}")
         if fail_count < 1:
-            raise ValueError(f"fail_count must be >= 1, got {fail_count}")
+            raise ConfigError(f"fail_count must be >= 1, got {fail_count}")
         self.__dict__["_inner"] = inner
         self.__dict__["_fail_after"] = fail_after
         self.__dict__["_fail_count"] = fail_count
@@ -130,11 +130,11 @@ class SlowCostModel:
 
     def __init__(self, inner, delay_seconds: float, every: int = 256):
         if not (math.isfinite(delay_seconds) and delay_seconds > 0):
-            raise ValueError(
+            raise ConfigError(
                 f"delay_seconds must be finite and > 0, got {delay_seconds!r}"
             )
         if every < 1:
-            raise ValueError(f"every must be >= 1, got {every!r}")
+            raise ConfigError(f"every must be >= 1, got {every!r}")
         self.__dict__["_inner"] = inner
         self.__dict__["_delay"] = float(delay_seconds)
         self.__dict__["_every"] = every
@@ -293,9 +293,9 @@ class FaultHarness:
           path of every consumer.
         """
         if mode not in ("inflate", "zero"):
-            raise ValueError(f"unknown perturbation mode {mode!r}")
+            raise ConfigError(f"unknown perturbation mode {mode!r}")
         if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+            raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
         _note_fault(f"stats-{mode}")
         rng = derive_rng(self.seed, "stats", mode)
         names = sorted(stats.table_names)

@@ -1,20 +1,14 @@
-"""Tests for the randomized (II, 2PO) and genetic (GEQO) baselines,
-plus the k-dominant (strong) skyline."""
+"""Tests for the randomized (II, 2PO) and genetic (GEQO) baselines, and
+IDP2."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.core import (
     DynamicProgrammingOptimizer,
-    GeneticConfig,
     GeneticOptimizer,
     IterativeImprovementOptimizer,
-    RandomizedConfig,
-    SDPConfig,
-    SDPOptimizer,
     TwoPhaseOptimizer,
 )
 from repro.core.base import SearchBudget, SearchCounters
@@ -24,72 +18,9 @@ from repro.core.table import JCRTable
 from repro.cost.model import DEFAULT_COST_MODEL
 from repro.errors import OptimizationBudgetExceeded
 from repro.plans import validate_plan
-from repro.skyline import (
-    k_dominant_skyline,
-    k_dominates,
-    naive_skyline,
-)
 from repro.util.rng import derive_rng
 from repro.util.timer import Timer
 from tests.conftest import make_chain_query, make_star_chain_query, make_star_query
-
-vectors_3d = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=15),
-        st.integers(min_value=0, max_value=15),
-        st.integers(min_value=0, max_value=15),
-    ),
-    min_size=1,
-    max_size=25,
-)
-
-
-class TestKDominance:
-    def test_basic(self):
-        assert k_dominates((1, 2, 9), (2, 3, 0), 2)
-        assert not k_dominates((1, 2, 9), (2, 3, 0), 3)
-
-    def test_equal_never_dominates(self):
-        assert not k_dominates((1, 1, 1), (1, 1, 1), 1)
-
-    def test_full_k_is_ordinary_dominance(self):
-        assert k_dominates((1, 2, 3), (2, 2, 3), 3)
-        assert not k_dominates((1, 2, 4), (2, 2, 3), 3)
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            k_dominates((1, 2), (3, 4), 0)
-        with pytest.raises(ValueError):
-            k_dominates((1, 2), (3, 4), 3)
-
-    def test_can_be_cyclic(self):
-        a, b = (1, 9, 5), (9, 1, 5)
-        # both 1-dominate each other — k-dominance is not a partial order
-        assert k_dominates(a, b, 1) and k_dominates(b, a, 1)
-
-    @given(vectors_3d)
-    def test_subset_of_ordinary_skyline(self, vecs):
-        strong = k_dominant_skyline(vecs, 2)
-        assert strong <= naive_skyline(vecs)
-
-    @given(vectors_3d)
-    def test_k_equals_d_matches_ordinary(self, vecs):
-        assert k_dominant_skyline(vecs, 3) == naive_skyline(vecs)
-
-    def test_known_example(self):
-        assert k_dominant_skyline([(1, 4, 4), (2, 2, 2), (4, 1, 4)], 2) == {1}
-
-
-class TestStrongSkylineSDP:
-    def test_option3_runs_and_prunes_harder(self, small_schema, small_stats):
-        query = make_star_query(small_schema, 8)
-        strong = SDPOptimizer(config=SDPConfig(skyline_option=3)).optimize(
-            query, small_stats
-        )
-        default = SDPOptimizer().optimize(query, small_stats)
-        validate_plan(strong.plan, query.graph)
-        assert strong.jcrs_created <= default.jcrs_created
-        assert SDPOptimizer(config=SDPConfig(skyline_option=3)).name == "SDP(strong)"
 
 
 class TestJoinOrderWalk:
@@ -140,8 +71,7 @@ class TestRandomizedOptimizers:
         self, optimizer_cls, small_schema, small_stats
     ):
         query = make_star_chain_query(small_schema, spokes=4, chain=2)
-        config = RandomizedConfig(restarts=2, moves_per_start=30, seed=1)
-        result = optimizer_cls(config=config).optimize(query, small_stats)
+        result = optimizer_cls().optimize(query, small_stats)
         validate_plan(result.plan, query.graph)
         optimal = (
             DynamicProgrammingOptimizer().optimize(query, small_stats).cost
@@ -150,13 +80,8 @@ class TestRandomizedOptimizers:
 
     def test_deterministic_given_seed(self, small_schema, small_stats):
         query = make_star_query(small_schema, 7)
-        config = RandomizedConfig(restarts=2, moves_per_start=20, seed=5)
-        a = IterativeImprovementOptimizer(config=config).optimize(
-            query, small_stats
-        )
-        b = IterativeImprovementOptimizer(config=config).optimize(
-            query, small_stats
-        )
+        a = IterativeImprovementOptimizer().optimize(query, small_stats)
+        b = IterativeImprovementOptimizer().optimize(query, small_stats)
         assert a.cost == pytest.approx(b.cost)
 
     def test_single_relation(self, small_schema, small_stats):
@@ -173,28 +98,11 @@ class TestRandomizedOptimizers:
         with pytest.raises(OptimizationBudgetExceeded):
             IterativeImprovementOptimizer(budget=tiny).optimize(query, stats)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RandomizedConfig(restarts=0)
-        with pytest.raises(ValueError):
-            RandomizedConfig(moves_per_start=0)
-        with pytest.raises(ValueError):
-            RandomizedConfig(cooling=1.5)
-        # NaN passes every bound check; a float count is not a count.
-        for field in ("restarts", "moves_per_start", "annealing_moves"):
-            for value in (float("nan"), 2.5):
-                with pytest.raises(ValueError):
-                    RandomizedConfig(**{field: value})
-        with pytest.raises(ValueError):
-            RandomizedConfig(annealing_moves=-1)
-        RandomizedConfig(annealing_moves=0)
-
 
 class TestGenetic:
     def test_valid_and_sound(self, small_schema, small_stats):
         query = make_star_chain_query(small_schema, spokes=4, chain=2)
-        config = GeneticConfig(population=8, generations=4, seed=2)
-        result = GeneticOptimizer(config=config).optimize(query, small_stats)
+        result = GeneticOptimizer().optimize(query, small_stats)
         validate_plan(result.plan, query.graph)
         optimal = (
             DynamicProgrammingOptimizer().optimize(query, small_stats).cost
@@ -203,9 +111,8 @@ class TestGenetic:
 
     def test_deterministic(self, small_schema, small_stats):
         query = make_star_query(small_schema, 7)
-        config = GeneticConfig(population=6, generations=3, seed=3)
-        a = GeneticOptimizer(config=config).optimize(query, small_stats)
-        b = GeneticOptimizer(config=config).optimize(query, small_stats)
+        a = GeneticOptimizer().optimize(query, small_stats)
+        b = GeneticOptimizer().optimize(query, small_stats)
         assert a.cost == pytest.approx(b.cost)
 
     def test_recombination_produces_valid_children(
@@ -222,25 +129,13 @@ class TestGenetic:
             assert sorted(child) == sorted(mother)
             assert walk.is_valid(child)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            GeneticConfig(population=1)
-        with pytest.raises(ValueError):
-            GeneticConfig(generations=0)
-        with pytest.raises(ValueError):
-            GeneticConfig(mutation_rate=1.5)
-        for field in ("population", "generations", "tournament"):
-            for value in (float("nan"), 8.5):
-                with pytest.raises(ValueError):
-                    GeneticConfig(**{field: value})
-
 
 class TestIDP2:
     def test_valid_and_sound(self, small_schema, small_stats):
-        from repro.core.idp2 import IDP2Config, IDP2Optimizer
+        from repro.core.idp2 import IDP2Optimizer
 
         query = make_star_chain_query(small_schema, spokes=4, chain=2)
-        result = IDP2Optimizer(IDP2Config(k=4)).optimize(query, small_stats)
+        result = IDP2Optimizer(k=4).optimize(query, small_stats)
         validate_plan(result.plan, query.graph)
         optimal = (
             DynamicProgrammingOptimizer().optimize(query, small_stats).cost
@@ -248,13 +143,13 @@ class TestIDP2:
         assert result.cost >= optimal - 1e-6
 
     def test_small_query_equals_dp(self, small_schema, small_stats):
-        from repro.core.idp2 import IDP2Config, IDP2Optimizer
+        from repro.core.idp2 import IDP2Optimizer
 
         query = make_star_query(small_schema, 6)
         dp_cost = (
             DynamicProgrammingOptimizer().optimize(query, small_stats).cost
         )
-        idp2 = IDP2Optimizer(IDP2Config(k=7)).optimize(query, small_stats)
+        idp2 = IDP2Optimizer(k=7).optimize(query, small_stats)
         assert idp2.cost == pytest.approx(dp_cost)
 
     def test_registry_name(self):
@@ -262,22 +157,22 @@ class TestIDP2:
 
         optimizer = make_optimizer("IDP2(5)")
         assert optimizer.name == "IDP2(5)"
-        assert optimizer.config.k == 5
+        assert optimizer.k == 5
 
     def test_config_validation(self):
-        from repro.core.idp2 import IDP2Config
+        from repro.core.idp2 import IDP2Optimizer
 
         with pytest.raises(ValueError):
-            IDP2Config(k=1)
+            IDP2Optimizer(k=1)
         for k in (float("nan"), 4.5):
             with pytest.raises(ValueError):
-                IDP2Config(k=k)
+                IDP2Optimizer(k=k)
 
     def test_runs_on_paper_scale(self, schema, stats):
-        from repro.core.idp2 import IDP2Config, IDP2Optimizer
+        from repro.core.idp2 import IDP2Optimizer
         from tests.conftest import make_star_chain_query
 
         query = make_star_chain_query(schema, spokes=8, chain=3)
-        result = IDP2Optimizer(IDP2Config(k=6)).optimize(query, stats)
+        result = IDP2Optimizer(k=6).optimize(query, stats)
         validate_plan(result.plan, query.graph)
         assert result.jcrs_created > 0

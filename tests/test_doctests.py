@@ -9,7 +9,6 @@ import pytest
 import repro.catalog.distributions
 import repro.cost.selectivity
 import repro.skyline.dominance
-import repro.skyline.kdominant
 import repro.skyline.naive
 import repro.skyline.sfs
 import repro.util.bitset
@@ -27,7 +26,6 @@ MODULES = [
     repro.skyline.dominance,
     repro.skyline.naive,
     repro.skyline.sfs,
-    repro.skyline.kdominant,
 ]
 
 

@@ -124,3 +124,52 @@ def test_every_in_tree_exception_is_a_repro_error():
         and not issubclass(cls, ReproError)
     )
     assert strays == _NON_TAXONOMY
+
+
+def _bad_settings():
+    """``(id, call)`` pairs: each call passes one invalid setting."""
+    from repro.catalog import analyze, paper_schema
+    from repro.core import IDP2Optimizer, IDPOptimizer, SDPConfig, SearchBudget
+    from repro.cost import DEFAULT_COST_MODEL
+    from repro.obs.trace import InMemorySpanExporter
+    from repro.robust import Deadline, FaultHarness
+    from repro.robust.faults import FaultyCostModel, SlowCostModel
+
+    def perturb(**kwargs):
+        return lambda: FaultHarness().perturbed_statistics(
+            analyze(paper_schema(seed=0)), **kwargs
+        )
+
+    return [
+        ("sdp-partitioning", lambda: SDPConfig(partitioning="diagonal")),
+        ("sdp-no-projection", lambda: SDPConfig(projections=())),
+        ("sdp-projection", lambda: SDPConfig(projections=((0, 5),))),
+        ("budget", lambda: SearchBudget(max_seconds=0)),
+        ("idp-k", lambda: IDPOptimizer(k=1)),
+        ("idp2-k", lambda: IDP2Optimizer(k=1.5)),
+        ("exporter-capacity", lambda: InMemorySpanExporter(capacity=0)),
+        ("deadline", lambda: Deadline(-1.0)),
+        ("faulty-after", lambda: FaultyCostModel(DEFAULT_COST_MODEL, fail_after=0)),
+        (
+            "faulty-count",
+            lambda: FaultyCostModel(DEFAULT_COST_MODEL, fail_after=1, fail_count=0),
+        ),
+        ("slow-delay", lambda: SlowCostModel(DEFAULT_COST_MODEL, delay_seconds=0.0)),
+        (
+            "slow-every",
+            lambda: SlowCostModel(DEFAULT_COST_MODEL, delay_seconds=0.1, every=0),
+        ),
+        ("perturb-mode", perturb(mode="shuffle")),
+        ("perturb-fraction", perturb(fraction=0.0)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "call", [call for _id, call in _bad_settings()], ids=[i for i, _ in _bad_settings()]
+)
+def test_invalid_setting_raises_a_typed_value_error(call):
+    """A bad setting raises ``ConfigError``: a ``ReproError`` that
+    ``except ValueError`` callers still catch."""
+    with pytest.raises(ReproError) as caught:
+        call()
+    assert isinstance(caught.value, ValueError)

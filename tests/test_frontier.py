@@ -64,7 +64,6 @@ def test_cli_lists_extensions(capsys):
     out = capsys.readouterr().out
     for name in (
         "ext-baselines",
-        "ext-strong-skyline",
         "ext-skew",
         "ext-feature-vector",
         "ext-partitioning",

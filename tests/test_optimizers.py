@@ -13,7 +13,6 @@ import pytest
 from repro.core import (
     DynamicProgrammingOptimizer,
     GreedyOptimizer,
-    IDPConfig,
     IDPOptimizer,
     SDPConfig,
     SDPOptimizer,
@@ -23,6 +22,7 @@ from repro.core import (
 )
 from repro.core.base import SearchCounters
 from repro.core.planspace import PlanSpace
+from repro.core.sdp import VARIANTS
 from repro.core.table import JCRTable
 from repro.cost.model import DEFAULT_COST_MODEL
 from repro.errors import OptimizationBudgetExceeded, OptimizationError
@@ -36,12 +36,12 @@ from tests.conftest import make_chain_query, make_star_chain_query, make_star_qu
 
 ALL_OPTIMIZERS = [
     DynamicProgrammingOptimizer(),
-    IDPOptimizer(IDPConfig(k=4)),
-    IDPOptimizer(IDPConfig(k=7)),
+    IDPOptimizer(k=4),
+    IDPOptimizer(k=7),
     SDPOptimizer(),
     SDPOptimizer(config=SDPConfig(partitioning="parent")),
     SDPOptimizer(config=SDPConfig(partitioning="global")),
-    SDPOptimizer(config=SDPConfig(skyline_option=1)),
+    SDPOptimizer(config=SDPConfig(projections=((0, 1, 2),))),
     GreedyOptimizer(),
 ]
 
@@ -192,12 +192,10 @@ class TestSDP:
         self, small_schema, small_stats
     ):
         query = make_star_query(small_schema, 8)
-        opt1 = SDPOptimizer(config=SDPConfig(skyline_option=1)).optimize(
+        opt1 = SDPOptimizer(config=SDPConfig(projections=((0, 1, 2),))).optimize(
             query, small_stats
         )
-        opt2 = SDPOptimizer(config=SDPConfig(skyline_option=2)).optimize(
-            query, small_stats
-        )
+        opt2 = SDPOptimizer().optimize(query, small_stats)
         assert opt1.jcrs_created >= opt2.jcrs_created
 
     def test_trace_events(self, small_schema, small_stats):
@@ -225,28 +223,35 @@ class TestSDP:
         with pytest.raises(ValueError):
             SDPConfig(partitioning="diagonal")
         with pytest.raises(ValueError):
-            SDPConfig(skyline_option=4)
-        with pytest.raises(ValueError):
-            SDPConfig(hub_degree=0)
-        # NaN passes every bound check; a float count is not a count.
-        for hub_degree in (float("nan"), 2.5):
+            SDPConfig(projections=((0, 5),))
+        # No projection at all, and projections that are not 2 or 3
+        # distinct RCS indices.
+        for projections in (
+            (), ((0, 0),), ((1,),), ((0, 1), (2, 2)), ((0, 1, 1),), ((0, 1, 2, 0),),
+        ):
             with pytest.raises(ValueError):
-                SDPConfig(hub_degree=hub_degree)
-        with pytest.raises(ValueError):
-            SDPConfig(pairwise_dimensions=((0, 5),))
-        # No pair at all, and pairs that are not two distinct RCS indices.
-        for dimensions in ((), ((0, 1, 2),), ((0, 0),), ((1,),), ((0, 1), (2, 2))):
-            with pytest.raises(ValueError):
-                SDPConfig(pairwise_dimensions=dimensions)
-        SDPConfig(pairwise_dimensions=((0, 1), (2, 0)))
+                SDPConfig(projections=projections)
+        SDPConfig(projections=((0, 1), (2, 0)))
+        SDPConfig(projections=((2, 0, 1),))
+
+    def test_projections_accept_any_sequence(self):
+        config = SDPConfig(projections=[[0, 1], (1, 2), [0, 2]])
+        assert config.projections == ((0, 1), (1, 2), (0, 2))
+        assert config == SDPConfig()
+        assert SDPOptimizer(config).name == "SDP"
 
     def test_names(self):
         assert SDPOptimizer().name == "SDP"
+        for name in ("SDP", "SDP(parent)", "SDP(either)", "SDP(opt1)", "SDP/Global"):
+            assert SDPOptimizer(config=VARIANTS[name]).name == name
+            assert make_optimizer(name).config == VARIANTS[name]
         assert (
             SDPOptimizer(config=SDPConfig(partitioning="global")).name
             == "SDP/Global"
         )
-        assert SDPOptimizer(name="custom").name == "custom"
+        # A configuration no technique name stands for is plain SDP.
+        unnamed = SDPConfig(partitioning="global", projections=((0, 1, 2),))
+        assert SDPOptimizer(config=unnamed).name == "SDP"
 
 
 class TestIDP:
@@ -254,43 +259,25 @@ class TestIDP:
         """n <= k means one full-DP block: IDP must be optimal."""
         query = make_star_query(small_schema, 6)
         dp_cost = DynamicProgrammingOptimizer().optimize(query, small_stats).cost
-        idp_cost = IDPOptimizer(IDPConfig(k=7)).optimize(query, small_stats).cost
+        idp_cost = IDPOptimizer(k=7).optimize(query, small_stats).cost
         assert idp_cost == pytest.approx(dp_cost)
 
     def test_block_size_balanced(self):
-        idp = IDPOptimizer(IDPConfig(k=7, block_policy="balanced"))
+        idp = IDPOptimizer(k=7)
         assert idp._block_size(7) == 7
         assert idp._block_size(5) == 5
         size = idp._block_size(23)
         assert 2 <= size <= 7
 
-    def test_block_size_standard(self):
-        idp = IDPOptimizer(IDPConfig(k=4, block_policy="standard"))
-        assert idp._block_size(10) == 4
-        assert idp._block_size(3) == 3
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            IDPConfig(k=1)
+            IDPOptimizer(k=1)
         for k in (float("nan"), 4.5):
             with pytest.raises(ValueError):
-                IDPConfig(k=k)
-        with pytest.raises(ValueError):
-            IDPConfig(block_policy="chaotic")
-        with pytest.raises(ValueError):
-            IDPConfig(evaluation="vibes")
-        with pytest.raises(ValueError):
-            IDPConfig(selection_fraction=0.0)
-
-    def test_evaluation_functions_all_run(self, small_schema, small_stats):
-        query = make_star_query(small_schema, 8)
-        for evaluation in ("minrows", "mincost", "minsel"):
-            config = IDPConfig(k=4, evaluation=evaluation, balloon=False)
-            result = IDPOptimizer(config).optimize(query, small_stats)
-            validate_plan(result.plan, query.graph)
+                IDPOptimizer(k=k)
 
     def test_name(self):
-        assert IDPOptimizer(IDPConfig(k=4)).name == "IDP(4)"
+        assert IDPOptimizer(k=4).name == "IDP(4)"
 
 
 class TestBudgets:
@@ -321,11 +308,15 @@ class TestRegistry:
             assert optimizer.name == name
 
     def test_idp_any_k(self):
-        assert make_optimizer("IDP(9)").config.k == 9
+        assert make_optimizer("IDP(9)").k == 9
 
     def test_unknown_rejected(self):
         with pytest.raises(OptimizationError):
             make_optimizer("QuantumDP")
+
+    def test_retired_strong_skyline_is_unknown(self):
+        with pytest.raises(OptimizationError, match=r"known: \['DP'"):
+            make_optimizer("SDP(strong)")
 
 
 class TestSDPEither:

@@ -1,8 +1,11 @@
-"""Repository hygiene: no build artifacts tracked by git."""
+"""Repository hygiene: no build artifacts tracked by git, and every
+benchmark module still collects."""
 
 from __future__ import annotations
 
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +80,27 @@ def test_bytecode_ignored_everywhere():
     assert missed == [], (
         ".gitignore does not cover bytecode in:\n" + "\n".join(missed)
     )
+
+
+def test_benchmark_modules_collect():
+    """Every module under ``benchmarks/`` outside ``e2e/`` imports and
+    collects.
+
+    Plain ``pytest`` collects only ``tests/``, and no other stage runs
+    these modules, so an import of a deleted experiment would otherwise
+    go unnoticed.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "benchmarks",
+         "--ignore=benchmarks/e2e"],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]
