@@ -13,8 +13,8 @@ from repro.core.registry import make_optimizer
 
 
 @pytest.fixture(scope="module")
-def star_chain_12(settings):
-    schema, stats = paper_catalog(settings)
+def star_chain_12():
+    schema, stats = paper_catalog()
     spec = WorkloadSpec(topology="star-chain", relation_count=12, seed=1)
     return make_query(spec, schema, 0), stats
 

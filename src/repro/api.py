@@ -43,6 +43,7 @@ from repro.obs.runtime import capture
 from repro.obs.trace import TraceRecording
 from repro.query.parser import parse_sql
 from repro.query.query import Query
+from repro.robust.ladder import RobustOptimizer
 
 __all__ = ["optimize", "resolve_technique"]
 
@@ -110,8 +111,8 @@ def optimize(
             ``"idp(7)"``, ...; see :func:`repro.available_techniques`).
         budget: A :class:`~repro.core.base.SearchBudget`, or a plain
             number of wall-clock seconds.
-        robust: Run the fallback ladder starting at ``technique``
-            (:func:`repro.robust.ladder_from`) instead of a single
+        robust: Run the fallback ladder named by ``technique``
+            (:class:`~repro.robust.RobustOptimizer`) instead of a single
             optimizer; the result is then a
             :class:`~repro.robust.ladder.RobustResult` and never a budget
             trip.
@@ -168,20 +169,8 @@ def optimize(
     else:
         resolved = resolve_technique(technique)
         search_budget = _resolve_budget(budget)
-        if robust:
-            # Imported lazily: repro.robust builds its ladder rungs through
-            # the optimizer registry, which this module also imports.
-            from repro.robust.ladder import RobustOptimizer, ladder_from
-
-            optimizer = RobustOptimizer(
-                ladder=ladder_from(resolved),
-                budget=search_budget,
-                cost_model=cost_model,
-            )
-        else:
-            optimizer = make_optimizer(
-                resolved, budget=search_budget, cost_model=cost_model
-            )
+        build = RobustOptimizer if robust else make_optimizer
+        optimizer = build(resolved, budget=search_budget, cost_model=cost_model)
         runner = lambda: optimizer.optimize(query, stats)  # noqa: E731
 
     if not trace:

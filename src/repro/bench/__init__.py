@@ -18,8 +18,8 @@ Layout:
 * :mod:`repro.bench.cli` — ``sdp-bench`` command-line front end.
 
 Experiment sizes default to minutes-not-days sampling of the paper's
-millions-of-queries grids; set ``REPRO_BENCH_INSTANCES`` (per-cell instance
-count) or pass ``--instances`` to scale up.
+millions-of-queries grids; pass ``--instances`` (per-cell instance count)
+to scale up.
 """
 
 from repro.bench.loadgen import LoadScenario, run_load

@@ -68,8 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--instances",
         type=int,
         default=None,
-        help="query instances per workload cell (default 10; env "
-        "REPRO_BENCH_INSTANCES)",
+        help="query instances per workload cell (default 10)",
     )
     parser.add_argument(
         "--heavy-instances",
@@ -90,8 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--robust",
         action="store_true",
         help="run techniques through the fallback ladder: budget trips "
-        "degrade to a cheaper technique instead of producing '*' cells "
-        "(env REPRO_BENCH_ROBUST)",
+        "degrade to a cheaper technique instead of producing '*' cells",
     )
     parser.add_argument(
         "--workers",
@@ -100,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="optimize the (instance, technique) grid over N worker "
         "processes; aggregated results are identical to a serial run "
-        "(env REPRO_BENCH_WORKERS)",
+        "(default 1)",
     )
     parser.add_argument(
         "--profile",
@@ -119,26 +117,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _settings(args: argparse.Namespace) -> ExperimentSettings:
-    settings = ExperimentSettings.from_env()
-    overrides = {}
-    if args.instances is not None:
-        overrides["instances"] = args.instances
-    if args.heavy_instances is not None:
-        overrides["heavy_instances"] = args.heavy_instances
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.max_seconds is not None:
-        overrides["max_seconds"] = args.max_seconds
-    if args.robust:
-        overrides["robust"] = True
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        from dataclasses import replace
+#: ``ExperimentSettings`` fields set by the flag of the same name; a flag
+#: left out (None) keeps the field's default.
+_SETTING_FLAGS = ("instances", "heavy_instances", "max_seconds", "seed", "workers")
 
-        settings = replace(settings, **overrides)
-    return settings
+
+def _settings(args: argparse.Namespace) -> ExperimentSettings:
+    given = {
+        name: getattr(args, name)
+        for name in _SETTING_FLAGS
+        if getattr(args, name) is not None
+    }
+    return ExperimentSettings(robust=args.robust, **given)
 
 
 def _run_check(baseline_path: str, repeats: int, workers: int | None) -> int:
@@ -158,12 +148,13 @@ def _run_check(baseline_path: str, repeats: int, workers: int | None) -> int:
     current = run_harness(repeats=repeats, workers=workers)
     elapsed = time.perf_counter() - started
     problems = compare_reports(baseline, current)
+    base_arms = baseline.get("benchmarks", {})
     for name in ("dp_star_12", "sdp_star_25"):
         bench = current["benchmarks"][name]
-        base = baseline["benchmarks"][name]
+        base = base_arms.get(name, {})
         print(
             f"{name:14s} median={bench['median_seconds']}s "
-            f"(baseline {base['median_seconds']}s) "
+            f"(baseline {base.get('median_seconds', '-')}s) "
             f"peak_traced={bench['peak_traced_mb']}MB "
             f"(baseline {base.get('peak_traced_mb', '-')}MB) "
             f"plans_costed={bench['plans_costed']} cost={bench['cost']}"
@@ -179,20 +170,17 @@ def _run_check(baseline_path: str, repeats: int, workers: int | None) -> int:
         f"identical_outcomes={grid['identical_outcomes']}{fallback}"
     )
     print(f"{'plan_cache':14s} speedup={current['benchmarks']['plan_cache']['speedup']}")
-    sqlw = current["benchmarks"].get("sql_workload")
-    if sqlw is not None:
-        ratios = " ".join(
-            f"{technique}<={sqlw['summary'][technique]['max_ratio_to_dp']}x"
-            for technique in sqlw["techniques"]
-        )
-        text_b = baseline["benchmarks"].get("sql_workload", {}).get(
-            "sql_text_seconds", "-"
-        )
-        print(
-            f"{'sql_workload':14s} templates={sqlw['templates']} "
-            f"sql==query={sqlw['sql_equals_query_path']} {ratios} "
-            f"sql_text={sqlw['sql_text_seconds']}s (baseline {text_b}s)"
-        )
+    sqlw = current["benchmarks"]["sql_workload"]
+    ratios = " ".join(
+        f"{technique}<={sqlw['summary'][technique]['max_ratio_to_dp']}x"
+        for technique in sqlw["techniques"]
+    )
+    text_b = base_arms.get("sql_workload", {}).get("sql_text_seconds", "-")
+    print(
+        f"{'sql_workload':14s} templates={sqlw['templates']} "
+        f"sql==query={sqlw['sql_equals_query_path']} {ratios} "
+        f"sql_text={sqlw['sql_text_seconds']}s (baseline {text_b}s)"
+    )
     if problems:
         print(f"\nREGRESSIONS ({elapsed:.1f}s):", file=sys.stderr)
         for problem in problems:

@@ -1,10 +1,9 @@
 """One experiment module per table/figure of the paper.
 
-Every module exposes ``TITLE`` (what it regenerates), ``run(settings)``
-returning the rendered report string, and a ``main()`` so it can be executed
-directly::
+Every module exposes ``TITLE`` (what it regenerates) and ``run(settings)``
+returning the rendered report string; ``sdp-bench <id>`` runs one::
 
-    python -m repro.bench.experiments.table_1_1
+    sdp-bench table-1.1 --instances 30
 
 The per-experiment index mapping paper tables/figures to these modules lives
 in ``DESIGN.md``; measured-vs-paper numbers are recorded in

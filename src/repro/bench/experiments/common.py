@@ -1,30 +1,26 @@
 """Shared experiment infrastructure: settings, schema cache, memoized runs.
 
-Experiment sizes scale with :class:`ExperimentSettings`:
+Experiment sizes scale with :class:`ExperimentSettings`, one field per
+``sdp-bench`` flag:
 
 * ``instances`` — per-cell query instances (the paper runs thousands to
   millions per cell; quality percentages stabilize with tens);
 * ``heavy_instances`` — instance count for cells where some technique is
   expensive or infeasible (large DP / IDP runs);
-* ``max_seconds`` — per-optimization wall-clock budget; together with the
-  1 GB modeled-memory budget it defines the feasibility frontier (the
+* ``max_seconds`` — per-optimization wall-clock budget; together with
+  :data:`MEMORY_BUDGET_BYTES` it defines the feasibility frontier (the
   paper's machines bounded both);
-* ``seed`` / ``schema_seed`` — workload and catalog seeds.
+* ``seed`` — workload seed (every catalog is built from
+  :data:`SCHEMA_SEED`);
+* ``robust`` / ``workers`` — fallback-ladder mode and the grid's process
+  count.
 
-Environment overrides: ``REPRO_BENCH_INSTANCES``,
-``REPRO_BENCH_HEAVY_INSTANCES``, ``REPRO_BENCH_MAX_SECONDS``,
-``REPRO_BENCH_SEED``, ``REPRO_BENCH_SCHEMA_SEED``,
-``REPRO_BENCH_ROBUST`` (``1`` enables fallback-ladder robust mode),
-``REPRO_BENCH_WORKERS`` (process count for the optimization grid).
-
-A value that is not a number, or a size (``instances``,
-``heavy_instances``, ``max_seconds``) that is not positive, raises
-:class:`~repro.errors.BenchmarkError` naming its flag and variable.
+A size (``instances``, ``heavy_instances``, ``max_seconds``) that is not
+positive raises :class:`~repro.errors.BenchmarkError` naming its flag.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 from repro.bench.runner import ComparisonResult, run_comparison
@@ -36,37 +32,25 @@ from repro.errors import BenchmarkError
 
 __all__ = [
     "ExperimentSettings",
+    "MEMORY_BUDGET_BYTES",
+    "SCHEMA_SEED",
     "paper_catalog",
     "scaleup_catalog",
     "cached_comparison",
     "clear_caches",
 ]
 
+#: Modeled planner-memory budget per optimization: the paper's 1 GB.
+MEMORY_BUDGET_BYTES = 1_000_000_000
 
-def _env_number(name: str, default, parse):
-    value = os.environ.get(name)
-    if not value:
-        return default
-    try:
-        return parse(value)
-    except ValueError:
-        raise BenchmarkError(
-            f"{name}={value!r} is not a valid {parse.__name__}"
-        ) from None
+#: Catalog seed of every experiment's schema.
+SCHEMA_SEED = 0
 
-
-def _env_bool(name: str, default: bool) -> bool:
-    value = os.environ.get(name)
-    if value is None or value == "":
-        return default
-    return value.lower() not in ("0", "false", "no")
-
-
-#: Sizes that must be positive: field -> (CLI flag, environment variable).
+#: Sizes that must be positive: field -> CLI flag.
 _SIZES = {
-    "instances": ("--instances", "REPRO_BENCH_INSTANCES"),
-    "heavy_instances": ("--heavy-instances", "REPRO_BENCH_HEAVY_INSTANCES"),
-    "max_seconds": ("--max-seconds", "REPRO_BENCH_MAX_SECONDS"),
+    "instances": "--instances",
+    "heavy_instances": "--heavy-instances",
+    "max_seconds": "--max-seconds",
 }
 
 
@@ -77,40 +61,17 @@ class ExperimentSettings:
     instances: int = 10
     heavy_instances: int = 6
     max_seconds: float = 60.0
-    memory_budget_bytes: int = 1_000_000_000
     seed: int = 0
-    schema_seed: int = 0
     #: Run comparisons through the fallback ladder (no ``*`` cells).
     robust: bool = False
     #: Process count for the optimization grid (1 = serial in-process).
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for name, (flag, variable) in _SIZES.items():
+        for name, flag in _SIZES.items():
             value = getattr(self, name)
             if not value > 0:
-                raise BenchmarkError(
-                    f"{flag} / {variable} must be positive, got {value}"
-                )
-
-    @classmethod
-    def from_env(cls) -> "ExperimentSettings":
-        """Settings with environment-variable overrides applied."""
-        return cls(
-            instances=_env_number("REPRO_BENCH_INSTANCES", cls.instances, int),
-            heavy_instances=_env_number(
-                "REPRO_BENCH_HEAVY_INSTANCES", cls.heavy_instances, int
-            ),
-            max_seconds=_env_number(
-                "REPRO_BENCH_MAX_SECONDS", cls.max_seconds, float
-            ),
-            seed=_env_number("REPRO_BENCH_SEED", cls.seed, int),
-            schema_seed=_env_number(
-                "REPRO_BENCH_SCHEMA_SEED", cls.schema_seed, int
-            ),
-            robust=_env_bool("REPRO_BENCH_ROBUST", cls.robust),
-            workers=_env_number("REPRO_BENCH_WORKERS", cls.workers, int),
-        )
+                raise BenchmarkError(f"{flag} must be positive, got {value}")
 
     def scaled(self, instances: int) -> "ExperimentSettings":
         """A copy with a different per-cell instance count."""
@@ -119,7 +80,7 @@ class ExperimentSettings:
     def budget(self) -> SearchBudget:
         """The per-optimization budget these settings imply."""
         return SearchBudget(
-            max_memory_bytes=self.memory_budget_bytes,
+            max_memory_bytes=MEMORY_BUDGET_BYTES,
             max_seconds=self.max_seconds,
         )
 
@@ -128,30 +89,26 @@ _SCHEMA_CACHE: dict[tuple, tuple[Schema, CatalogStatistics]] = {}
 _COMPARISON_CACHE: dict[tuple, ComparisonResult] = {}
 
 
-def paper_catalog(
-    settings: ExperimentSettings,
-) -> tuple[Schema, CatalogStatistics]:
+def paper_catalog() -> tuple[Schema, CatalogStatistics]:
     """The paper's 25-relation schema plus statistics (cached)."""
-    key = ("paper", settings.schema_seed)
+    key = ("paper",)
     if key not in _SCHEMA_CACHE:
-        schema = paper_schema(seed=settings.schema_seed)
+        schema = paper_schema(seed=SCHEMA_SEED)
         _SCHEMA_CACHE[key] = (schema, analyze(schema))
     return _SCHEMA_CACHE[key]
 
 
-def scaleup_catalog(
-    settings: ExperimentSettings, relation_count: int = 50
-) -> tuple[Schema, CatalogStatistics]:
+def scaleup_catalog(relation_count: int = 50) -> tuple[Schema, CatalogStatistics]:
     """The extended schema for the maximum-scale-up experiment (cached).
 
     Besides more relations, the extended schema carries more columns per
     relation (the paper's 24 columns cannot anchor a 45-spoke star: each
     spoke consumes a distinct hub column).
     """
-    key = ("scaleup", settings.schema_seed, relation_count)
+    key = ("scaleup", relation_count)
     if key not in _SCHEMA_CACHE:
         schema = SchemaBuilder(
-            seed=settings.schema_seed,
+            seed=SCHEMA_SEED,
             relation_count=relation_count,
             column_count=relation_count + 2,
             name=f"scaleup-{relation_count}",
@@ -174,7 +131,7 @@ def cached_comparison(
     """
     key = (settings, spec, tuple(techniques), instances)
     if key not in _COMPARISON_CACHE:
-        schema, stats = paper_catalog(settings)
+        schema, stats = paper_catalog()
         _COMPARISON_CACHE[key] = run_comparison(
             spec,
             schema,

@@ -23,10 +23,8 @@ TITLE = "Extension: SDP vs Randomized/Genetic/Greedy Baselines (Star-Chain-15)"
 TECHNIQUES = ["DP", "SDP", "II", "2PO", "GEQO", "GOO"]
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Run the extension comparison; returns the rendered report."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
     spec = WorkloadSpec(
         topology="star-chain", relation_count=15, seed=settings.seed
     )
@@ -41,10 +39,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
         f"{result.instances} instances)"
     )
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

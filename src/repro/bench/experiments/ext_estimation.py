@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import statistics
 
-from repro.bench.experiments.common import ExperimentSettings
+from repro.bench.experiments.common import SCHEMA_SEED, ExperimentSettings
 from repro.catalog.schema import SchemaBuilder
 from repro.catalog.statistics import analyze
 from repro.core.registry import make_optimizer
@@ -38,9 +38,9 @@ TECHNIQUES = ["DP", "SDP", "IDP(4)", "GOO"]
 QUERY_SIZE = 9  # hub + 5 spokes + 3 chain
 
 
-def _validation_catalog(settings: ExperimentSettings):
+def _validation_catalog():
     schema = SchemaBuilder(
-        seed=settings.schema_seed,
+        seed=SCHEMA_SEED,
         relation_count=12,
         column_count=10,
         min_cardinality=100,
@@ -49,15 +49,13 @@ def _validation_catalog(settings: ExperimentSettings):
         max_domain=1_000,
         name="validation-12",
     ).build()
-    database = materialize(schema, seed=settings.schema_seed + 1)
+    database = materialize(schema, seed=SCHEMA_SEED + 1)
     return database, analyze(database.schema)
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Run the validation; returns the rendered report."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
-    database, stats = _validation_catalog(settings)
+    database, stats = _validation_catalog()
     schema = database.schema
 
     q_errors_by_depth: dict[int, list[float]] = {}
@@ -114,10 +112,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
         lines.append(f"  {label}: {rows} rows")
     return "\n".join(lines)
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

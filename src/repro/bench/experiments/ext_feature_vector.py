@@ -32,11 +32,9 @@ VARIANTS = {
 }
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Run the ablation; returns the rendered report."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
-    schema, stats = paper_catalog(settings)
+    schema, stats = paper_catalog()
     spec = WorkloadSpec(
         topology="star-chain", relation_count=15, seed=settings.seed
     )
@@ -70,10 +68,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
         )
     return table.render()
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

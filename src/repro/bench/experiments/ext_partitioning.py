@@ -25,10 +25,8 @@ TITLE = "Extension: Root-Hub vs Parent-Hub Partitioning (Star-Chain-15)"
 TECHNIQUES = ["DP", "SDP", "SDP(parent)", "SDP(either)"]
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Run the ablation; returns the rendered report."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
     spec = WorkloadSpec(
         topology="star-chain", relation_count=15, seed=settings.seed
     )
@@ -40,10 +38,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
         "(SDP = Root-Hub partitioning, the paper's shipped variant)"
     )
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -13,7 +13,7 @@ Expected shape: the ranking is preserved (SDP near-ideal, IDP with a
 
 from __future__ import annotations
 
-from repro.bench.experiments.common import ExperimentSettings
+from repro.bench.experiments.common import SCHEMA_SEED, ExperimentSettings
 from repro.bench.reporting import quality_table
 from repro.bench.runner import run_comparison
 from repro.bench.workloads import WorkloadSpec
@@ -28,12 +28,10 @@ TECHNIQUES = ["DP", "IDP(7)", "IDP(4)", "SDP"]
 SKEW_DECAY = 0.9
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Run the skewed-data comparison; returns the rendered report."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
     schema = SchemaBuilder(
-        seed=settings.schema_seed,
+        seed=SCHEMA_SEED,
         skewed=True,
         skew_decay=SKEW_DECAY,
         name="paper-25-skewed",
@@ -57,10 +55,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
         f"{result.reference}; {result.instances} instances)"
     )
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

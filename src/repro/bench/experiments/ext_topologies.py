@@ -29,10 +29,8 @@ CELLS = (
 )
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Run the comparison; returns the rendered report."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
     results = []
     for topology, size in CELLS:
         spec = WorkloadSpec(topology, size, seed=settings.seed)
@@ -48,10 +46,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
     )
     return f"{quality.render()}\n\n{overheads.render()}\n({notes})"
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

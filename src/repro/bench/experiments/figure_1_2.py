@@ -34,10 +34,8 @@ def _ascii_scatter(points: dict[str, tuple[float, float]]) -> str:
     return "\n".join(lines)
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Regenerate the figure's data; returns the rendered report."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
     spec = WorkloadSpec(
         topology="star-chain", relation_count=15, seed=settings.seed
     )
@@ -69,10 +67,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
         report += "\n\n" + _ascii_scatter(points)
     return report
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -24,7 +24,7 @@ TITLE = "Figure 2.2: SDP Iterations on the 9-Relation Example (Figure 2.1)"
 
 def example_query(settings: ExperimentSettings) -> Query:
     """The Figure 2.1 graph over the first nine paper-schema relations."""
-    schema, _stats = paper_catalog(settings)
+    schema, _stats = paper_catalog()
     names = list(schema.relation_names[:9])
     # Star around node 1 (spokes 2..5) and a chain 5-6-7 with node 7
     # star-joining 8 and 9 -> hubs are exactly nodes 1 and 7.
@@ -35,12 +35,10 @@ def example_query(settings: ExperimentSettings) -> Query:
     return Query(schema, graph, label="figure-2.1-example")
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Regenerate the walk-through; returns the rendered report."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
     query = example_query(settings)
-    _schema, stats = paper_catalog(settings)
+    _schema, stats = paper_catalog()
 
     optimizer = SDPOptimizer(budget=settings.budget())
     outer = current_tracer()
@@ -84,10 +82,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
     )
     return "\n".join(lines)
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

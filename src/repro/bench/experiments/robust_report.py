@@ -36,13 +36,11 @@ CELLS = (
 TECHNIQUES = ["DP", "IDP(7)", "SDP"]
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Run the report; returns the rendered text."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
-    schema, stats = paper_catalog(settings)
+    schema, stats = paper_catalog()
     budget = SearchBudget(
-        max_memory_bytes=min(settings.memory_budget_bytes, TIGHT_MEMORY_BYTES),
+        max_memory_bytes=TIGHT_MEMORY_BYTES,
         max_seconds=settings.max_seconds,
     )
 
@@ -93,10 +91,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
     )
     return f"{ladder_rows.render()}\n\n{summary.render()}"
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

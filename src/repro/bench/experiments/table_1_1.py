@@ -16,10 +16,8 @@ TITLE = "Table 1.1: Plan Quality (DP, IDP, SDP) on Star-Chain-15"
 TECHNIQUES = ["DP", "IDP(7)", "SDP"]
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Regenerate the table; returns the rendered report."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
     spec = WorkloadSpec(
         topology="star-chain", relation_count=15, seed=settings.seed
     )
@@ -31,10 +29,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
         f"{result.instances} instances)"
     )
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -16,10 +16,8 @@ from repro.bench.workloads import WorkloadSpec
 TITLE = "Table 1.2: Optimization Overheads on Star-Chain-15"
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Regenerate the table; returns the rendered report."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
     spec = WorkloadSpec(
         topology="star-chain", relation_count=15, seed=settings.seed
     )
@@ -31,10 +29,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
         "wall-clock; see DESIGN.md)"
     )
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -17,10 +17,8 @@ TITLE = "Table 1.3: Scaled Join Graph (Star-Chain-23) Plan Quality"
 TECHNIQUES = ["DP", "IDP(7)", "SDP"]
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Regenerate the table; returns the rendered report."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
     spec = WorkloadSpec(
         topology="star-chain", relation_count=23, seed=settings.seed
     )
@@ -34,10 +32,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
         f"{result.instances} instances)"
     )
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -14,10 +14,8 @@ from repro.bench.workloads import WorkloadSpec
 TITLE = "Table 1.4: Scaled Join Graph (Star-Chain-23) Overheads"
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Regenerate the table; returns the rendered report."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
     spec = WorkloadSpec(
         topology="star-chain", relation_count=23, seed=settings.seed
     )
@@ -27,10 +25,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
     table = overhead_table([result], TECHNIQUES, TITLE)
     return table.render()
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -26,9 +26,9 @@ STAR_SIZES = (4, 8, 12, 16)
 
 def _measure(settings: ExperimentSettings, topology: str, size: int):
     schema, stats = (
-        scaleup_catalog(settings)
+        scaleup_catalog()
         if size > 25
-        else paper_catalog(settings)
+        else paper_catalog()
     )
     spec = WorkloadSpec(topology=topology, relation_count=size, seed=settings.seed)
     query = make_query(spec, schema, 0)
@@ -40,10 +40,8 @@ def _measure(settings: ExperimentSettings, topology: str, size: int):
     return result.elapsed_seconds, result.modeled_memory_mb
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Regenerate the table; returns the rendered report."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
     table = TextTable(
         [
             "Relations",
@@ -67,10 +65,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
         table.add_row(cells)
     return table.render()
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

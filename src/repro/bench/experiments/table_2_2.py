@@ -46,7 +46,7 @@ def pairwise_membership() -> dict[str, dict[str, bool]]:
     return membership
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Regenerate the table; returns the rendered report."""
     del settings  # the worked example is fixed; no scaling knobs
     membership = pairwise_membership()
@@ -77,10 +77,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
         f"({'matches' if matches else 'DIFFERS FROM'} the paper)"
     )
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

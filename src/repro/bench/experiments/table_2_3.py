@@ -20,11 +20,9 @@ from repro.util.tables import TextTable
 TITLE = "Table 2.3: Performance of Skyline Options (Star-Chain-15)"
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Regenerate the table; returns the rendered report."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
-    schema, stats = paper_catalog(settings)
+    schema, stats = paper_catalog()
     spec = WorkloadSpec(
         topology="star-chain", relation_count=15, seed=settings.seed
     )
@@ -54,10 +52,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
         table.add_row([name, f"{mean_jcrs:.0f}", f"{rho:.4f}"])
     return table.render()
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -38,10 +38,8 @@ def comparisons(settings: ExperimentSettings, ordered: bool = False):
     return results
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Regenerate the table; returns the rendered report."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
     results = comparisons(settings)
     table = quality_table(results, TECHNIQUES, TITLE)
     notes = ", ".join(
@@ -49,10 +47,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
     )
     return f"{table.render()}\n({notes})"
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -14,18 +14,9 @@ from repro.bench.reporting import overhead_table
 TITLE = "Table 3.2: Star Join Graphs Optimization Overheads"
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Regenerate the table; returns the rendered report."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
     results = comparisons(settings)
     table = overhead_table(results, TECHNIQUES, TITLE)
     return table.render()
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -13,7 +13,11 @@ the search is sound.
 
 from __future__ import annotations
 
-from repro.bench.experiments.common import ExperimentSettings, scaleup_catalog
+from repro.bench.experiments.common import (
+    MEMORY_BUDGET_BYTES,
+    ExperimentSettings,
+    scaleup_catalog,
+)
 from repro.bench.workloads import WorkloadSpec, make_query
 from repro.core.registry import make_optimizer
 from repro.errors import OptimizationBudgetExceeded
@@ -35,7 +39,7 @@ SCHEMA_RELATIONS = 50
 
 def _attempt(settings: ExperimentSettings, technique: str, size: int):
     """Optimize one star-``size`` instance; None if the budget trips."""
-    schema, stats = scaleup_catalog(settings, SCHEMA_RELATIONS)
+    schema, stats = scaleup_catalog(SCHEMA_RELATIONS)
     spec = WorkloadSpec(topology="star", relation_count=size, seed=settings.seed)
     query = make_query(spec, schema, 0)
     optimizer = make_optimizer(technique, budget=settings.budget())
@@ -66,7 +70,7 @@ def frontier(
 
 
 def run(
-    settings: ExperimentSettings | None = None,
+    settings: ExperimentSettings,
     ranges: tuple[tuple[str, int, int], ...] = SEARCH_RANGES,
 ) -> str:
     """Regenerate the table; returns the rendered report.
@@ -76,8 +80,6 @@ def run(
         ranges: Per-technique (name, low, cap) search ranges; benchmarks
             pass narrower ranges to bound runtime.
     """
-    if settings is None:
-        settings = ExperimentSettings.from_env()
     table = TextTable(
         ["Technique", "Max star relations", "Time at max (s)", "Memory (MB)"],
         title=TITLE,
@@ -98,14 +100,7 @@ def run(
     return (
         f"{table.render()}\n"
         f"(50-relation extended schema; budget: "
-        f"{settings.memory_budget_bytes / 1e9:.1f} GB modeled memory, "
+        f"{MEMORY_BUDGET_BYTES / 1e9:.1f} GB modeled memory, "
         f"{settings.max_seconds:.0f} s per optimization)"
     )
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

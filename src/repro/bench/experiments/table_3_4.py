@@ -16,10 +16,8 @@ from repro.bench.reporting import quality_table
 TITLE = "Table 3.4: Ordered Star Plan Quality"
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Regenerate the table; returns the rendered report."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
     results = comparisons(settings, ordered=True)
     table = quality_table(results, TECHNIQUES, TITLE)
     notes = ", ".join(
@@ -27,10 +25,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
     )
     return f"{table.render()}\n({notes})"
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -18,10 +18,8 @@ SIZES = (15, 20, 23)
 HEAVY_SIZES = frozenset({20, 23})
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Regenerate the table; returns the rendered report."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
     results = []
     for size in SIZES:
         spec = WorkloadSpec(
@@ -40,10 +38,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
     )
     return f"{table.render()}\n({notes})"
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

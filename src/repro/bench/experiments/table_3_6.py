@@ -17,10 +17,8 @@ TITLE = "Table 3.6: Local vs Global Pruning (Star-Chain-20)"
 TECHNIQUES = ["SDP/Global", "SDP"]
 
 
-def run(settings: ExperimentSettings | None = None) -> str:
+def run(settings: ExperimentSettings) -> str:
     """Regenerate the table; returns the rendered report."""
-    if settings is None:
-        settings = ExperimentSettings.from_env()
     spec = WorkloadSpec(
         topology="star-chain", relation_count=20, seed=settings.seed
     )
@@ -34,10 +32,3 @@ def run(settings: ExperimentSettings | None = None) -> str:
         "in the paper correspond to SDP here)"
     )
 
-
-def main() -> None:
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

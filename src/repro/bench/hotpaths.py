@@ -38,10 +38,10 @@ against the committed trajectory::
     sdp-bench --check BENCH_optimize.json             # regression guard
 
 :func:`compare_reports` is the guard itself: exact counter/cost identity,
-a bounded time regression (default 2.5x — generous because absolute
-numbers are machine-dependent; counters are not) and a bounded
-traced-peak regression (1.5x, loose enough for the Python 3.11/3.12
-CI matrix). The ``perf``-marked test in
+a bounded time regression (2.5x — generous because absolute numbers are
+machine-dependent; counters are not), a bounded traced-peak regression
+(1.5x, loose enough for the Python 3.11/3.12 CI matrix), and every arm
+and field it reads present in both reports. The ``perf``-marked test in
 ``tests/test_bench_harness.py`` runs it opt-in via ``pytest -m perf``.
 """
 
@@ -269,17 +269,8 @@ def bench_sql_workload(repeats: int) -> dict:
 
 def bench_frontdoor(schema, stats) -> dict:
     """The two canonical load arms (see :mod:`repro.bench.loadgen`)."""
-    # A DP baseline makes the brownout shift legible in the rung mix:
-    # level 0 serves DP, brownout enters the ladder at SDP/IDP(4)/GOO.
-    sizes = (8, 9, 10)
     unloaded = run_load(
-        LoadScenario(
-            label="unloaded",
-            duration_seconds=2.0,
-            overload_factor=0.5,
-            query_sizes=sizes,
-            technique="DP",
-        ),
+        LoadScenario(label="unloaded", duration_seconds=2.0, overload_factor=0.5),
         schema,
         stats,
     )
@@ -290,10 +281,7 @@ def bench_frontdoor(schema, stats) -> dict:
             overload_factor=4.0,
             queue_capacity=8,
             latency_fault_seconds=0.005,
-            latency_fault_every=64,
             stats_churn_interval_seconds=0.2,
-            query_sizes=sizes,
-            technique="DP",
         ),
         schema,
         stats,
@@ -304,7 +292,7 @@ def bench_frontdoor(schema, stats) -> dict:
 def run_harness(repeats: int = 5, workers: int | None = None) -> dict:
     """Run every scenario and return the report dictionary."""
     # At least 2 so the grid scenario really asks for parallelism; on a
-    # single-core box execution_mode() falls back to serial for both runs
+    # single-core box execution_plan() falls back to serial for both runs
     # (speedup ~1x by construction) while outcome identity is still
     # exercised and recorded.
     workers = workers or max(2, min(4, os.cpu_count() or 1))
@@ -340,95 +328,113 @@ def run_harness(repeats: int = 5, workers: int | None = None) -> dict:
     return report
 
 
-def compare_reports(
-    baseline: dict,
-    current: dict,
-    time_factor: float = TIME_REGRESSION_FACTOR,
-) -> list[str]:
+def _field(report: dict, owner: str, path: tuple, problems: list[str]):
+    """``report["benchmarks"]`` at ``path``, or None with a problem line
+    naming the report and the path when any step of it is absent."""
+    node = report.get("benchmarks")
+    for key in path:
+        if not isinstance(node, dict) or key not in node:
+            problems.append(f"{'/'.join(path)}: missing from the {owner}")
+            return None
+        node = node[key]
+    return node
+
+
+def compare_reports(baseline: dict, current: dict) -> list[str]:
     """Regression-guard comparison; returns human-readable violations.
 
     Exact identity on the deterministic search outputs (``plans_costed``
     and ``cost`` per optimizer scenario, per-technique counters and
     serial/parallel outcome identity for the grid), bounded regression on
-    wall-clock medians and the SQL-text total (``time_factor``) and on
-    the search arms' traced peaks (:data:`MEMORY_REGRESSION_FACTOR`); a
-    baseline without a total or a peak is not compared on it. An empty
-    list means the current run is within the committed trajectory.
+    wall-clock medians and the SQL-text total
+    (:data:`TIME_REGRESSION_FACTOR`) and on the search arms' traced peaks
+    (:data:`MEMORY_REGRESSION_FACTOR`). An arm or field that either report
+    lacks is itself a violation. An empty list means the current run is
+    within the committed trajectory.
     """
     problems: list[str] = []
-    base = baseline["benchmarks"]
-    cur = current["benchmarks"]
+
+    def now(*path):
+        return _field(current, "current run", path, problems)
+
+    def both(*path):
+        """``(baseline, current)`` at ``path``, or None if either lacks it."""
+        old = _field(baseline, "baseline", path, problems)
+        new = now(*path)
+        return None if old is None or new is None else (old, new)
+
+    def exact(*path):
+        pair = both(*path)
+        if pair is not None and pair[1] != pair[0]:
+            problems.append(
+                f"{'/'.join(path[:-1])}: {path[-1]} drifted "
+                f"{pair[0]!r} -> {pair[1]!r}"
+            )
+
+    def bounded(what: str, pair, factor: float, unit: str) -> None:
+        if pair is not None and pair[1] > pair[0] * factor:
+            problems.append(
+                f"{what} {pair[1]}{unit} exceeds {factor}x baseline "
+                f"{pair[0]}{unit}"
+            )
 
     for name in ("dp_star_12", "sdp_star_25"):
-        b, c = base[name], cur[name]
-        if c["plans_costed"] != b["plans_costed"]:
-            problems.append(
-                f"{name}: plans_costed drifted "
-                f"{b['plans_costed']} -> {c['plans_costed']}"
-            )
-        if c["cost"] != b["cost"]:
-            problems.append(f"{name}: cost drifted {b['cost']!r} -> {c['cost']!r}")
-        if c["median_seconds"] > b["median_seconds"] * time_factor:
-            problems.append(
-                f"{name}: median {c['median_seconds']}s exceeds "
-                f"{time_factor}x baseline {b['median_seconds']}s"
-            )
-        peak = b.get("peak_traced_mb")
-        if peak is not None and c["peak_traced_mb"] > peak * MEMORY_REGRESSION_FACTOR:
-            problems.append(
-                f"{name}: traced peak {c['peak_traced_mb']} MB exceeds "
-                f"{MEMORY_REGRESSION_FACTOR}x baseline {peak} MB"
-            )
-
-    grid_b, grid_c = base["grid_workers"], cur["grid_workers"]
-    if not grid_c["identical_outcomes"]:
-        problems.append("grid_workers: serial and parallel outcomes diverged")
-    if grid_c["plans_costed"] != grid_b["plans_costed"]:
-        problems.append(
-            f"grid_workers: plans_costed drifted "
-            f"{grid_b['plans_costed']} -> {grid_c['plans_costed']}"
+        if both(name) is None:
+            continue
+        exact(name, "plans_costed")
+        exact(name, "cost")
+        bounded(
+            f"{name}: median", both(name, "median_seconds"),
+            TIME_REGRESSION_FACTOR, "s",
         )
-    # The serial-vs-pool decision is policy, not noise: a pool run must
-    # pay off; a serial-fallback run is ~1x by construction (both arms
-    # run the same in-process path) and only sanity-checked for noise.
-    if grid_c.get("mode") == "pool" and grid_c["speedup"] < 1.0:
-        problems.append(
-            f"grid_workers: pool mode slower than serial "
-            f"(speedup {grid_c['speedup']})"
-        )
-    if grid_c.get("mode") == "serial" and grid_c["speedup"] < 0.67:
-        problems.append(
-            f"grid_workers: serial fallback shows impossible slowdown "
-            f"(speedup {grid_c['speedup']}; both arms run the same path)"
+        bounded(
+            f"{name}: traced peak", both(name, "peak_traced_mb"),
+            MEMORY_REGRESSION_FACTOR, " MB",
         )
 
-    cache_c = cur["plan_cache"]
-    if cache_c["speedup"] < 10.0:
+    grid = now("grid_workers")
+    if grid is not None:
+        if not grid["identical_outcomes"]:
+            problems.append("grid_workers: serial and parallel outcomes diverged")
+        exact("grid_workers", "plans_costed")
+        # The serial-vs-pool decision is policy, not noise: a pool run must
+        # pay off; a serial-fallback run is ~1x by construction (both arms
+        # run the same in-process path) and only sanity-checked for noise.
+        if grid["mode"] == "pool" and grid["speedup"] < 1.0:
+            problems.append(
+                f"grid_workers: pool mode slower than serial "
+                f"(speedup {grid['speedup']})"
+            )
+        if grid["mode"] == "serial" and grid["speedup"] < 0.67:
+            problems.append(
+                f"grid_workers: serial fallback shows impossible slowdown "
+                f"(speedup {grid['speedup']}; both arms run the same path)"
+            )
+
+    cache = now("plan_cache")
+    if cache is not None and cache["speedup"] < 10.0:
         problems.append(
-            f"plan_cache: warm-hit speedup {cache_c['speedup']} below 10x"
+            f"plan_cache: warm-hit speedup {cache['speedup']} below 10x"
         )
 
     # The SQL workload arm: quality and counters are deterministic, so
     # they are held bit-exact per (template, technique) against the
     # baseline, and the SQL-text total gets the timed arms' factor; the
     # SQL-vs-Query identity and the ratio floor are contracts of the
-    # current run alone. Older baselines may predate the arm, or its
-    # total, entirely.
-    sqlw = cur.get("sql_workload")
+    # current run alone.
+    sqlw = both("sql_workload")
     if sqlw is not None:
-        if not sqlw["sql_equals_query_path"]:
+        if not sqlw[1]["sql_equals_query_path"]:
             problems.append(
                 "sql_workload: optimizing SQL text diverged from optimizing "
                 "the parsed Query (cost/plans_costed not identical)"
             )
-        sqlw_b = base.get("sql_workload")
-        text_b = None if sqlw_b is None else sqlw_b.get("sql_text_seconds")
-        if text_b is not None and sqlw["sql_text_seconds"] > text_b * time_factor:
-            problems.append(
-                f"sql_workload: SQL-text total {sqlw['sql_text_seconds']}s "
-                f"exceeds {time_factor}x baseline {text_b}s"
-            )
-        for label, arms in sqlw["queries"].items():
+        bounded(
+            "sql_workload: SQL-text total",
+            both("sql_workload", "sql_text_seconds"),
+            TIME_REGRESSION_FACTOR, "s",
+        )
+        for label, arms in sqlw[1]["queries"].items():
             for technique, arm in arms.items():
                 if arm["ratio_to_dp"] < 1.0:
                     problems.append(
@@ -437,31 +443,16 @@ def compare_reports(
                         f"{arm['ratio_to_dp']}); the heuristic plan spaces "
                         f"are no longer subsets of DP's"
                     )
-                arm_b = (
-                    sqlw_b["queries"].get(label, {}).get(technique)
-                    if sqlw_b is not None
-                    else None
-                )
-                if arm_b is None:
-                    continue
-                if arm["plans_costed"] != arm_b["plans_costed"]:
-                    problems.append(
-                        f"sql_workload/{label}/{technique}: plans_costed "
-                        f"drifted {arm_b['plans_costed']} -> "
-                        f"{arm['plans_costed']}"
-                    )
-                if arm["cost"] != arm_b["cost"]:
-                    problems.append(
-                        f"sql_workload/{label}/{technique}: cost drifted "
-                        f"{arm_b['cost']!r} -> {arm['cost']!r}"
-                    )
+                path = ("sql_workload", "queries", label, technique)
+                if both(*path) is not None:
+                    exact(*path, "plans_costed")
+                    exact(*path, "cost")
 
     # The front-door arms assert the serving contract on the *current*
     # run only — their wall-clock curves are recorded for trending, not
     # compared (offered load is derived from measured capacity, so the
-    # absolute numbers are machine-specific by design). Older baselines
-    # may predate the scenario entirely.
-    door = cur.get("frontdoor_load")
+    # absolute numbers are machine-specific by design).
+    door = now("frontdoor_load")
     if door is not None:
         for arm_name in ("unloaded", "overload"):
             arm = door[arm_name]
@@ -489,12 +480,14 @@ def compare_reports(
             problems.append(
                 "frontdoor_load/unloaded: degraded plans on the unloaded path"
             )
+        # The rung mix is read against the arm's baseline technique (its
+        # level-0 entry), which must be the one the baseline ran.
         overload = door["overload"]
-        baseline_entry = overload.get("technique", "SDP")
+        exact("frontdoor_load", "overload", "technique")
         cheaper = sum(
             count
             for entry, count in overload["rung_mix"].items()
-            if entry != baseline_entry
+            if entry != overload.get("technique")
         )
         if overload["shed"].get("queue-full", 0) == 0 and cheaper == 0:
             problems.append(

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 
 from repro.bench.workloads import WorkloadSpec, make_query
-from repro.catalog.schema import Schema, paper_schema
+from repro.catalog.schema import Schema
 from repro.catalog.statistics import CatalogStatistics, analyze
 from repro.core.base import SearchBudget
 from repro.errors import AdmissionRejected
@@ -42,6 +42,19 @@ __all__ = ["LoadScenario", "run_load"]
 #: become the bottleneck being measured.
 MAX_OFFERED_QPS = 1000.0
 
+#: The backing service's configured (baseline) technique. A DP baseline
+#: makes the brownout shift legible in the rung mix: level 0 serves DP,
+#: brownout enters the ladder at SDP/IDP(4)/GOO.
+TECHNIQUE = "DP"
+#: Star-query sizes round-robined across submissions.
+QUERY_SIZES = (8, 9, 10)
+#: Front-door serving threads.
+WORKERS = 4
+#: Distinct tenant ids round-robined across submissions.
+TENANTS = 3
+#: Cost-model reads between injected sleeps of the latency fault.
+LATENCY_FAULT_EVERY = 64
+
 
 @dataclass(frozen=True)
 class LoadScenario:
@@ -51,34 +64,22 @@ class LoadScenario:
         label: Arm name in reports.
         duration_seconds: How long to keep submitting.
         overload_factor: Offered rate as a multiple of the measured
-            single-request capacity (``workers / cold_service_seconds``).
-        workers: Front-door serving threads.
+            single-request capacity (``WORKERS / cold_service_seconds``).
         queue_capacity: Bounded admission-queue depth.
         latency_fault_seconds: Injected sleep per
             :class:`~repro.robust.faults.SlowCostModel` trigger on the
             baseline optimizer's cost model (0 disables the fault).
-        latency_fault_every: Cost-model reads between injected sleeps.
         stats_churn_interval_seconds: Re-install statistics this often
             while driving load (0 disables churn). Churn goes through the
             front door's circuit breaker, so storms coalesce.
-        query_sizes: Star-query sizes round-robined across submissions.
-        tenants: Distinct tenant ids round-robined across submissions.
-        technique: The backing service's configured (baseline) technique.
-        seed: Schema/workload seed.
     """
 
     label: str
     duration_seconds: float = 2.0
     overload_factor: float = 1.0
-    workers: int = 4
     queue_capacity: int = 16
     latency_fault_seconds: float = 0.0
-    latency_fault_every: int = 64
     stats_churn_interval_seconds: float = 0.0
-    query_sizes: tuple[int, ...] = (5, 6, 7)
-    tenants: int = 3
-    technique: str = "SDP"
-    seed: int = 0
 
 
 def _percentile(ordered: list[float], q: float) -> float:
@@ -89,29 +90,23 @@ def _percentile(ordered: list[float], q: float) -> float:
 
 
 def run_load(
-    scenario: LoadScenario,
-    schema: Schema | None = None,
-    stats: CatalogStatistics | None = None,
+    scenario: LoadScenario, schema: Schema, stats: CatalogStatistics
 ) -> dict:
-    """Run one load arm and return its report dictionary."""
-    if schema is None:
-        schema = paper_schema(seed=scenario.seed)
-    if stats is None:
-        stats = analyze(schema)
+    """Run one load arm over ``schema`` and return its report dictionary."""
     queries = [
         make_query(WorkloadSpec("star", size), schema, index)
-        for index, size in enumerate(scenario.query_sizes)
+        for index, size in enumerate(QUERY_SIZES)
     ]
 
     service = OptimizationService(
-        technique=scenario.technique, budget=SearchBudget(max_seconds=30.0)
+        technique=TECHNIQUE, budget=SearchBudget(max_seconds=30.0)
     )
     service.install_statistics(stats)
     if scenario.latency_fault_seconds > 0:
         service.optimizer.cost_model = SlowCostModel(
             service.optimizer.cost_model,
             delay_seconds=scenario.latency_fault_seconds,
-            every=scenario.latency_fault_every,
+            every=LATENCY_FAULT_EVERY,
         )
 
     # Measure a cold request to estimate capacity (with the fault already
@@ -120,7 +115,7 @@ def run_load(
     service.optimize(queries[0])
     cold_seconds = max(1e-4, time.perf_counter() - started)
     service.cache.invalidate()
-    capacity_qps = scenario.workers / cold_seconds
+    capacity_qps = WORKERS / cold_seconds
     offered_qps = min(MAX_OFFERED_QPS, scenario.overload_factor * capacity_qps)
     interval = 1.0 / offered_qps
 
@@ -134,7 +129,7 @@ def run_load(
     )
     config = FrontDoorConfig(
         queue_capacity=scenario.queue_capacity,
-        workers=scenario.workers,
+        workers=WORKERS,
         cooldown_seconds=0.1,
     )
     door = FrontDoor(service, config, tenants=registry)
@@ -160,7 +155,7 @@ def run_load(
                 next_churn = now + scenario.stats_churn_interval_seconds
             submitted += 1
             query = queries[submitted % len(queries)]
-            tenant = f"tenant-{submitted % scenario.tenants}"
+            tenant = f"tenant-{submitted % TENANTS}"
             try:
                 futures.append(door.submit(query, tenant=tenant))
             except AdmissionRejected as exc:
@@ -198,7 +193,7 @@ def run_load(
     shed_total = sum(shed.values())
     return {
         "label": scenario.label,
-        "technique": scenario.technique,
+        "technique": TECHNIQUE,
         "overload_factor": scenario.overload_factor,
         "estimated_capacity_qps": round(capacity_qps, 2),
         "offered_qps": round(offered_qps, 2),

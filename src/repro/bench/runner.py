@@ -5,19 +5,19 @@ Mirrors the paper's protocol:
 * every instance is optimized by every (feasible) technique;
 * plan quality is measured against **DP** where DP is feasible; where it is
   not, **SDP is treated as the ideal** (Tables 1.3, 3.1) — the runner picks
-  the reference per cell by trying the reference candidates in order on the
-  first instance;
+  the reference per cell by trying :data:`REFERENCE_CANDIDATES` in order on
+  the first instance;
 * a technique that exceeds its budget is *infeasible* — reported as ``*`` —
-  and is skipped for the remaining instances once it has failed
-  ``skip_after_failures`` times (budget trips are deterministic in the
-  modeled-memory world, so one failure usually settles the cell).
+  and is skipped for the remaining instances after its first failure
+  (budget trips are deterministic in the modeled-memory world, so one
+  failure settles the cell).
 
-In **robust mode** (``robust=True``) every technique is wrapped in the
-fallback ladder that starts at it (:func:`repro.robust.ladder_from`), so a
-budget trip degrades to a cheaper technique instead of producing a ``*``
-cell: outcomes then record *fallback events* (instances answered by a
-lower rung) and the winning techniques, mirroring what a production
-optimizer service would report.
+In **robust mode** (``robust=True``) every technique is the entry of its
+fallback ladder (:class:`~repro.robust.RobustOptimizer`), so a budget trip
+degrades to a cheaper technique instead of producing a ``*`` cell:
+outcomes then record *fallback events* (instances answered by a lower
+rung) and the winning techniques, mirroring what a production optimizer
+service would report.
 
 With ``workers > 1`` the (instance, technique) grid is precomputed by
 :func:`repro.service.optimize_many` over a process pool and the
@@ -38,12 +38,15 @@ from repro.catalog.schema import Schema
 from repro.catalog.statistics import CatalogStatistics, analyze
 from repro.core.base import SearchBudget
 from repro.core.registry import make_optimizer
-from repro.cost.model import CostModel
 from repro.errors import BenchmarkError, OptimizationBudgetExceeded
 from repro.query.query import Query
-from repro.robust.ladder import RobustOptimizer, RobustResult, ladder_from
+from repro.robust.ladder import RobustOptimizer, RobustResult
+from repro.service.parallel import optimize_many
 
 __all__ = ["TechniqueOutcome", "ComparisonResult", "run_comparison"]
+
+#: Quality reference preference order: DP where feasible, else SDP.
+REFERENCE_CANDIDATES = ("DP", "SDP")
 
 
 @dataclass
@@ -110,22 +113,18 @@ class ComparisonResult:
 
 
 def _pick_reference(
-    query: Query,
-    stats: CatalogStatistics,
-    candidates: tuple[str, ...],
-    budget: SearchBudget,
-    cost_model: CostModel | None,
+    query: Query, stats: CatalogStatistics, budget: SearchBudget
 ) -> str:
     """First reference candidate that is feasible on the cell's first query."""
-    for name in candidates:
-        optimizer = make_optimizer(name, budget=budget, cost_model=cost_model)
+    for name in REFERENCE_CANDIDATES:
         try:
-            optimizer.optimize(query, stats)
+            make_optimizer(name, budget=budget).optimize(query, stats)
         except OptimizationBudgetExceeded:
             continue
         return name
     raise BenchmarkError(
-        f"no reference candidate in {candidates} is feasible for {query.label}"
+        f"no reference candidate in {REFERENCE_CANDIDATES} is feasible "
+        f"for {query.label}"
     )
 
 
@@ -136,9 +135,6 @@ def run_comparison(
     instances: int,
     stats: CatalogStatistics | None = None,
     budget: SearchBudget | None = None,
-    cost_model: CostModel | None = None,
-    reference_candidates: tuple[str, ...] = ("DP", "SDP"),
-    skip_after_failures: int = 1,
     robust: bool = False,
     workers: int = 1,
 ) -> ComparisonResult:
@@ -152,13 +148,10 @@ def run_comparison(
         instances: Number of query instances.
         stats: Shared statistics snapshot (computed once when omitted).
         budget: Per-optimization budget (paper default: 1 GB modeled RAM).
-        cost_model: Cost constants override.
-        reference_candidates: Quality reference preference order.
-        skip_after_failures: Stop retrying a technique after this many
-            budget failures.
-        robust: Wrap each technique in its fallback ladder; budget trips
-            degrade instead of marking the cell infeasible, and fallback
-            events are recorded per outcome (see the module docstring).
+        robust: Run each technique as the entry of its fallback ladder;
+            budget trips degrade instead of marking the cell infeasible,
+            and fallback events are recorded per outcome (see the module
+            docstring).
         workers: Process count for the optimization grid. ``1`` (default)
             optimizes serially in-process; ``> 1`` fans the grid out via
             :func:`repro.service.optimize_many` with identical aggregated
@@ -166,7 +159,7 @@ def run_comparison(
 
     Returns:
         A :class:`ComparisonResult`; techniques absent from
-        ``reference_candidates`` and infeasible everywhere have
+        :data:`REFERENCE_CANDIDATES` and infeasible everywhere have
         ``feasible == False`` (the ``*`` rows).
     """
     if stats is None:
@@ -177,11 +170,9 @@ def run_comparison(
     if robust:
         # The ladder makes every candidate total, so the preferred
         # reference always answers — no feasibility probe needed.
-        reference = reference_candidates[0]
+        reference = REFERENCE_CANDIDATES[0]
     else:
-        reference = _pick_reference(
-            queries[0], stats, reference_candidates, budget, cost_model
-        )
+        reference = _pick_reference(queries[0], stats, budget)
 
     outcomes = {name: TechniqueOutcome(technique=name) for name in techniques}
     if reference not in outcomes:
@@ -193,14 +184,11 @@ def run_comparison(
         # then replays the serial protocol against the stored cells (a
         # stored budget trip is re-raised at lookup), so skip bookkeeping
         # and outcomes come out identical to workers=1.
-        from repro.service.parallel import optimize_many
-
         grid = optimize_many(
             queries,
             run_order,
             stats=stats,
             budget=budget,
-            cost_model=cost_model,
             workers=workers,
             robust=robust,
         )
@@ -213,18 +201,8 @@ def run_comparison(
             return item.result
 
     else:
-        if robust:
-            optimizers = {
-                name: RobustOptimizer(
-                    ladder=ladder_from(name), budget=budget, cost_model=cost_model
-                )
-                for name in run_order
-            }
-        else:
-            optimizers = {
-                name: make_optimizer(name, budget=budget, cost_model=cost_model)
-                for name in run_order
-            }
+        build = RobustOptimizer if robust else make_optimizer
+        optimizers = {name: build(name, budget=budget) for name in run_order}
 
         def attempt(query_index: int, name: str):
             return optimizers[name].optimize(queries[query_index], stats)
@@ -239,8 +217,7 @@ def run_comparison(
                 results[name] = attempt(query_index, name)
             except OptimizationBudgetExceeded:
                 outcome.infeasible_count += 1
-                if outcome.infeasible_count >= skip_after_failures:
-                    outcome.skipped = True
+                outcome.skipped = True
         reference_result = results.get(reference)
         if reference_result is None:
             continue  # the reference itself tripped on this instance

@@ -116,7 +116,7 @@ def make_optimizer(
         # lint: waive[RL001] lazy upward import breaks the registry<->ladder cycle
         from repro.robust.ladder import RobustOptimizer
 
-        return RobustOptimizer(budget=budget, cost_model=cost_model)
+        return RobustOptimizer(name, budget=budget, cost_model=cost_model)
     raise OptimizationError(
         f"unknown technique {name!r}; known: {available_techniques()}"
     )

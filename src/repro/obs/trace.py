@@ -23,7 +23,9 @@ context manager when no tracer is installed.
 
 from __future__ import annotations
 
+import itertools
 import json
+import threading
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -203,31 +205,46 @@ class JsonlSpanExporter:
 
 
 class Tracer:
-    """Builds span trees via an explicit active-span stack.
+    """Builds span trees via an explicit active-span stack per thread.
 
-    Not thread-safe by design: one tracer belongs to one optimization
-    thread (worker processes get their own or none). ``start_span`` /
-    ``end_span`` are the primitive API; prefer the :meth:`span` context
-    manager, which survives exceptions and keeps the stack balanced.
+    One installed tracer serves every thread of a process (the front
+    door's workers and their callers trace into the same one): each
+    thread keeps its own active-span stack, so a span's parent is always
+    the span open on its own thread, and span ids come from one shared
+    counter, so they stay unique and increase in start order. Worker
+    processes get their own tracer or none. ``start_span`` / ``end_span``
+    are the primitive API; prefer the :meth:`span` context manager, which
+    survives exceptions and keeps the stack balanced.
     """
 
     def __init__(self, exporter=None):
         self.exporter = exporter if exporter is not None else InMemorySpanExporter()
-        self._stack: list[Span] = []
-        self._next_id = 1
+        self._local = threading.local()
+        # ``next()`` on a count is one C call, atomic under the GIL.
+        self._ids = itertools.count(1)
+
+    @property
+    def _stack(self) -> list[Span]:
+        """The calling thread's active-span stack."""
+        try:
+            return self._local.stack
+        except AttributeError:
+            self._local.stack = stack = []
+            return stack
 
     @property
     def current_span(self) -> Span | None:
-        return self._stack[-1] if self._stack else None
+        stack = self._stack
+        return stack[-1] if stack else None
 
     def start_span(self, name: str, **attributes: Any) -> Span:
         """Open a child of the current span and make it current."""
-        parent = self._stack[-1].span_id if self._stack else None
-        span = Span(name, self._next_id, parent)
-        self._next_id += 1
+        stack = self._stack
+        parent = stack[-1].span_id if stack else None
+        span = Span(name, next(self._ids), parent)
         if attributes:
             span.attributes.update(attributes)
-        self._stack.append(span)
+        stack.append(span)
         return span
 
     def end_span(self, span: Span, status: str | None = None) -> Span:
@@ -235,8 +252,9 @@ class Tracer:
         span.end_ns = time.perf_counter_ns()
         if status is not None:
             span.status = status
-        while self._stack:
-            if self._stack.pop() is span:
+        stack = self._stack
+        while stack:
+            if stack.pop() is span:
                 break
         self.exporter.export(span)
         return span

@@ -2,9 +2,9 @@
 
 Three pieces turn the library's optimizers into a service-grade front:
 
-* :class:`RobustOptimizer` — a fallback ladder
-  (``DP → SDP → IDP(7) → IDP(4) → GOO`` by default) under one overall
-  budget; every call returns a plan plus an attempt log
+* :class:`RobustOptimizer` — the fallback ladder that starts at an entry
+  technique (``DP → SDP → IDP(7) → IDP(4) → GOO`` from ``DP``) under one
+  overall budget; every call returns a plan plus an attempt log
   (:class:`RobustResult`) instead of raising
   :class:`~repro.errors.OptimizationBudgetExceeded`;
 * :class:`Deadline` — cooperative cancellation that propagates into any
@@ -29,7 +29,6 @@ from repro.robust.ladder import (
     Attempt,
     RobustOptimizer,
     RobustResult,
-    ladder_from,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "Attempt",
     "RobustOptimizer",
     "RobustResult",
-    "ladder_from",
     "Deadline",
     "FaultHarness",
     "FaultyCostModel",

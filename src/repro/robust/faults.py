@@ -37,7 +37,7 @@ from dataclasses import replace
 from typing import Iterator
 
 from repro.catalog.statistics import CatalogStatistics, TableStats
-from repro.core.base import Optimizer, SearchCounters
+from repro.core.base import Optimizer, SearchCounters, check_count
 from repro.errors import ConfigError, FaultInjected, OptimizationBudgetExceeded
 from repro.obs.names import METRIC_FAULTS_INJECTED_TOTAL
 from repro.obs.runtime import enabled as _obs_enabled, metrics as _obs_metrics
@@ -89,10 +89,8 @@ class FaultyCostModel:
     """
 
     def __init__(self, inner, fail_after: int, fail_count: int = 1):
-        if fail_after < 1:
-            raise ConfigError(f"fail_after must be >= 1, got {fail_after}")
-        if fail_count < 1:
-            raise ConfigError(f"fail_count must be >= 1, got {fail_count}")
+        check_count("fail_after", fail_after, 1)
+        check_count("fail_count", fail_count, 1)
         self.__dict__["_inner"] = inner
         self.__dict__["_fail_after"] = fail_after
         self.__dict__["_fail_count"] = fail_count
@@ -133,8 +131,7 @@ class SlowCostModel:
             raise ConfigError(
                 f"delay_seconds must be finite and > 0, got {delay_seconds!r}"
             )
-        if every < 1:
-            raise ConfigError(f"every must be >= 1, got {every!r}")
+        check_count("every", every, 1)
         self.__dict__["_inner"] = inner
         self.__dict__["_delay"] = float(delay_seconds)
         self.__dict__["_every"] = every

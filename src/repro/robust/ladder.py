@@ -3,10 +3,10 @@
 The paper's motivation is *robustness* — exhaustive DP blows its budget on
 dense join graphs, and the heuristics exist to keep optimization feasible.
 :class:`RobustOptimizer` packages that posture as a service-grade façade:
-it runs a configurable ladder of techniques (default
-``DP → SDP → IDP(7) → IDP(4) → GOO``), carving each stage's budget out of
-one overall allowance, and escalates past any stage that trips its budget
-or fails unexpectedly. The terminal stage (GOO by default) runs with no
+it runs the ladder that starts at its entry technique (the default ladder
+is ``DP → SDP → IDP(7) → IDP(4) → GOO``), carving each stage's budget out
+of one overall allowance, and escalates past any stage that trips its
+budget or fails unexpectedly. The terminal stage (always GOO) runs with no
 budget at all, so — absent a corrupt catalog — ``optimize()`` always
 returns a plan. The result records every attempt and whether the answer is
 degraded (i.e. not produced by the first rung).
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from repro.catalog.statistics import CatalogStatistics, analyze
 from repro.core.base import Optimizer, OptimizerResult, SearchBudget, SearchCounters
-from repro.core.registry import make_optimizer
+from repro.core.registry import canonical_technique, make_optimizer
 from repro.cost.model import CostModel
 from repro.errors import (
     OptimizationBudgetExceeded,
@@ -58,7 +58,6 @@ __all__ = [
     "Attempt",
     "RobustResult",
     "RobustOptimizer",
-    "ladder_from",
 ]
 
 #: The default quality/cost ladder, best-first: the optimal reference, the
@@ -71,18 +70,6 @@ OK = "ok"
 BUDGET_EXCEEDED = "budget-exceeded"
 ERROR = "error"
 SKIPPED = "skipped"
-
-
-def ladder_from(technique: str) -> tuple[str, ...]:
-    """The fallback ladder that starts at ``technique``.
-
-    A technique on the default ladder keeps the rungs below it; anything
-    else (``GEQO``, ``SDP/Global``, ...) is prepended to the default
-    ladder's sub-DP tail, so GOO stays the terminal rung either way.
-    """
-    if technique in DEFAULT_LADDER:
-        return DEFAULT_LADDER[DEFAULT_LADDER.index(technique):]
-    return (technique,) + DEFAULT_LADDER[1:]
 
 
 @dataclass(frozen=True)
@@ -177,36 +164,40 @@ class RobustResult(OptimizerResult):
 class RobustOptimizer(Optimizer):
     """Optimizer façade that never fails to return a plan.
 
-    Runs the ``ladder`` techniques in order under one overall ``budget``;
-    each stage inherits what remains of the time and plans-costed
-    allowances, and the terminal stage runs unbudgeted so the call is
-    total. See the module docstring for the exact carving semantics.
+    Runs the ladder named by its entry ``technique`` under one overall
+    ``budget``: a technique on :data:`DEFAULT_LADDER` keeps the rungs
+    below it, any other (``GEQO``, ``SDP/Global``, ...) is followed by the
+    default ladder's sub-DP tail, and ``"Robust"`` names the default
+    ladder itself, so GOO is always the terminal rung. Each stage inherits
+    what remains of the time and plans-costed allowances, and the
+    terminal stage runs unbudgeted so the call is total. See the module
+    docstring for the exact carving semantics.
 
     Raises:
+        OptimizationError: at construction, for a ``technique`` the
+            registry does not know; from :meth:`optimize`, only when
+            *every* rung — including the terminal one — fails (e.g. a
+            corrupt catalog injected by the fault harness); the error
+            carries the attempt log as an ``attempts`` attribute.
         OptimizationCancelled: if an installed ``checkpoint`` hook cancels.
-        OptimizationError: only when *every* rung — including the terminal
-            one — fails with a non-budget error (e.g. a corrupt catalog
-            injected by the fault harness); the error carries the attempt
-            log as an ``attempts`` attribute.
     """
 
     name = "Robust"
 
     def __init__(
         self,
-        ladder: tuple[str, ...] | list[str] = DEFAULT_LADDER,
+        technique: str = "DP",
         budget: SearchBudget | None = None,
         cost_model: CostModel | None = None,
     ):
         super().__init__(budget=budget, cost_model=cost_model)
-        if not ladder:
-            raise OptimizationError("fallback ladder must have at least one rung")
-        self.ladder = tuple(ladder)
-        for technique in self.ladder:
-            # Fail fast on misconfigured ladders: an unknown rung name
-            # should surface here, not only once every rung above it has
-            # already failed. Construction is cheap (config objects only).
-            make_optimizer(technique)
+        entry = canonical_technique(technique)
+        if entry == self.name:
+            entry = DEFAULT_LADDER[0]
+        if entry in DEFAULT_LADDER:
+            self.ladder = DEFAULT_LADDER[DEFAULT_LADDER.index(entry):]
+        else:
+            self.ladder = (entry,) + DEFAULT_LADDER[1:]
 
     # -- budget carving ---------------------------------------------------------
 
@@ -241,7 +232,6 @@ class RobustOptimizer(Optimizer):
         if stats is None:
             stats = analyze(query.schema)
         deadline = Deadline(self.budget.max_seconds)
-        overall = Timer().start()
         attempts: list[Attempt] = []
         plans_spent = 0
         peak_memory_mb = 0.0
@@ -306,58 +296,46 @@ class RobustOptimizer(Optimizer):
                         result = optimizer.optimize(query, stats)
                     except OptimizationCancelled:
                         raise
-                    except OptimizationBudgetExceeded as exc:
-                        plans_spent += getattr(exc, "plans_costed", 0)
-                        peak_memory_mb = max(
-                            peak_memory_mb,
-                            getattr(exc, "modeled_memory_mb", 0.0),
-                        )
-                        _note_rung(
-                            rung_span, technique, BUDGET_EXCEEDED,
-                            resource=exc.resource,
-                            plans_costed=getattr(exc, "plans_costed", 0),
-                        )
-                        attempts.append(
-                            Attempt(
-                                technique,
-                                BUDGET_EXCEEDED,
-                                exc.resource,
-                                getattr(exc, "elapsed_seconds", 0.0),
-                                getattr(exc, "plans_costed", 0),
-                                str(exc),
-                            )
-                        )
-                        continue
                     except ReproError as exc:
-                        plans_spent += getattr(exc, "plans_costed", 0)
+                        # A budget trip and any other failure both move
+                        # to the next rung; only the terminal rung's
+                        # failure ends the ladder.
+                        plans = getattr(exc, "plans_costed", 0)
+                        plans_spent += plans
                         peak_memory_mb = max(
                             peak_memory_mb,
                             getattr(exc, "modeled_memory_mb", 0.0),
                         )
+                        if isinstance(exc, OptimizationBudgetExceeded):
+                            outcome, resource = BUDGET_EXCEEDED, exc.resource
+                            detail = str(exc)
+                        else:
+                            outcome, resource = ERROR, None
+                            detail = f"{type(exc).__name__}: {exc}"
                         _note_rung(
-                            rung_span, technique, ERROR,
-                            detail=f"{type(exc).__name__}: {exc}",
-                            plans_costed=getattr(exc, "plans_costed", 0),
+                            rung_span, technique, outcome,
+                            resource=resource, detail=detail,
+                            plans_costed=plans,
                         )
                         attempts.append(
                             Attempt(
                                 technique,
-                                ERROR,
-                                None,
+                                outcome,
+                                resource,
                                 getattr(exc, "elapsed_seconds", 0.0),
-                                getattr(exc, "plans_costed", 0),
-                                f"{type(exc).__name__}: {exc}",
+                                plans,
+                                detail,
                             )
                         )
-                        if position == last:
-                            error = OptimizationError(
-                                f"every rung of the fallback ladder failed "
-                                f"for {query.label!r}: "
-                                + "; ".join(a.describe() for a in attempts)
-                            )
-                            error.attempts = tuple(attempts)
-                            raise error from exc
-                        continue
+                        if position < last:
+                            continue
+                        error = OptimizationError(
+                            f"every rung of the fallback ladder failed "
+                            f"for {query.label!r}: "
+                            + "; ".join(a.describe() for a in attempts)
+                        )
+                        error.attempts = tuple(attempts)
+                        raise error from exc
 
                     plans_spent += result.plans_costed
                     _note_rung(
@@ -389,7 +367,7 @@ class RobustOptimizer(Optimizer):
                         modeled_memory_mb=max(
                             peak_memory_mb, result.modeled_memory_mb
                         ),
-                        elapsed_seconds=overall.stop(),
+                        elapsed_seconds=deadline.elapsed,
                         jcrs_created=result.jcrs_created,
                         jcrs_pruned=result.jcrs_pruned,
                         attempts=tuple(attempts),

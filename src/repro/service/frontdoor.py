@@ -61,7 +61,7 @@ from repro.obs.names import (
 from repro.obs.runtime import current_tracer, enabled as _obs_enabled, metrics as _obs_metrics
 from repro.obs.trace import maybe_span
 from repro.query.query import Query
-from repro.robust.ladder import RobustOptimizer, ladder_from
+from repro.robust.ladder import RobustOptimizer
 from repro.service.service import OptimizationService, ServiceResult
 from repro.service.tenancy import TenantRegistry
 
@@ -82,9 +82,9 @@ _WORKER_POLL_SECONDS = 0.05
 
 #: Entry technique per brownout level. Level 0 (None) is the service's own
 #: configured path (the bit-identical unloaded path); each further level runs
-#: ``RobustOptimizer(ladder=ladder_from(entry))`` with its default budget,
-#: entering the fallback ladder lower, which mirrors the paper's
-#: DP -> SDP -> IDP -> GOO cost/quality ordering at the fleet level.
+#: ``RobustOptimizer(entry)`` with its default budget, entering the fallback
+#: ladder lower, which mirrors the paper's DP -> SDP -> IDP -> GOO
+#: cost/quality ordering at the fleet level.
 _BROWNOUT_ENTRIES = (None, "SDP", "IDP(4)", "GOO")
 
 #: Queue occupancy (0..1) at/above which the load controller sees heavy load.
@@ -624,7 +624,7 @@ class FrontDoor:
                     # would take (cached, single-flighted, full budget).
                     inner = self.service.optimize(submission)
                 else:
-                    optimizer = RobustOptimizer(ladder=ladder_from(ladder_entry))
+                    optimizer = RobustOptimizer(ladder_entry)
                     inner = self.service.optimize(submission, optimizer=optimizer)
             except Exception as exc:
                 span.set(outcome="error")

@@ -10,7 +10,7 @@ results in **grid order**, one row per query, one
 first.
 
 Scheduling policy (the serial-vs-pool decision lives in
-:func:`execution_mode`, one source of truth shared with the benchmarks):
+:func:`execution_plan`, one source of truth shared with the benchmarks):
 
 * requested workers are **capped at the machine's CPU count** — the cells
   are CPU-bound, so oversubscribing processes only adds scheduler churn;
@@ -56,17 +56,16 @@ from typing import Sequence
 from repro.catalog.statistics import CatalogStatistics, analyze
 from repro.core.base import OptimizerResult, SearchBudget
 from repro.core.registry import make_optimizer
-from repro.cost.model import CostModel
 from repro.errors import OptimizationBudgetExceeded, ServiceError
 from repro.obs.names import SPAN_SERVICE_BATCH, SPAN_SERVICE_CELL
 from repro.obs.runtime import current_tracer
 from repro.obs.trace import maybe_span
 from repro.query.query import Query
+from repro.robust.ladder import RobustOptimizer
 
 __all__ = [
     "BatchItem",
     "optimize_many",
-    "execution_mode",
     "execution_plan",
     "shutdown_pool",
     "MIN_PARALLEL_CELLS",
@@ -102,28 +101,17 @@ class BatchItem:
         return self.result is not None
 
 
-def execution_mode(workers: int | None, cells: int) -> tuple[str, int]:
-    """The serial-vs-pool decision: ``("serial" | "pool", effective workers)``.
-
-    Requested ``workers`` (None = CPU count) are capped at the CPU count;
-    the pool only runs with at least 2 effective workers and at least
-    :data:`MIN_PARALLEL_CELLS` cells, and never with more workers than
-    cells. Exposed so benchmarks and tests can assert the decision rather
-    than re-deriving it. (:func:`execution_plan` additionally reports
-    *why* a run stayed serial.)
-    """
-    mode, effective, _reason = execution_plan(workers, cells)
-    return mode, effective
-
-
 def execution_plan(
     workers: int | None, cells: int
 ) -> tuple[str, int, str | None]:
-    """:func:`execution_mode` plus the serial-fallback reason.
+    """The serial-vs-pool decision and why a run stayed serial.
 
-    Returns ``(mode, effective_workers, fallback_reason)`` where the
-    reason is None for pool runs, ``"cpu_count"`` when the host cannot
-    supply 2 workers, ``"grid_too_small"`` below
+    Returns ``(mode, effective_workers, fallback_reason)``. Requested
+    ``workers`` (None = CPU count) are capped at the CPU count; the pool
+    only runs with at least 2 effective workers and at least
+    :data:`MIN_PARALLEL_CELLS` cells, and never with more workers than
+    cells. The reason is None for pool runs, ``"cpu_count"`` when the
+    host cannot supply 2 workers, ``"grid_too_small"`` below
     :data:`MIN_PARALLEL_CELLS` cells, and ``"workers_requested"`` when
     the caller explicitly asked for fewer than 2 — so benchmark reports
     record *why* a host fell back instead of a bare ``"serial"``.
@@ -148,7 +136,6 @@ def _install_context(
     queries: list[Query],
     stats: CatalogStatistics,
     budget: SearchBudget | None,
-    cost_model: CostModel | None,
     robust: bool,
 ) -> None:
     """Install the batch context in this process."""
@@ -157,21 +144,8 @@ def _install_context(
         "queries": queries,
         "stats": stats,
         "budget": budget,
-        "cost_model": cost_model,
         "robust": robust,
     }
-
-
-def _make_cell_optimizer(technique: str, budget, cost_model, robust: bool):
-    if robust:
-        # Imported lazily: repro.robust builds ladder rungs through the
-        # optimizer registry, so a module-level import would be circular.
-        from repro.robust.ladder import RobustOptimizer, ladder_from
-
-        return RobustOptimizer(
-            ladder=ladder_from(technique), budget=budget, cost_model=cost_model
-        )
-    return make_optimizer(technique, budget=budget, cost_model=cost_model)
 
 
 def _run_cell(task: tuple[int, str]) -> BatchItem:
@@ -185,9 +159,8 @@ def _run_cell(task: tuple[int, str]) -> BatchItem:
     query_index, technique = task
     assert _CONTEXT is not None, "worker context not initialized"
     query = _CONTEXT["queries"][query_index]
-    optimizer = _make_cell_optimizer(
-        technique, _CONTEXT["budget"], _CONTEXT["cost_model"], _CONTEXT["robust"]
-    )
+    build = RobustOptimizer if _CONTEXT["robust"] else make_optimizer
+    optimizer = build(technique, budget=_CONTEXT["budget"])
     with maybe_span(
         current_tracer(), SPAN_SERVICE_CELL,
         query=query.label, technique=technique,
@@ -273,7 +246,6 @@ def optimize_many(
     techniques: Sequence[str],
     stats: CatalogStatistics | None = None,
     budget: SearchBudget | None = None,
-    cost_model: CostModel | None = None,
     workers: int | None = 1,
     robust: bool = False,
 ) -> list[list[BatchItem]]:
@@ -286,14 +258,13 @@ def optimize_many(
         stats: Shared statistics snapshot; collected from the first query's
             schema when omitted.
         budget: Per-cell search budget.
-        cost_model: Cost-model override.
         workers: Requested process count; ``None`` means the CPU count.
-            The effective mode comes from :func:`execution_mode` — capped
+            The effective mode comes from :func:`execution_plan` — capped
             at the CPU count, serial below 2 workers or
             :data:`MIN_PARALLEL_CELLS` cells.
-        robust: Wrap each technique in its fallback ladder
-            (:func:`repro.robust.ladder_from`), as the bench runner's
-            robust mode does.
+        robust: Run each technique as the entry of its fallback ladder
+            (:class:`~repro.robust.RobustOptimizer`), as the bench
+            runner's robust mode does.
 
     Returns:
         ``grid[q][t]`` — a :class:`BatchItem` per (query, technique), in
@@ -317,8 +288,8 @@ def optimize_many(
         for query_index in range(len(queries))
         for technique in techniques
     ]
-    mode, effective = execution_mode(workers, len(tasks))
-    context = (queries, stats, budget, cost_model, robust)
+    mode, effective, _reason = execution_plan(workers, len(tasks))
+    context = (queries, stats, budget, robust)
 
     with maybe_span(
         current_tracer(), SPAN_SERVICE_BATCH,

@@ -178,53 +178,43 @@ class OptimizationService:
         """
         if not isinstance(sql, str):
             raise ServiceError(f"sql must be text, got {type(sql).__name__}")
-        return self._parse(sql, None)
+        return self._parse(sql)
 
-    def _parse(self, sql: str, schema: Schema | None) -> tuple[Query, str]:
-        """:meth:`parse` against ``schema``; only the retained one is memoized."""
+    def _parse(self, sql: str) -> tuple[Query, str]:
+        """:meth:`parse` of text already known to be a string."""
         with self._lock:
             retained = self._schema
-            if schema is None or schema is retained:
-                parsed = self._parsed.get(sql)
-                if parsed is not None:
-                    self._parsed.move_to_end(sql)
-                    return parsed
-        target = retained if schema is None else schema
-        if target is None:
+            parsed = self._parsed.get(sql)
+            if parsed is not None:
+                self._parsed.move_to_end(sql)
+                return parsed
+        if retained is None:
             raise ServiceError(
-                "SQL text needs a schema to parse against: pass "
-                "schema= or analyze() one first"
+                "SQL text needs a schema to parse against: analyze() one first"
             )
-        query = parse_sql(target, sql)
+        query = parse_sql(retained, sql)
         parsed = (query, query_fingerprint(query))
-        if target is retained:
-            with self._lock:
-                if self._schema is retained:
-                    # A racing parse of the same text may have landed
-                    # first: keep its entry so all callers share it.
-                    parsed = self._parsed.setdefault(sql, parsed)
-                    if len(self._parsed) > self._cache.capacity:
-                        self._parsed.popitem(last=False)
+        with self._lock:
+            if self._schema is retained:
+                # A racing parse of the same text may have landed
+                # first: keep its entry so all callers share it.
+                parsed = self._parsed.setdefault(sql, parsed)
+                if len(self._parsed) > self._cache.capacity:
+                    self._parsed.popitem(last=False)
         return parsed
 
-    def _resolve(
-        self, query: Query | str, schema: Schema | None
-    ) -> tuple[Query, str | None, str | None]:
+    def _resolve(self, query: Query | str) -> tuple[Query, str | None, str | None]:
         """``(Query, sql, fingerprint)`` of a submission.
 
         Text goes through :meth:`_parse`, which also gives its
         fingerprint; a ``Query`` keeps ``sql`` and ``fingerprint`` None.
         """
         if isinstance(query, str):
-            parsed, fingerprint = self._parse(query, schema)
+            parsed, fingerprint = self._parse(query)
             return parsed, query, fingerprint
         if not isinstance(query, Query):
             raise ServiceError(
                 f"query must be a Query or SQL text, got {type(query).__name__}"
-            )
-        if schema is not None:
-            raise ServiceError(
-                "schema= only applies to SQL text submissions"
             )
         return query, None, None
 
@@ -244,7 +234,7 @@ class OptimizationService:
             QueryError: malformed SQL text.
         """
         timer = Timer().start()
-        query, sql, fingerprint = self._resolve(query, None)
+        query, sql, fingerprint = self._resolve(query)
         if fingerprint is None:
             fingerprint = query_fingerprint(query)
         cached = self._cache.probe((fingerprint, self._epoch))
@@ -255,21 +245,18 @@ class OptimizationService:
         query: Query | str,
         stats: CatalogStatistics | None = None,
         *,
-        schema: Schema | None = None,
         optimizer: Optimizer | None = None,
     ) -> ServiceResult:
         """Optimize ``query``, serving repeated fingerprints from cache.
 
         Args:
             query: The query to optimize — a :class:`~repro.query.Query`,
-                or raw SQL text. Text is parsed against ``schema`` (or
-                the schema retained by the last :meth:`analyze`, through
-                the :meth:`parse` memo); the parsed form is fingerprinted
-                with selection constants collapsed into selectivity
-                buckets, so a templated workload re-issuing one SQL shape
-                with different constants hits the warm cache.
-            schema: Parse target for SQL text. Only valid with text; a
-                schema other than the retained one bypasses the memo.
+                or raw SQL text. Text is parsed against the schema
+                retained by the last :meth:`analyze`, through the
+                :meth:`parse` memo; the parsed form is fingerprinted with
+                selection constants collapsed into selectivity buckets, so
+                a templated workload re-issuing one SQL shape with
+                different constants hits the warm cache.
             stats: Optional snapshot override. Passing a *different* object
                 than the installed one installs it first (bumping the epoch
                 and invalidating the cache); passing the installed object
@@ -285,13 +272,13 @@ class OptimizationService:
 
         Raises:
             ServiceError: SQL text submitted with no schema to parse
-                against, ``schema=`` passed alongside a ``Query``, or a
-                ``query`` that is neither a ``Query`` nor text.
+                against, or a ``query`` that is neither a ``Query`` nor
+                text.
             QueryError: malformed SQL text.
             OptimizationBudgetExceeded: propagated from the backing
                 optimizer; budget trips are never cached.
         """
-        query, sql, fingerprint = self._resolve(query, schema)
+        query, sql, fingerprint = self._resolve(query)
         with self._lock:
             if stats is not None:
                 if stats is not self._stats:

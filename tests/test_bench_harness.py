@@ -92,16 +92,32 @@ def test_no_regression_against_committed_report():
 class TestCompareReports:
     """Unit-level checks of the guard itself (fast, always selected)."""
 
+    def _load_arm(self, label):
+        return {
+            "label": label,
+            "technique": "DP",
+            "submitted": 10,
+            "completed": 10,
+            "shed": {"queue-full": 2 if label == "overload" else 0},
+            "shed_rate": 0.0,
+            "errors": 0,
+            "hung": 0,
+            "rung_mix": {"DP": 10},
+            "degraded_fraction": 0.0,
+        }
+
     def _report(self, **overrides):
         base = {
             "benchmarks": {
                 "dp_star_12": {
                     "median_seconds": 0.1,
+                    "peak_traced_mb": 4.0,
                     "plans_costed": 100,
                     "cost": 1.5,
                 },
                 "sdp_star_25": {
                     "median_seconds": 0.5,
+                    "peak_traced_mb": 4.0,
                     "plans_costed": 200,
                     "cost": 2.5,
                 },
@@ -112,6 +128,11 @@ class TestCompareReports:
                     "speedup": 1.0,
                 },
                 "plan_cache": {"speedup": 50.0},
+                "sql_workload": self._sql_workload_arm(),
+                "frontdoor_load": {
+                    "unloaded": self._load_arm("unloaded"),
+                    "overload": self._load_arm("overload"),
+                },
             }
         }
         for path, value in overrides.items():
@@ -143,14 +164,17 @@ class TestCompareReports:
         assert compare_reports(self._report(), ok) == []
 
     def test_traced_peak_regression_is_flagged_beyond_factor(self):
-        baseline = self._report(**{"sdp_star_25.peak_traced_mb": 4.0})
+        baseline = self._report()
         bloated = self._report(**{"sdp_star_25.peak_traced_mb": 6.1})
         problems = compare_reports(baseline, bloated)
         assert any("sdp_star_25: traced peak" in p for p in problems)
         within = self._report(**{"sdp_star_25.peak_traced_mb": 5.9})
         assert compare_reports(baseline, within) == []
-        # A baseline that predates the field is not compared.
-        assert compare_reports(self._report(), bloated) == []
+        # A baseline that lacks the field is a problem, not a pass.
+        del baseline["benchmarks"]["sdp_star_25"]["peak_traced_mb"]
+        assert compare_reports(baseline, bloated) == [
+            "sdp_star_25/peak_traced_mb: missing from the baseline"
+        ]
 
     def test_outcome_divergence_is_flagged(self):
         problems = compare_reports(
@@ -183,6 +207,7 @@ class TestCompareReports:
             "templates": 1,
             "techniques": ["DP", "SDP"],
             "sql_equals_query_path": True,
+            "sql_text_seconds": 0.01,
             "queries": {
                 "q1": {
                     "DP": {"plans_costed": 10, "cost": 1.0, "ratio_to_dp": 1.0},
@@ -195,14 +220,55 @@ class TestCompareReports:
             arm["queries"]["q1"][technique][key] = value
         return arm
 
-    def test_sql_workload_absent_in_baseline_is_fine(self):
+    def test_sql_workload_absent_in_baseline_is_flagged(self):
+        baseline = self._report()
+        del baseline["benchmarks"]["sql_workload"]
+        assert compare_reports(baseline, self._report()) == [
+            "sql_workload: missing from the baseline"
+        ]
+
+    @pytest.mark.parametrize(
+        "report, path, problem",
+        [
+            ("baseline", ("sql_workload", "queries", "q1", "SDP"),
+             "sql_workload/queries/q1/SDP: missing from the baseline"),
+            ("baseline", ("frontdoor_load",),
+             "frontdoor_load/overload/technique: missing from the baseline"),
+            ("baseline", ("frontdoor_load", "overload", "technique"),
+             "frontdoor_load/overload/technique: missing from the baseline"),
+            ("baseline", ("grid_workers",),
+             "grid_workers/plans_costed: missing from the baseline"),
+            ("current", ("frontdoor_load",),
+             "frontdoor_load: missing from the current run"),
+            ("current", ("frontdoor_load", "overload", "technique"),
+             "frontdoor_load/overload/technique: missing from the current run"),
+        ],
+        ids=[
+            "baseline-template-arm",
+            "baseline-frontdoor-load",
+            "baseline-overload-technique",
+            "baseline-grid",
+            "current-frontdoor-load",
+            "current-overload-technique",
+        ],
+    )
+    def test_missing_arm_or_field_is_flagged(self, report, path, problem):
+        """Never skipped, never a ``KeyError``: one problem line."""
+        reports = {"baseline": self._report(), "current": self._report()}
+        node = reports[report]["benchmarks"]
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        assert problem in compare_reports(reports["baseline"], reports["current"])
+
+    def test_overload_technique_drift_is_flagged(self):
         current = self._report()
-        current["benchmarks"]["sql_workload"] = self._sql_workload_arm()
-        assert compare_reports(self._report(), current) == []
+        current["benchmarks"]["frontdoor_load"]["overload"]["technique"] = "SDP"
+        problems = compare_reports(self._report(), current)
+        assert "frontdoor_load/overload: technique drifted 'DP' -> 'SDP'" in problems
 
     def test_sql_workload_entry_path_divergence_is_flagged(self):
         current = self._report()
-        current["benchmarks"]["sql_workload"] = self._sql_workload_arm()
         current["benchmarks"]["sql_workload"]["sql_equals_query_path"] = False
         problems = compare_reports(self._report(), current)
         assert any("SQL text diverged" in p for p in problems)
@@ -217,21 +283,20 @@ class TestCompareReports:
 
     def test_sql_text_total_is_flagged_beyond_factor(self):
         baseline = self._report()
-        baseline["benchmarks"]["sql_workload"] = self._sql_workload_arm()
         current = self._report()
-        current["benchmarks"]["sql_workload"] = self._sql_workload_arm()
         current["benchmarks"]["sql_workload"]["sql_text_seconds"] = 0.03
-        # A baseline that predates the total is not compared.
-        assert compare_reports(baseline, current) == []
-        baseline["benchmarks"]["sql_workload"]["sql_text_seconds"] = 0.01
         problems = compare_reports(baseline, current)
         assert any("sql_workload: SQL-text total" in p for p in problems)
         current["benchmarks"]["sql_workload"]["sql_text_seconds"] = 0.024
         assert compare_reports(baseline, current) == []
+        # A baseline that lacks the total is a problem, not a pass.
+        del baseline["benchmarks"]["sql_workload"]["sql_text_seconds"]
+        assert compare_reports(baseline, current) == [
+            "sql_workload/sql_text_seconds: missing from the baseline"
+        ]
 
     def test_sql_workload_drift_against_baseline_is_flagged(self):
         baseline = self._report()
-        baseline["benchmarks"]["sql_workload"] = self._sql_workload_arm()
         current = self._report()
         current["benchmarks"]["sql_workload"] = self._sql_workload_arm(
             **{"SDP.plans_costed": 9, "DP.cost": 1.1}
@@ -242,8 +307,11 @@ class TestCompareReports:
 
 
 def test_committed_report_matches_current_counters():
-    """The committed BENCH_optimize.json must track the current search."""
-    benches = _committed_report()["benchmarks"]
+    """The committed BENCH_optimize.json must track the current search,
+    and hold every arm and field the guard reads."""
+    report = _committed_report()
+    assert compare_reports(report, report) == []
+    benches = report["benchmarks"]
     assert benches["dp_star_12"]["plans_costed"] == 78871
     assert benches["sdp_star_25"]["plans_costed"] == 157472
     assert benches["grid_workers"]["identical_outcomes"] is True

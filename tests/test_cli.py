@@ -9,12 +9,13 @@ from repro.bench.experiments.common import ExperimentSettings, clear_caches
 from repro.errors import BenchmarkError
 
 
+#: Small enough for the unit suite.
+SMALL = ["--instances", "1", "--heavy-instances", "1", "--max-seconds", "10"]
+
+
 @pytest.fixture(autouse=True)
-def _fresh(monkeypatch):
+def _fresh():
     clear_caches()
-    monkeypatch.setenv("REPRO_BENCH_INSTANCES", "1")
-    monkeypatch.setenv("REPRO_BENCH_HEAVY_INSTANCES", "1")
-    monkeypatch.setenv("REPRO_BENCH_MAX_SECONDS", "10")
     yield
     clear_caches()
 
@@ -31,7 +32,7 @@ def test_unknown_experiment(capsys):
 
 
 def test_single_experiment(capsys):
-    assert main(["table-2.2"]) == 0
+    assert main(["table-2.2", *SMALL]) == 0
     out = capsys.readouterr().out
     assert "matches the paper" in out
     assert "done in" in out
@@ -43,13 +44,13 @@ def test_flag_overrides(capsys):
 
 
 def test_experiment_with_comparison(capsys):
-    assert main(["figure-2.2"]) == 0
+    assert main(["figure-2.2", *SMALL]) == 0
     out = capsys.readouterr().out
     assert "Survivors" in out
 
 
 def test_robust_report_smoke(capsys):
-    assert main(["robust-report", "--instances", "2"]) == 0
+    assert main(["robust-report", *SMALL, "--instances", "2"]) == 0
     out = capsys.readouterr().out
     assert "budget-exceeded" in out
     assert "Fallbacks" in out
@@ -57,13 +58,13 @@ def test_robust_report_smoke(capsys):
 
 
 def test_robust_flag_accepted(capsys):
-    assert main(["table-2.2", "--robust"]) == 0
+    assert main(["table-2.2", *SMALL, "--robust"]) == 0
     assert "done in" in capsys.readouterr().out
 
 
 def test_output_directory(tmp_path, capsys):
     out_dir = tmp_path / "reports"
-    assert main(["table-2.2", "--output", str(out_dir)]) == 0
+    assert main(["table-2.2", *SMALL, "--output", str(out_dir)]) == 0
     written = out_dir / "table-2.2.txt"
     assert written.exists()
     assert "matches the paper" in written.read_text()
@@ -93,27 +94,6 @@ def test_non_positive_size_flag_rejected(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert argv[1] in lines[0]
-
-
-@pytest.mark.parametrize("value", ("abc", "0"))
-@pytest.mark.parametrize(
-    "variable",
-    (
-        "REPRO_BENCH_INSTANCES",
-        "REPRO_BENCH_HEAVY_INSTANCES",
-        "REPRO_BENCH_MAX_SECONDS",
-    ),
-)
-def test_malformed_size_variable_rejected(
-    variable, value, monkeypatch, capsys
-):
-    monkeypatch.setenv(variable, value)
-    assert main(["table-2.2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert variable in lines[0]
 
 
 def test_settings_reject_non_positive_sizes():

@@ -151,13 +151,33 @@ def _bad_settings():
         ("deadline", lambda: Deadline(-1.0)),
         ("faulty-after", lambda: FaultyCostModel(DEFAULT_COST_MODEL, fail_after=0)),
         (
+            "faulty-after-nan",
+            lambda: FaultyCostModel(DEFAULT_COST_MODEL, fail_after=float("nan")),
+        ),
+        (
+            "faulty-after-float",
+            lambda: FaultyCostModel(DEFAULT_COST_MODEL, fail_after=2.5),
+        ),
+        (
             "faulty-count",
             lambda: FaultyCostModel(DEFAULT_COST_MODEL, fail_after=1, fail_count=0),
+        ),
+        (
+            "faulty-count-nan",
+            lambda: FaultyCostModel(
+                DEFAULT_COST_MODEL, fail_after=1, fail_count=float("nan")
+            ),
         ),
         ("slow-delay", lambda: SlowCostModel(DEFAULT_COST_MODEL, delay_seconds=0.0)),
         (
             "slow-every",
             lambda: SlowCostModel(DEFAULT_COST_MODEL, delay_seconds=0.1, every=0),
+        ),
+        (
+            "slow-every-nan",
+            lambda: SlowCostModel(
+                DEFAULT_COST_MODEL, delay_seconds=0.1, every=float("nan")
+            ),
         ),
         ("perturb-mode", perturb(mode="shuffle")),
         ("perturb-fraction", perturb(fraction=0.0)),

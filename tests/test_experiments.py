@@ -12,6 +12,7 @@ from repro.bench.experiments import (
     table_3_3,
 )
 from repro.bench.experiments.common import (
+    MEMORY_BUDGET_BYTES,
     ExperimentSettings,
     cached_comparison,
     clear_caches,
@@ -43,28 +44,21 @@ def _fresh_caches():
 
 
 class TestCommon:
-    def test_settings_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_INSTANCES", "33")
-        monkeypatch.setenv("REPRO_BENCH_SEED", "9")
-        settings = ExperimentSettings.from_env()
-        assert settings.instances == 33
-        assert settings.seed == 9
-
     def test_scaled(self):
         assert TINY.scaled(5).instances == 5
 
     def test_budget_reflects_settings(self):
         budget = TINY.budget()
         assert budget.max_seconds == 10.0
-        assert budget.max_memory_bytes == TINY.memory_budget_bytes
+        assert budget.max_memory_bytes == MEMORY_BUDGET_BYTES
 
     def test_paper_catalog_cached(self):
-        a = paper_catalog(TINY)
-        b = paper_catalog(TINY)
+        a = paper_catalog()
+        b = paper_catalog()
         assert a[0] is b[0]
 
     def test_scaleup_catalog_size(self):
-        schema, stats = scaleup_catalog(TINY, 30)
+        schema, stats = scaleup_catalog(30)
         assert len(schema) == 30
         assert len(stats) == 30
 
@@ -77,10 +71,11 @@ class TestCommon:
 
 class TestExperimentRegistry:
     def test_all_have_title_and_run(self):
+        # sdp-bench <id> is the one way to run an experiment.
         for name, module in EXPERIMENTS.items():
             assert hasattr(module, "TITLE"), name
             assert callable(module.run), name
-            assert callable(module.main), name
+            assert not hasattr(module, "main"), name
 
     def test_ids_follow_paper_numbering(self):
         assert set(EXPERIMENTS) >= {

@@ -132,6 +132,22 @@ class TestFacade:
         assert result.technique.startswith("Robust(")
         assert result.attempts[0].outcome == "budget-exceeded"
 
+    def test_robust_technique_is_one_ladder(self, small_schema, small_stats):
+        """``technique="robust", robust=True`` and a robust grid's
+        ``Robust`` column run the default ladder once, not a ladder whose
+        first rung is another ladder."""
+        query = make_star_query(small_schema, 6)
+        result = repro.optimize(
+            query, technique="robust", stats=small_stats, robust=True
+        )
+        assert result.technique == "Robust(DP)"
+        assert [a.technique for a in result.attempts] == ["DP"]
+        (item,) = repro.optimize_many(
+            [query], ["Robust"], stats=small_stats, robust=True
+        )[0]
+        assert item.result.technique == "Robust(DP)"
+        assert item.result.attempt_signature() == result.attempt_signature()
+
     def test_trace_attaches_recording(self, small_schema, small_stats):
         query = make_star_query(small_schema, 6)
         result = repro.optimize(query, stats=small_stats, trace=True)

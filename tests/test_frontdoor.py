@@ -727,7 +727,7 @@ class TestFrontDoorSql:
         assert mix == {"IDP(4)": 2, service.technique: 2}
 
     def test_each_brownout_level_serves_its_ladder_plan(self):
-        from repro.robust import RobustOptimizer, ladder_from
+        from repro.robust import RobustOptimizer
         from repro.workloads import TPCH_LITE_SQL, tpch_lite_schema
 
         svc = OptimizationService(technique="SDP")
@@ -743,9 +743,9 @@ class TestFrontDoorSql:
                     # One tenant per template: a bucket admits 8 at once.
                     served = door.optimize(sql, tenant=label)
                     assert (served.brownout_level, served.entry) == (level, entry)
-                    expected = RobustOptimizer(
-                        ladder=ladder_from(served.entry)
-                    ).optimize(served.result.query, stats)
+                    expected = RobustOptimizer(served.entry).optimize(
+                        served.result.query, stats
+                    )
                     assert served.result.cost == expected.cost, (level, label)
                     assert (
                         served.result.plans_costed == expected.plans_costed
@@ -782,12 +782,9 @@ class TestOverloadContract:
             overload_factor=4.0,
             queue_capacity=8,
             latency_fault_seconds=0.005,
-            latency_fault_every=64,
             stats_churn_interval_seconds=0.2,
-            query_sizes=(8, 9, 10),
-            technique="DP",
         )
-        report = run_load(scenario, schema=schema, stats=stats)
+        report = run_load(scenario, schema, stats)
 
         # Every submitted request ended in a plan or a typed rejection.
         assert report["errors"] == 0
@@ -801,6 +798,6 @@ class TestOverloadContract:
         off_baseline = sum(
             count
             for entry, count in report["rung_mix"].items()
-            if entry != scenario.technique
+            if entry != report["technique"]
         )
         assert report["shed"]["queue-full"] > 0 or off_baseline > 0

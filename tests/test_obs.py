@@ -10,6 +10,8 @@ observability is disabled.
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -94,6 +96,74 @@ class TestTracer:
         assert [r["name"] for r in records] == ["b", "a"]
         assert records[1]["attributes"] == {"n": 1}
         assert records[0]["parent_id"] == records[1]["span_id"]
+
+    def test_threads_keep_their_own_span_stacks(self):
+        """Spans opened on one thread never parent another thread's spans,
+        however the two threads interleave on the one tracer."""
+        exporter = InMemorySpanExporter()
+        tracer = Tracer(exporter)
+        a_open, b_open, b_may_close = (threading.Event() for _ in range(3))
+        failures = []
+
+        def thread_a():
+            with tracer.span("a-outer"):
+                a_open.set()
+                if not b_open.wait(5.0):
+                    failures.append("b never opened its span")
+                with tracer.span("a-inner"):
+                    pass
+            b_may_close.set()
+
+        def thread_b():
+            if not a_open.wait(5.0):
+                failures.append("a never opened its span")
+            with tracer.span("b-outer"):
+                b_open.set()
+                if not b_may_close.wait(5.0):
+                    failures.append("a never finished")
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        spans = {span.name: span for span in exporter.spans}
+        assert spans["b-outer"].parent_id is None
+        assert spans["a-inner"].parent_id == spans["a-outer"].span_id
+        assert tracer.current_span is None
+
+    def test_span_ids_stay_unique_under_thread_contention(self):
+        exporter = InMemorySpanExporter(capacity=100_000)
+        tracer = Tracer(exporter)
+        misparented = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def work():
+                for _ in range(500):
+                    with tracer.span("outer") as outer:
+                        with tracer.span("inner") as inner:
+                            if inner.parent_id != outer.span_id:
+                                misparented.append(inner)
+
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert misparented == []
+        spans = exporter.spans
+        assert len(spans) == 8 * 500 * 2
+        assert len({span.span_id for span in spans}) == len(spans)
+        outer_ids = {span.span_id for span in spans if span.name == "outer"}
+        assert all(
+            span.parent_id in outer_ids for span in spans if span.name == "inner"
+        )
 
 
 # -- metrics registry --------------------------------------------------------

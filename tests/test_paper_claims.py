@@ -85,7 +85,7 @@ class TestScaledFeasibility:
         from repro.core import DynamicProgrammingOptimizer
 
         settings = ExperimentSettings(max_seconds=60)
-        schema, sstats = scaleup_catalog(settings, 30)
+        schema, sstats = scaleup_catalog(30)
         dp = DynamicProgrammingOptimizer(budget=settings.budget())
         chain = dp.optimize(
             make_query(WorkloadSpec("chain", 20, seed=0), schema, 0), sstats
@@ -106,7 +106,7 @@ class TestScaledFeasibility:
         from repro.core import SDPOptimizer
 
         settings = ExperimentSettings(max_seconds=120)
-        schema, sstats = scaleup_catalog(settings, 40)
+        schema, sstats = scaleup_catalog(40)
         query = make_query(WorkloadSpec("star", 35, seed=0), schema, 0)
         result = SDPOptimizer(budget=settings.budget()).optimize(query, sstats)
         assert result.modeled_memory_mb < 1000

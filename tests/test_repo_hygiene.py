@@ -1,9 +1,12 @@
-"""Repository hygiene: no build artifacts tracked by git, and every
-benchmark module still collects."""
+"""Repository hygiene: no build artifacts tracked by git, every
+benchmark module still collects, and every third-party import is a
+declared dependency."""
 
 from __future__ import annotations
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -104,3 +107,51 @@ def test_benchmark_modules_collect():
         timeout=300,
     )
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]
+
+
+def _imported_top_levels(root: Path) -> dict[str, str]:
+    """Top-level module name -> first file importing it, over ``root``
+    (absolute imports only, function-level ones included)."""
+    found: dict[str, str] = {}
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                found.setdefault(name.split(".")[0], str(path.relative_to(root)))
+    return found
+
+
+def test_third_party_imports_are_declared():
+    """Every module ``src/repro`` imports from outside the standard
+    library is declared in ``pyproject.toml``, as a dependency or in an
+    extra: an undeclared one passes locally and fails on a clean
+    install."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(
+        (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    )["project"]
+    requirements = list(project.get("dependencies", []))
+    for extra in project.get("optional-dependencies", {}).values():
+        requirements.extend(extra)
+    declared = {
+        re.match(r"[A-Za-z0-9._-]+", requirement).group(0).lower().replace("-", "_")
+        for requirement in requirements
+    }
+    imported = _imported_top_levels(REPO_ROOT / "src" / "repro")
+    undeclared = {
+        name: where
+        for name, where in imported.items()
+        if name not in sys.stdlib_module_names
+        and name not in ("__future__", "repro")
+        and name.lower() not in declared
+    }
+    assert undeclared == {}, (
+        "imported under src/repro but not declared in pyproject.toml: "
+        f"{undeclared}"
+    )

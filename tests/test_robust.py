@@ -20,7 +20,6 @@ from repro.robust import (
     Deadline,
     RobustOptimizer,
     RobustResult,
-    ladder_from,
 )
 from tests.conftest import make_star_query
 
@@ -39,24 +38,38 @@ def big_stats(big_schema):
 
 
 class TestLadderFrom:
+    """A ladder is named by its entry technique."""
+
     def test_ladder_member_keeps_tail(self):
-        assert ladder_from("SDP") == ("SDP", "IDP(7)", "IDP(4)", "GOO")
-        assert ladder_from("DP") == DEFAULT_LADDER
-        assert ladder_from("GOO") == ("GOO",)
+        assert RobustOptimizer("SDP").ladder == ("SDP", "IDP(7)", "IDP(4)", "GOO")
+        assert RobustOptimizer("DP").ladder == DEFAULT_LADDER
+        assert RobustOptimizer().ladder == DEFAULT_LADDER
+        assert RobustOptimizer("GOO").ladder == ("GOO",)
 
     def test_non_member_prepends(self):
-        ladder = ladder_from("GEQO")
+        ladder = RobustOptimizer("GEQO").ladder
         assert ladder[0] == "GEQO"
         assert ladder[-1] == "GOO"
         assert "DP" not in ladder
 
+    def test_entry_spelling_is_canonical(self):
+        assert RobustOptimizer("idp(7)").ladder == ("IDP(7)", "IDP(4)", "GOO")
+
+    def test_robust_entry_is_the_default_ladder(self, small_schema, small_stats):
+        """``Robust`` names the default ladder, not a ladder nested in one."""
+        assert RobustOptimizer("Robust").ladder == DEFAULT_LADDER
+        query = make_star_query(small_schema, 6)
+        result = RobustOptimizer("robust").optimize(query, small_stats)
+        assert result.technique == "Robust(DP)"
+        assert [a.technique for a in result.attempts] == ["DP"]
+
     def test_empty_ladder_rejected(self):
         with pytest.raises(OptimizationError):
-            RobustOptimizer(ladder=())
+            RobustOptimizer("")
 
     def test_unknown_rung_rejected_at_construction(self):
         with pytest.raises(OptimizationError, match="Bogus"):
-            RobustOptimizer(ladder=("DP", "Bogus"))
+            RobustOptimizer("Bogus")
 
 
 class TestFallbackLadder:
@@ -138,13 +151,21 @@ class TestFallbackLadder:
     def test_terminal_stage_runs_unbudgeted(self, small_schema, small_stats):
         query = make_star_query(small_schema, 6)
         budget = SearchBudget(max_memory_bytes=None, max_plans_costed=1)
-        result = RobustOptimizer(
-            ladder=("DP", "GOO"), budget=budget
-        ).optimize(query, small_stats)
-        # GOO costs more than 1 plan, yet succeeds: the terminal rung is
-        # exempt so optimize() stays total.
+        result = RobustOptimizer(budget=budget).optimize(query, small_stats)
+        # DP trips the 1-plan cap, which leaves nothing for the middle
+        # rungs; GOO costs more than 1 plan, yet succeeds: the terminal
+        # rung is exempt so optimize() stays total.
+        assert [(a.technique, a.outcome) for a in result.attempts] == [
+            ("DP", "budget-exceeded"),
+            ("SDP", "skipped"),
+            ("IDP(7)", "skipped"),
+            ("IDP(4)", "skipped"),
+            ("GOO", "ok"),
+        ]
         assert result.winner == "GOO"
         assert result.attempts[-1].plans_costed > 1
+        single = RobustOptimizer("GOO", budget=budget).optimize(query, small_stats)
+        assert single.winner == "GOO" and single.plans_costed > 1
 
     def test_result_tree_is_public_plan(self, small_schema, small_stats):
         query = make_star_query(small_schema, 6)
@@ -169,9 +190,7 @@ class TestFallbackLadder:
 
     def test_custom_ladder(self, small_schema, small_stats):
         query = make_star_query(small_schema, 6)
-        result = RobustOptimizer(ladder=("SDP", "GOO")).optimize(
-            query, small_stats
-        )
+        result = RobustOptimizer("SDP").optimize(query, small_stats)
         assert result.winner == "SDP"
         assert result.technique == "Robust(SDP)"
 
@@ -298,7 +317,7 @@ class TestConcurrentDeadlines:
         logs = {}
 
         def request(index):
-            robust = RobustOptimizer(ladder=("SDP", "GOO"))
+            robust = RobustOptimizer("SDP")
             result = robust.optimize(query, small_stats)
             logs[index] = [
                 (attempt.technique, attempt.outcome)

@@ -382,19 +382,6 @@ class TestServiceSql:
         with pytest.raises(ServiceError, match="schema"):
             service.optimize(self._sql(small_schema))
 
-    def test_explicit_schema_kwarg_parses_text(self, small_schema, small_stats):
-        service = OptimizationService(technique="SDP")
-        service.install_statistics(small_stats)
-        result = service.optimize(self._sql(small_schema), schema=small_schema)
-        assert result.cost > 0
-
-    def test_schema_kwarg_with_query_rejected(self, small_schema, small_stats):
-        service = OptimizationService(technique="SDP")
-        service.install_statistics(small_stats)
-        query = make_star_query(small_schema, 4)
-        with pytest.raises(ServiceError, match="SQL text"):
-            service.optimize(query, schema=small_schema)
-
     @pytest.mark.parametrize("bad", [123, None])
     def test_wrong_type_query_rejected(self, bad, small_stats):
         service = OptimizationService(technique="SDP")
@@ -456,18 +443,14 @@ class TestTextMemo:
         service.analyze(small_schema)
         sql = self._star_sql(small_schema, 3)
         mine, _ = service.parse(sql)
-        # An explicit other schema bypasses the memo both ways.
-        explicit = service.optimize(sql, schema=other)
-        assert explicit.query.schema is other
-        assert service.parse(sql)[0] is mine
-        # The retained schema passed explicitly is the memo's own.
-        assert service.optimize(sql, schema=small_schema).query is mine
-        assert parse_calls == [sql, sql]
+        assert service.optimize(sql).query is mine
+        assert parse_calls == [sql]
         # analyze() of another schema drops every memoized parse.
         service.analyze(other)
         theirs, _ = service.parse(sql)
         assert theirs.schema is other and theirs is not mine
-        assert parse_calls == [sql, sql, sql]
+        assert service.optimize(sql).query is theirs
+        assert parse_calls == [sql, sql]
 
     def test_distinct_texts_evict_lru_first(self, small_schema, parse_calls):
         import repro
@@ -733,16 +716,11 @@ class TestParallelComparison:
         assert self._outcome_key(serial) == self._outcome_key(parallel)
 
     def test_workers_preserve_skip_bookkeeping(self, small_schema, small_stats):
-        # 600-plan cap: DP (1357 plans on star-7) trips, SDP (454) and
-        # GOO (55) stay feasible.
+        # 1000-plan cap: DP (1357 plans on star-7) trips, SDP (426-762)
+        # and GOO (55) stay feasible.
         spec = WorkloadSpec("star", 7)
-        tight = SearchBudget(max_plans_costed=600)
-        kwargs = dict(
-            stats=small_stats,
-            budget=tight,
-            reference_candidates=("SDP", "GOO"),
-            instances=3,
-        )
+        tight = SearchBudget(max_plans_costed=1000)
+        kwargs = dict(stats=small_stats, budget=tight, instances=3)
         serial = run_comparison(
             spec, small_schema, ["DP", "SDP", "GOO"], **kwargs
         )
@@ -750,6 +728,7 @@ class TestParallelComparison:
             spec, small_schema, ["DP", "SDP", "GOO"], workers=2, **kwargs
         )
         assert serial.outcomes["DP"].skipped  # DP trips its tight budget
+        assert serial.reference == "SDP"  # so SDP is the quality reference
         assert self._outcome_key(serial) == self._outcome_key(parallel)
 
     def test_workers_preserve_robust_mode(self, small_schema, small_stats):
