@@ -59,6 +59,7 @@ __all__ = [
     "BYTES_PER_COSTED_PLAN",
     "BYTES_PER_RETAINED_PLAN",
     "BYTES_PER_PAIR",
+    "CHARGE_CHUNK",
     "check_count",
 ]
 
@@ -77,6 +78,14 @@ BYTES_PER_PAIR = 24
 
 #: How many counter events pass between budget checks.
 _CHECK_INTERVAL = 2048
+
+#: Events a search loop tallies locally before settling them with
+#: :class:`SearchCounters` (DPccp's and ``level_pairs``' pairs, the
+#: kernel's costed plans). Loops also settle at the end of every batch
+#: and pair-size group, so totals read after one stay exact, and a
+#: budget trips at most one check interval plus one chunk (and the plans
+#: of the pair that filled it) past its limit.
+CHARGE_CHUNK = 1024
 
 
 def check_count(name: str, value: object, minimum: int) -> None:
@@ -183,8 +192,8 @@ class SearchCounters:
         self.enumerated_pairs += count
         self._charge(count * BYTES_PER_PAIR, count)
 
-    def note_jcr_created(self) -> None:
-        self.jcrs_created += 1
+    def note_jcr_created(self, count: int = 1) -> None:
+        self.jcrs_created += count
 
     def note_jcrs_pruned(self, count: int = 1) -> None:
         # Pruned JCRs stop participating in the search but their arena bytes

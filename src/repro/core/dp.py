@@ -16,7 +16,7 @@ the modeled arena exceeds it.
 from __future__ import annotations
 
 from repro.catalog.statistics import CatalogStatistics
-from repro.core.base import Optimizer, SearchCounters
+from repro.core.base import CHARGE_CHUNK, Optimizer, SearchCounters
 from repro.core.dpccp import csg_cmp_pairs
 from repro.core.kernel import make_planspace
 from repro.errors import OptimizationError
@@ -28,11 +28,6 @@ from repro.query.query import Query
 from repro.util.timer import Timer
 
 __all__ = ["DynamicProgrammingOptimizer"]
-
-#: Pairs buffered between budget charges during enumeration. Small enough
-#: that a memory-budget trip on a dense graph happens after O(chunk)
-#: extra pairs, large enough to amortize the checkpoint machinery.
-_PAIR_CHARGE_CHUNK = 512
 
 
 class DynamicProgrammingOptimizer(Optimizer):
@@ -83,7 +78,7 @@ class DynamicProgrammingOptimizer(Optimizer):
                 # that pair/memory budgets trip *during* enumeration —
                 # dense graphs must not buffer an unbounded pair list
                 # before the first budget check.
-                if uncharged == _PAIR_CHARGE_CHUNK:
+                if uncharged == CHARGE_CHUNK:
                     counters.note_pairs(uncharged)
                     uncharged = 0
             if uncharged:

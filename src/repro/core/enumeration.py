@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 
-from repro.core.base import SearchCounters
+from repro.core.base import CHARGE_CHUNK, SearchCounters
 from repro.plans.jcr import JCR
 from repro.query.joingraph import JoinGraph
 
@@ -36,7 +36,10 @@ def level_pairs(
         levels: Survivor JCRs keyed by level (size).
         target_level: The level being built (>= 2).
         graph: Join graph for connectivity tests.
-        counters: If given, every yielded pair is charged as search work.
+        counters: If given, every yielded pair is charged as search work:
+            tallied here and settled every :data:`CHARGE_CHUNK` pairs and
+            at the end of each pair-size group, so the total is exact
+            once the generator is exhausted.
     """
     for small in range(1, target_level // 2 + 1):
         large = target_level - small
@@ -50,6 +53,7 @@ def level_pairs(
         for b in large_list:
             common &= b.mask
         same_size = small == large
+        uncharged = 0
         for a in small_list:
             a_mask = a.mask
             if a_mask & common:
@@ -63,6 +67,10 @@ def level_pairs(
                     continue
                 if not a_neighbors & b_mask:
                     continue
-                if counters is not None:
-                    counters.note_pairs()
+                uncharged += 1
+                if uncharged == CHARGE_CHUNK and counters is not None:
+                    counters.note_pairs(uncharged)
+                    uncharged = 0
                 yield a, b
+        if uncharged and counters is not None:
+            counters.note_pairs(uncharged)

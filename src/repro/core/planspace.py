@@ -32,10 +32,16 @@ and tuple plan nodes:
   right node, relation, eclass; see :mod:`repro.plans.store`) and one slot
   tuple; :class:`~repro.plans.PlanRecord` trees are only reconstructed for
   the final winning plan at :meth:`finalize` time;
-* counter/budget traffic is batched to one ``note_plans_costed(n)`` call
-  per pair (the budget checkpoint interval in :mod:`repro.core.base`
-  amortizes the rest), so the disabled-observability path costs one
-  boolean per pair.
+* a pair whose one-relation side has all its neighbours across the pair
+  (every pair of a star past level 2) takes its merge-join and index
+  nested-loop eclasses from a per-relation table, kept from the first
+  such pair's own ``JoinGraph.connecting`` call; any other pair derives
+  them from ``connecting``;
+* counter/budget traffic is settled per chunk: new JCRs, opened slots
+  and costed plans are tallied in locals and handed to the counters once
+  :data:`~repro.core.base.CHARGE_CHUNK` plans are pending and at the end
+  of every batch, so per-level span counts and totals stay exact and no
+  counter method runs per pair.
 
 Every costed alternative is still charged to the search counters (the
 paper's "Costing (in plans)" overhead) with exactly the same totals as the
@@ -50,7 +56,7 @@ from __future__ import annotations
 import math
 
 from repro.catalog.statistics import CatalogStatistics, TableStats
-from repro.core.base import SearchCounters
+from repro.core.base import CHARGE_CHUNK, SearchCounters
 from repro.core.table import JCRTable
 from repro.cost.cardinality import CardinalityEstimator
 from repro.cost.model import CostModel
@@ -74,6 +80,18 @@ from repro.plans.store import (
 from repro.query.query import Query
 
 __all__ = ["PlanSpace"]
+
+
+def _merge_eclasses(preds) -> tuple[int, ...]:
+    """The eclasses of connecting ``preds``, one merge join each.
+
+    ``dict.fromkeys`` dedupes in first-occurrence order over ``preds`` —
+    the reference kernel derives its eclass sequence the same way, so both
+    kernels enumerate merge joins in the same order regardless of hashing.
+    """
+    if len(preds) == 1:
+        return (preds[0].eclass,)
+    return tuple(dict.fromkeys(pred.eclass for pred in preds))
 
 
 class PlanSpace:
@@ -109,6 +127,10 @@ class PlanSpace:
         # single-pair joins only: greedy, IDP and the randomized walks
         # revisit pairs through join(), level batches (DP, SDP) never do.
         self._pair_preds: dict[tuple[int, int], tuple] = {}
+        # Per relation, kept on first use: the join facts of a pair whose
+        # one-relation side it is, with all its neighbours across the pair
+        # (see _facts_of).
+        self._relation_facts: list[tuple | None] = [None] * graph.n
 
         # Selections, grouped per relation: qual counts, unfiltered base
         # cardinalities, and the per-relation filter cost added on top of
@@ -337,19 +359,23 @@ class PlanSpace:
 
     def _join_pairs(self, table: JCRTable, pairs, connecting) -> None:
         """:meth:`join_batch`, with ``connecting(lmask, rmask)`` supplying
-        each pair's predicates (:meth:`join` passes its pair memo)."""
+        the predicates of each pair the per-relation join facts do not
+        cover (:meth:`join` passes its pair memo)."""
         by_mask = table._by_mask
         create = table.create
         counters = self.counters
         note_plans_costed = counters.note_plans_costed
         note_retained = counters.note_retained
         note_jcr_created = counters.note_jcr_created
+        neighbor_masks = self.graph.neighbor_masks
+        relation_facts = self._relation_facts
+        facts_of = self._facts_of
+        index_eclasses = self._index_eclasses
         reach = self._reach
         sort_cache = self._sort_cost_cache
         sort_fn = self._sort_cost
         probe_descent = self._probe_descent
         probe_per_match = self._probe_per_match
-        indexed_names_all = self._indexed_names
         filter_per_row = self._filter_per_row
 
         ctc = self._ctc
@@ -360,10 +386,13 @@ class PlanSpace:
         page_size = self._page_size
         spc = self._spc
 
-        # Costed-plan charges accumulate across pairs and flush in chunks
-        # (and once at batch end, so callers reading the counter after the
-        # batch see exact totals). Budget trips for plans-costed therefore
-        # fire within one chunk of the precise crossing point.
+        # New JCRs, newly opened slots and costed plans are tallied here
+        # and settled with the counters once CHARGE_CHUNK plans are
+        # pending, and at the end of the batch, so callers reading the
+        # counters after a batch see exact totals and a budget still
+        # trips mid-batch (see CHARGE_CHUNK for how far past its limit).
+        pending_created = 0
+        pending_retained = 0
         pending_costed = 0
 
         for left, right in pairs:
@@ -371,14 +400,52 @@ class PlanSpace:
             rmask = right.mask
             if lmask & rmask:
                 continue
-            preds = connecting(lmask, rmask)
-            if not preds:
-                continue
+            # The pair's join facts: its merge-join eclasses, and the
+            # index nested-loop eclasses with the left and with the right
+            # input as the inner (empty unless that input is a base
+            # relation). A one-relation side whose every neighbour lies
+            # across the pair joins through all of its predicates, so its
+            # facts come from the per-relation table; any other pair
+            # derives them from its connecting predicates.
+            facts = None
+            if left.level == 1:
+                if right.level > 1:
+                    relation = lmask.bit_length() - 1
+                    if not neighbor_masks[relation] & ~rmask:
+                        facts = relation_facts[relation] or facts_of(
+                            relation, connecting(lmask, rmask)
+                        )
+                        merge_eclasses, left_index = facts
+                        right_index = ()
+            elif right.level == 1:
+                relation = rmask.bit_length() - 1
+                if not neighbor_masks[relation] & ~lmask:
+                    facts = relation_facts[relation] or facts_of(
+                        relation, connecting(lmask, rmask)
+                    )
+                    merge_eclasses, right_index = facts
+                    left_index = ()
+            if facts is None:
+                preds = connecting(lmask, rmask)
+                if not preds:
+                    continue
+                merge_eclasses = _merge_eclasses(preds)
+                left_index = (
+                    index_eclasses(preds, lmask.bit_length() - 1)
+                    if left.level == 1
+                    else ()
+                )
+                right_index = (
+                    index_eclasses(preds, rmask.bit_length() - 1)
+                    if right.level == 1
+                    else ()
+                )
+
             union = lmask | rmask
             jcr = by_mask.get(union)
             if jcr is None:
                 jcr = create(union)
-                note_jcr_created()
+                pending_created += 1
             outside = ~union
             out_rows = jcr.rows
             out_tc = out_rows * ctc
@@ -389,7 +456,10 @@ class PlanSpace:
             best_cost = jcr.best_cost
             best_entry = jcr.best_entry
 
-            for outer, inner in ((left, right), (right, left)):
+            for outer, inner, inner_eclasses in (
+                (left, right, right_index),
+                (right, left, left_index),
+            ):
                 outer_rows = outer.rows
                 inner_rows = inner.rows
                 outer_slots = outer.slots.values()
@@ -445,153 +515,180 @@ class PlanSpace:
                             best_cost = cost
                             best_entry = entry
 
-                # Index nested loop: inner must be a base relation with an
-                # index on a join column connecting to the outer. The probe
-                # cost is the decomposed index_lookup_cost (descent constant
-                # per relation, per-match constant per model) — it does not
-                # vary by eclass, so it is hoisted above the predicate loop.
-                if inner.level == 1:
-                    inner_index = (inner.mask & -inner.mask).bit_length() - 1
-                    indexed_names = indexed_names_all[inner_index]
-                    if indexed_names:
-                        per_probe_rows = out_rows / (
-                            outer_rows if outer_rows > 1.0 else 1.0
-                        )
-                        matches = per_probe_rows if per_probe_rows > 1.0 else 1.0
-                        probe = (
-                            probe_descent[inner_index] + matches * probe_per_match
-                        )
-                        # Selections on the inner relation re-check their
-                        # quals on every matched row of every probe.
-                        probe_filter = filter_per_row[inner_index]
-                        if probe_filter:
-                            probe = probe + matches * probe_filter
-                        probe_term = outer_rows * probe
-                        seen_eclasses: set[int] = set()
-                        for pred in preds:
-                            if pred.left == inner_index:
-                                column = pred.left_column
-                            elif pred.right == inner_index:
-                                column = pred.right_column
-                            else:
-                                continue
-                            eclass = pred.eclass
-                            if eclass in seen_eclasses:
-                                continue
-                            seen_eclasses.add(eclass)
-                            if column not in indexed_names:
-                                continue
-                            # The inner child of an index NL is a per-probe
-                            # index access, not a full scan of the inner
-                            # relation; its node is built on the first
-                            # retained candidate and shared by the rest.
-                            probe_entry = None
-                            costed += len(outer_slots)
-                            for order, outer_cost, outer_entry in outer_slots:
-                                cost = outer_cost + probe_term + out_tc
-                                key = (
-                                    order
-                                    if order is not None and reach[order] & outside
-                                    else None
-                                )
-                                slot = slots_get(key)
-                                if slot is None or cost < slot[1]:
-                                    if probe_entry is None:
-                                        probe_entry = (
-                                            M_INDEX_SCAN, probe, per_probe_rows,
-                                            NO_FIELD, None, None,
-                                            inner_index, eclass,
-                                        )
-                                    entry = (
-                                        M_INDEX_NESTLOOP, cost, out_rows,
-                                        NO_FIELD if order is None else order,
-                                        outer_entry, probe_entry, NO_FIELD, eclass,
+                # Index nested loop, one per probed eclass: the inner is a
+                # base relation with an index on a join column connecting
+                # it to the outer. The probe cost is the decomposed
+                # index_lookup_cost (descent constant per relation,
+                # per-match constant per model) — it does not vary by
+                # eclass, so it is hoisted above the eclass loop.
+                if inner_eclasses:
+                    inner_index = inner.mask.bit_length() - 1
+                    per_probe_rows = out_rows / (
+                        outer_rows if outer_rows > 1.0 else 1.0
+                    )
+                    matches = per_probe_rows if per_probe_rows > 1.0 else 1.0
+                    probe = probe_descent[inner_index] + matches * probe_per_match
+                    # Selections on the inner relation re-check their
+                    # quals on every matched row of every probe.
+                    probe_filter = filter_per_row[inner_index]
+                    if probe_filter:
+                        probe = probe + matches * probe_filter
+                    probe_term = outer_rows * probe
+                    for eclass in inner_eclasses:
+                        # The inner child of an index NL is a per-probe
+                        # index access, not a full scan of the inner
+                        # relation; its node is built on the first
+                        # retained candidate and shared by the rest.
+                        probe_entry = None
+                        costed += len(outer_slots)
+                        for order, outer_cost, outer_entry in outer_slots:
+                            cost = outer_cost + probe_term + out_tc
+                            key = (
+                                order
+                                if order is not None and reach[order] & outside
+                                else None
+                            )
+                            slot = slots_get(key)
+                            if slot is None or cost < slot[1]:
+                                if probe_entry is None:
+                                    probe_entry = (
+                                        M_INDEX_SCAN, probe, per_probe_rows,
+                                        NO_FIELD, None, None,
+                                        inner_index, eclass,
                                     )
-                                    slots[key] = (order, cost, entry)
-                                    if cost < best_cost:
-                                        best_cost = cost
-                                        best_entry = entry
+                                entry = (
+                                    M_INDEX_NESTLOOP, cost, out_rows,
+                                    NO_FIELD if order is None else order,
+                                    outer_entry, probe_entry, NO_FIELD, eclass,
+                                )
+                                slots[key] = (order, cost, entry)
+                                if cost < best_cost:
+                                    best_cost = cost
+                                    best_entry = entry
 
             # Merge joins, one per connecting equivalence class (symmetric).
-            # dict.fromkeys dedupes in first-occurrence order over `preds`
-            # — the reference kernel derives its eclass sequence the same
-            # way, so both kernels enumerate merge joins in the same order
-            # regardless of hashing.
-            if len(preds) == 1:
-                eclasses: tuple[int, ...] = (preds[0].eclass,)
-            else:
-                eclasses = tuple(dict.fromkeys(pred.eclass for pred in preds))
-            if eclasses:
-                left_rows = left.rows
-                right_rows = right.rows
-                merge = (left_rows + right_rows) * coc
-                left_sort = sort_cache.get(lmask)
-                if left_sort is None:
-                    left_sort = sort_fn(left)
-                right_sort = sort_cache.get(rmask)
-                if right_sort is None:
-                    right_sort = sort_fn(right)
-                left_slots_get = left.slots.get
-                right_slots_get = right.slots.get
-                for eclass in eclasses:
-                    # Cheapest way to feed each side sorted on `eclass`: the
-                    # input's retained plan for that order, taken as it is,
-                    # or its unordered best plus an explicit sort (ties keep
-                    # the ordered plan, matching the reference kernel's
-                    # `<=`). The eclass connects both sides, so it is useful
-                    # for each: an input plan sorted on it always sits in
-                    # that slot, and a best taken here lacks the order.
-                    left_cost = left.best_cost + left_sort
-                    left_input = left_slots_get(eclass)
-                    if left_input is not None and left_input[1] <= left_cost:
-                        left_cost = left_input[1]
-                    else:
-                        left_input = None
-                    right_cost = right.best_cost + right_sort
-                    right_input = right_slots_get(eclass)
-                    if right_input is not None and right_input[1] <= right_cost:
-                        right_cost = right_input[1]
-                    else:
-                        right_input = None
-                    cost = left_cost + right_cost + merge + out_tc
-                    costed += 1
-                    key = eclass if reach[eclass] & outside else None
-                    slot = slots_get(key)
-                    if slot is None or cost < slot[1]:
-                        if left_input is None:
-                            left_child = (
-                                M_SORT, left_cost, left_rows, eclass,
-                                left.best_entry, None, NO_FIELD, eclass,
-                            )
-                        else:
-                            left_child = left_input[2]
-                        if right_input is None:
-                            right_child = (
-                                M_SORT, right_cost, right_rows, eclass,
-                                right.best_entry, None, NO_FIELD, eclass,
-                            )
-                        else:
-                            right_child = right_input[2]
-                        entry = (
-                            M_MERGE_JOIN, cost, out_rows, eclass,
-                            left_child, right_child, NO_FIELD, eclass,
+            left_rows = left.rows
+            right_rows = right.rows
+            merge = (left_rows + right_rows) * coc
+            left_sort = sort_cache.get(lmask)
+            if left_sort is None:
+                left_sort = sort_fn(left)
+            right_sort = sort_cache.get(rmask)
+            if right_sort is None:
+                right_sort = sort_fn(right)
+            left_slots_get = left.slots.get
+            right_slots_get = right.slots.get
+            for eclass in merge_eclasses:
+                # Cheapest way to feed each side sorted on `eclass`: the
+                # input's retained plan for that order, taken as it is,
+                # or its unordered best plus an explicit sort (ties keep
+                # the ordered plan, matching the reference kernel's
+                # `<=`). The eclass connects both sides, so it is useful
+                # for each: an input plan sorted on it always sits in
+                # that slot, and a best taken here lacks the order.
+                left_cost = left.best_cost + left_sort
+                left_input = left_slots_get(eclass)
+                if left_input is not None and left_input[1] <= left_cost:
+                    left_cost = left_input[1]
+                else:
+                    left_input = None
+                right_cost = right.best_cost + right_sort
+                right_input = right_slots_get(eclass)
+                if right_input is not None and right_input[1] <= right_cost:
+                    right_cost = right_input[1]
+                else:
+                    right_input = None
+                cost = left_cost + right_cost + merge + out_tc
+                costed += 1
+                key = eclass if reach[eclass] & outside else None
+                slot = slots_get(key)
+                if slot is None or cost < slot[1]:
+                    if left_input is None:
+                        left_child = (
+                            M_SORT, left_cost, left_rows, eclass,
+                            left.best_entry, None, NO_FIELD, eclass,
                         )
-                        slots[key] = (eclass, cost, entry)
-                        if cost < best_cost:
-                            best_cost = cost
-                            best_entry = entry
+                    else:
+                        left_child = left_input[2]
+                    if right_input is None:
+                        right_child = (
+                            M_SORT, right_cost, right_rows, eclass,
+                            right.best_entry, None, NO_FIELD, eclass,
+                        )
+                    else:
+                        right_child = right_input[2]
+                    entry = (
+                        M_MERGE_JOIN, cost, out_rows, eclass,
+                        left_child, right_child, NO_FIELD, eclass,
+                    )
+                    slots[key] = (eclass, cost, entry)
+                    if cost < best_cost:
+                        best_cost = cost
+                        best_entry = entry
 
             jcr.best_cost = best_cost
             jcr.best_entry = best_entry
+            pending_retained += len(slots) - slots_before
             pending_costed += costed
-            if pending_costed >= 1024:
+            if pending_costed >= CHARGE_CHUNK:
+                if pending_created:
+                    note_jcr_created(pending_created)
+                    pending_created = 0
+                if pending_retained:
+                    note_retained(pending_retained)
+                    pending_retained = 0
                 note_plans_costed(pending_costed)
                 pending_costed = 0
-            if len(slots) > slots_before:
-                note_retained(len(slots) - slots_before)
 
+        if pending_created:
+            note_jcr_created(pending_created)
+        if pending_retained:
+            note_retained(pending_retained)
         if pending_costed:
             note_plans_costed(pending_costed)
+
+    def _facts_of(self, relation: int, preds) -> tuple:
+        """Keep and return the per-relation join facts of ``relation``:
+        its merge-join eclasses and its index nested-loop eclasses as the
+        inner, derived from ``preds``.
+
+        ``preds`` connect a pair whose one-relation side is ``relation``
+        with all its neighbours across the pair: every predicate of the
+        relation, in the order :meth:`JoinGraph.connecting` scans them,
+        the same for every such pair.
+        """
+        facts = self._relation_facts[relation] = (
+            _merge_eclasses(preds),
+            self._index_eclasses(preds, relation),
+        )
+        return facts
+
+    def _index_eclasses(self, preds, relation: int) -> tuple[int, ...]:
+        """The eclasses an index nested loop with base relation
+        ``relation`` as the inner probes, over connecting ``preds``.
+
+        Per eclass, the first predicate that touches the relation names
+        its column, which must carry an index.
+        """
+        indexed_names = self._indexed_names[relation]
+        if not indexed_names:
+            return ()
+        seen: set[int] = set()
+        found = []
+        for pred in preds:
+            if pred.left == relation:
+                column = pred.left_column
+            elif pred.right == relation:
+                column = pred.right_column
+            else:
+                continue
+            eclass = pred.eclass
+            if eclass in seen:
+                continue
+            seen.add(eclass)
+            if column in indexed_names:
+                found.append(eclass)
+        return tuple(found)
 
     # -- finishing --------------------------------------------------------------
 

@@ -185,8 +185,10 @@ class SDPOptimizer(Optimizer):
             with maybe_span(tracer, SPAN_SDP_LEVEL, level=level) as span:
                 costed_before = counters.plans_costed
                 pairs_before = counters.enumerated_pairs
-                # A generator, not a list: level_pairs charges note_pairs
-                # as it yields, so pair charges interleave with costing.
+                # A generator, not a list: level_pairs settles its pair
+                # charges per chunk as it yields, so they interleave with
+                # the kernel's per-chunk costing charges, and both are
+                # settled by the time join_batch returns.
                 space.join_batch(
                     table, level_pairs(levels, level, graph, counters)
                 )

@@ -1,10 +1,13 @@
 """RL004 — enumeration loops must charge the search budget.
 
 Budgets only trip *mid-enumeration* (the paper's 1 GB feasibility
-frontier; the ``_PAIR_CHARGE_CHUNK`` contract) if every loop that
-builds join pairs reports its work to :class:`SearchCounters`. In
-``core/`` this checker finds pair-building loops — a loop qualifies
-when it
+frontier) if every loop that builds join pairs reports its work to
+:class:`SearchCounters`. The loops may tally their work locally and
+settle it every :data:`repro.core.base.CHARGE_CHUNK` events and at the
+end of each batch (DPccp's enumeration, ``level_pairs``, the kernel's
+``_join_pairs``), so a trip lands at most one check interval plus one
+chunk past the limit. In ``core/`` this checker finds pair-building
+loops — a loop qualifies when it
 
 * calls ``.join(...)`` / ``.join_batch(...)`` on something, or
 * iterates a ``*_pairs(...)`` generator (``csg_cmp_pairs``,

@@ -176,26 +176,32 @@ class JsonlSpanExporter:
 
     The file handle is opened lazily on the first export and flushed per
     span (services die mid-run; a buffered tail would vanish with them).
-    Use as a context manager or call :meth:`close` explicitly.
+    One installed tracer serves every thread, so each span's line is
+    written, flushed and counted under one lock: lines from several
+    threads never interleave. Use as a context manager or call
+    :meth:`close` explicitly.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._handle = None
+        self._lock = threading.Lock()
         self.exported = 0
 
     def export(self, span: Span) -> None:
-        if self._handle is None:
-            self._handle = open(self.path, "a", encoding="utf-8")
-        json.dump(span.to_dict(), self._handle, sort_keys=True)
-        self._handle.write("\n")
-        self._handle.flush()
-        self.exported += 1
+        line = json.dumps(span.to_dict(), sort_keys=True) + "\n"
+        with self._lock:
+            if self._handle is None:
+                self._handle = open(self.path, "a", encoding="utf-8")
+            self._handle.write(line)
+            self._handle.flush()
+            self.exported += 1
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
     def __enter__(self) -> "JsonlSpanExporter":
         return self

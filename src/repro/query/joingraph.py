@@ -265,6 +265,12 @@ class JoinGraph:
         """Bitmask of relations adjacent to relation ``index``."""
         return self._neighbor_masks[index]
 
+    @property
+    def neighbor_masks(self) -> list[int]:
+        """Per relation index, the bitmask of adjacent relations (treat as
+        read-only)."""
+        return self._neighbor_masks
+
     def degree(self, index: int) -> int:
         """Number of distinct relations joined with relation ``index``."""
         return bit_count(self._neighbor_masks[index])

@@ -4,11 +4,12 @@ The mask-native kernel with tuple plan nodes (:mod:`repro.core.planspace`) must
 be a pure performance change: for any query, any technique, it has to
 produce the *same search* as the preserved eager object-graph kernel
 (:mod:`repro.core.reference`) — bit-identical winning cost, identical plan
-tree, identical counter values. These tests sweep randomized chain, star,
-and clique instances (<= 10 relations, several workload seeds), each
-unordered and with an ORDER BY on a join column, plus SQL queries with
-selections and ORDER BY, through DP, SDP, and IDP under both kernels and
-compare everything observable. The kernel registry tests live here too.
+tree, identical counter values. These tests sweep randomized chain,
+cycle, star (also with a shared hub column), star-chain and clique
+instances (<= 12 relations, several workload seeds), each unordered and
+with an ORDER BY on a join column, plus SQL queries with selections and
+ORDER BY, through DP, SDP, and IDP under both kernels and compare
+everything observable. The kernel registry tests live here too.
 """
 
 from __future__ import annotations
@@ -28,15 +29,25 @@ BUDGET = SearchBudget(max_seconds=60.0)
 
 TECHNIQUES = ("DP", "SDP", "IDP(4)")
 
-# (topology, size) cells; clique kept smallest — its DP pair count grows
-# fastest and this sweep runs 2 kernels x 3 techniques per instance.
+# (topology, size, shared hub column) cells; clique kept smallest — its
+# DP pair count grows fastest and this sweep runs 2 kernels x 3
+# techniques per instance. Stars and star-chains send most pairs through
+# the kernel's per-relation join facts (a spoke against a composite that
+# holds the hub); a shared hub column puts every spoke in one eclass, with
+# implied spoke-to-spoke edges; chains and cycles take the connecting
+# path.
 GRAPHS = (
-    ("chain", 8),
-    ("chain", 10),
-    ("star", 8),
-    ("star", 10),
-    ("clique", 6),
-    ("clique", 7),
+    ("chain", 8, False),
+    ("chain", 10, False),
+    ("star", 8, False),
+    ("star", 10, False),
+    ("clique", 6, False),
+    ("clique", 7, False),
+    ("star-chain", 10, False),
+    ("star-chain", 12, False),
+    ("cycle", 8, False),
+    ("star", 8, True),
+    ("star", 10, True),
 )
 
 # Every cell unordered and ordered: the ordered variant puts an ORDER BY
@@ -46,11 +57,13 @@ CELLS = [
     pytest.param(
         topology,
         size,
+        shared,
         ordered,
-        id=f"{topology}-{size}" + ("-ordered" if ordered else ""),
+        id=f"{topology}{'-shared' if shared else ''}-{size}"
+        + ("-ordered" if ordered else ""),
     )
     for ordered in (False, True)
-    for topology, size in GRAPHS
+    for topology, size, shared in GRAPHS
 ]
 
 INSTANCES = (0, 1, 2)
@@ -115,10 +128,14 @@ def assert_kernels_agree(technique: str, query, stats, label):
     assert fast.modeled_memory_mb == reference.modeled_memory_mb, label
 
 
-@pytest.mark.parametrize("topology,size,ordered", CELLS)
+@pytest.mark.parametrize("topology,size,shared,ordered", CELLS)
 @pytest.mark.parametrize("technique", TECHNIQUES)
-def test_kernels_agree(topology, size, ordered, technique, eq_schema, eq_stats):
-    spec = WorkloadSpec(topology, size, ordered=ordered)
+def test_kernels_agree(
+    topology, size, shared, ordered, technique, eq_schema, eq_stats
+):
+    spec = WorkloadSpec(
+        topology, size, ordered=ordered, shared_hub_column=shared
+    )
     for instance in INSTANCES:
         query = make_query(spec, eq_schema, instance)
         label = f"{technique} {spec.label} instance={instance}"
@@ -159,6 +176,41 @@ def tpch():
 def test_kernels_agree_on_selections_and_orders(label, technique, tpch):
     _, stats, queries = tpch
     assert_kernels_agree(technique, queries[label], stats, f"{technique} {label}")
+
+
+# A relation joining two of its own columns into one eclass: customer's
+# pairs against a composite holding orders take the per-relation join
+# facts, and the first predicate that touches customer names the column
+# an index nested loop probes (c_custkey is indexed, c_acctbal is not), so
+# the two predicate orders cost different plan counts.
+OWN_COLUMNS_SQL = (
+    "SELECT * FROM customer, orders, lineitem, part, supplier "
+    "WHERE customer.{} = orders.o_custkey "
+    "AND customer.{} = orders.o_custkey "
+    "AND orders.o_orderkey = lineitem.l_orderkey "
+    "AND lineitem.l_partkey = part.p_partkey "
+    "AND lineitem.l_suppkey = supplier.s_suppkey"
+)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    (("c_acctbal", "c_custkey"), ("c_custkey", "c_acctbal")),
+    ids=("unindexed-first", "indexed-first"),
+)
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_kernels_agree_on_two_columns_in_one_eclass(columns, technique, tpch):
+    from repro.query.parser import parse_sql
+
+    schema, stats, _ = tpch
+    query = parse_sql(schema, OWN_COLUMNS_SQL.format(*columns))
+    (eclass,) = {
+        pred.eclass
+        for pred in query.graph.predicates
+        if query.graph.name_of(pred.left) == "customer"
+    }
+    assert len(query.graph.eclasses[eclass]) == 3
+    assert_kernels_agree(technique, query, stats, f"{technique} {columns}")
 
 
 def test_kernel_env_selects_reference(monkeypatch):

@@ -165,6 +165,35 @@ class TestTracer:
             span.parent_id in outer_ids for span in spans if span.name == "inner"
         )
 
+    def test_jsonl_lines_stay_whole_under_thread_contention(self, tmp_path):
+        """Threads tracing into one JSONL exporter write whole lines, and
+        every span is counted once."""
+        path = tmp_path / "spans.jsonl"
+        interval = sys.getswitchinterval()
+        with JsonlSpanExporter(path) as exporter:
+            tracer = Tracer(exporter)
+            sys.setswitchinterval(1e-6)
+            try:
+                def work():
+                    for _ in range(300):
+                        with tracer.span("outer", payload="x" * 64):
+                            with tracer.span("inner", payload="y" * 64):
+                                pass
+
+                threads = [threading.Thread(target=work) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert exporter.exported == 8 * 300 * 2
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 8 * 300 * 2
+        names = [json.loads(line)["name"] for line in lines]
+        assert names.count("outer") == names.count("inner") == 8 * 300
+
 
 # -- metrics registry --------------------------------------------------------
 
